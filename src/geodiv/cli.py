@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .diversity import DiversityConfig
-from .errors import DuplicateCidr, ParseError
+from .errors import DuplicateCidr, InvalidConfig, ParseError
 from .pipeline import (
     PipelineSummary,
     cluster_filtered_pairs,
@@ -178,6 +178,11 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (ParseError, DuplicateCidr, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except InvalidConfig as exc:
+        # Every setting comes from the flag of the same name; a clusters
+        # file's stored radius is checked when the file is read.
+        print(f"error: --{exc.field.replace('_', '-')} {exc.reason}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

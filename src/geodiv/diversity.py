@@ -16,13 +16,12 @@ height and the rest are grid-searched for the largest GDI.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cluster import delta_vector
-from .errors import EmptySet, InvalidCounts, InvalidGeometry
+from .errors import EmptySet, InvalidConfig, InvalidCounts, InvalidGeometry
 from .geodesy import EARTH_RADIUS_KM
 from .geolocate import GeoPath
 
@@ -40,11 +39,13 @@ class DiversityConfig:
 
     def __post_init__(self) -> None:
         if self.threshold_km <= 0:
-            raise ValueError("threshold_km must be positive")
+            raise InvalidConfig("threshold_km", f"must be positive, got {self.threshold_km}")
         if self.earth_radius_km <= 0:
-            raise ValueError("earth_radius_km must be positive")
+            raise InvalidConfig("earth_radius_km", f"must be positive, got {self.earth_radius_km}")
         if self.mgdi_grid_steps < 1:
-            raise ValueError("mgdi_grid_steps must be a positive integer")
+            raise InvalidConfig(
+                "mgdi_grid_steps", f"must be a positive integer, got {self.mgdi_grid_steps}"
+            )
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,91 @@ def triangle_route(endpoint_distance_km: float, height_km: float) -> PlanarPath:
     return ((0.0, 0.0), (endpoint_distance_km / 2.0, height_km), (endpoint_distance_km, 0.0))
 
 
+# Relative slack on the branch-and-bound cut, so that rounding in the bound
+# itself can never prune the optimum.
+_BOUND_SLACK = 1.0 + 1e-9
+
+
+def _extend_trajectory(
+    table: Sequence[Sequence[float]],
+    opening: tuple[float, int, int],
+    pinned: int,
+    slots: int,
+    total: float,
+    candidates: list[tuple[float, int]],
+    has_pinned: bool,
+    best: float,
+) -> float:
+    """Best GDI over the valid continuations of one partial greedy trajectory.
+
+    ``candidates`` holds ``(score to the selected set, index)`` for every
+    route that may still join without changing an earlier greedy choice;
+    ``slots`` is how many more routes may join.
+    """
+    top, i, j = opening
+    candidates.sort(key=lambda c: (-c[0], c[1]))
+    scores = [score for score, _ in candidates]
+    for pos, (score, v) in enumerate(candidates):
+        # Later picks come from later candidates and score no higher than
+        # they do now, so this branch and every later one stay below this.
+        if (total + sum(scores[pos : pos + slots])) * _BOUND_SLACK <= best:
+            break
+        value = total + score
+        holds_pinned = has_pinned or v == pinned
+        if holds_pinned and value > best:
+            best = value
+        if slots > 1:
+            row = table[v]
+            # Routes sorted after this pick leave the greedy's choice of it
+            # unchanged (lower score, or a tie with a later index); drop
+            # those that would form a pair beating the opening pair.
+            rest = [
+                (min(s, row[k]), k)
+                for s, k in candidates[pos + 1 :]
+                if row[k] < top or (row[k] == top and (min(k, v), max(k, v)) > (i, j))
+            ]
+            if holds_pinned or any(k == pinned for _, k in rest):
+                best = _extend_trajectory(
+                    table, opening, pinned, slots - 1, value, rest, holds_pinned, best
+                )
+        if v == pinned and not has_pinned:
+            break  # every later branch leaves the pinned route out
+    return best
+
+
+def _best_greedy_set(
+    table: Sequence[Sequence[float]], pinned: int, max_routes: int, best: float
+) -> float:
+    """Largest of ``best`` and the greedy GDI (:func:`_greedy_accumulate`) of
+    every index set that holds ``pinned`` and has 3 to ``max_routes`` (at
+    least 3) members, found by walking greedy trajectories; ``table`` is
+    symmetric and non-negative."""
+    m = len(table)
+    openings = sorted(
+        ((table[i][j], i, j) for i in range(m) for j in range(i + 1, m)), key=lambda o: -o[0]
+    )
+    for top, i, j in openings:
+        if (max_routes - 1) * top * _BOUND_SLACK <= best:
+            break
+        row_i, row_j = table[i], table[j]
+        candidates = [
+            (min(row_i[k], row_j[k]), k)
+            for k in range(m)
+            if k != i
+            and k != j
+            and all(
+                table[k][x] < top or (table[k][x] == top and (min(k, x), max(k, x)) > (i, j))
+                for x in (i, j)
+            )
+        ]
+        has_pinned = pinned in (i, j)
+        if has_pinned or any(k == pinned for _, k in candidates):
+            best = _extend_trajectory(
+                table, (top, i, j), pinned, max_routes - 2, top, candidates, has_pinned, best
+            )
+    return best
+
+
 def mgdi(
     n_routes: int,
     endpoint_distance_km: float,
@@ -202,10 +288,34 @@ def mgdi(
 
     The apex height of each route may range over +/- h_max where
     ``h_max = sqrt((longest/2)^2 - (endpoint_distance/2)^2)``; the longest
-    route is pinned at +h_max and the remaining heights are searched on a
-    signed grid of ``cfg.mgdi_grid_steps`` values. Since duplicate routes
-    never change a GDI, the search enumerates distinct height subsets
-    rather than full assignments.
+    route is pinned at +h_max and the others take heights on a signed grid
+    of ``cfg.mgdi_grid_steps`` values. The result is the best greedy GDI
+    over every set of at most ``n_routes`` distinct grid routes that holds
+    the pinned one (duplicate routes never change a GDI).
+
+    *Apex-only table.* All triangles share both endpoints, and each
+    endpoint lies exactly (to the bit) on every other triangle, so a
+    pair's distance vector is ``(0, a, 0, 0, b, 0)`` with ``a`` and ``b``
+    the distances from each apex to the other triangle. Only those two are
+    computed, and the score is evaluated on the same vector as
+    :func:`planar_pair_diversity` would build. Two-route sets need only
+    the pinned route's row, so the full table is built only for three or
+    more routes.
+
+    *Trajectory search.* Instead of running the greedy on every subset,
+    the search walks greedy trajectories: an opening pair, then one pick
+    at a time. A pick is allowed only while it leaves every earlier
+    greedy choice unchanged, including the strict-``>`` comparisons and
+    the earliest-index tie-breaks. The prefixes of such a trajectory are
+    exactly the greedy runs on their own sets, so the trajectories of at
+    most ``n_routes`` routes that hold the pinned one are in one-to-one
+    correspondence with the sets the definition ranges over, and sums
+    accumulate in the greedy's own order. A route's score to the selected
+    set only falls as the set grows, so a branch is cut once its sum plus
+    the highest current candidate score for each free slot cannot beat
+    the best value found; the cut carries a relative slack of 1e-9 so
+    rounding never drops the optimum. The result equals the exhaustive
+    subset search bit for bit.
     """
     cfg = cfg or DiversityConfig()
     if n_routes <= 1:
@@ -222,23 +332,24 @@ def mgdi(
     pinned = len(grid) - 1  # +h_max is always the last grid value
     routes = [triangle_route(endpoint_distance_km, h) for h in grid]
 
+    def pair_score(i: int, j: int) -> float:
+        a = _planar_point_to_path(routes[i][1], routes[j])
+        b = _planar_point_to_path(routes[j][1], routes[i])
+        return diversity_from_delta([0.0, a, 0.0, 0.0, b, 0.0])
+
     m = len(grid)
+    pinned_scores = [pair_score(i, pinned) for i in range(pinned)]
+    best = max([0.0, *pinned_scores])
+    max_routes = min(n_routes, m)
+    if max_routes <= 2:
+        return best
+
     table = [[0.0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            score = planar_pair_diversity(routes[i], routes[j])
+            score = pinned_scores[i] if j == pinned else pair_score(i, j)
             table[i][j] = table[j][i] = score
-
-    free = [i for i in range(m) if i != pinned]
-    best = 0.0
-    for k in range(1, min(n_routes - 1, len(free)) + 1):
-        for combo in itertools.combinations(free, k):
-            idxs = sorted(combo + (pinned,))
-            sub = [[table[a][b] for b in idxs] for a in idxs]
-            value = _greedy_accumulate(sub)
-            if value > best:
-                best = value
-    return best
+    return _best_greedy_set(table, pinned, max_routes, best)
 
 
 def compression_ratio(ip_route_count: int, cluster_count: int) -> float:

@@ -51,6 +51,15 @@ class InvalidGeometry(GeodivError):
     """Route-length geometry is inconsistent (longest route shorter than the endpoint gap)."""
 
 
+class InvalidConfig(GeodivError, ValueError):
+    """A scoring setting is out of range; ``field`` names the setting."""
+
+    def __init__(self, field: str, reason: str):
+        self.field = field
+        self.reason = reason
+        super().__init__(f"{field} {reason}")
+
+
 class InvalidCounts(GeodivError):
     """Route/cluster counts violate their mutual constraints."""
 

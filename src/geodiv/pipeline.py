@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -373,7 +374,11 @@ def read_clusters_file(
             raise ParseError(f"invalid JSON: {exc.msg}", path=name, line=exc.lineno) from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
         raise ParseError("clusters file must be an object with a 'pairs' array", path=name)
-    radius = float(payload.get("earth_radius_km", 0.0) or 0.0)
+    # A missing, null or zero radius means "not recorded".
+    radius = payload.get("earth_radius_km") or 0.0
+    if not isinstance(radius, (int, float)) or not 0.0 <= radius < math.inf:
+        raise ParseError(f"earth_radius_km must be a positive number, got {radius!r}", path=name)
+    radius = float(radius)
     stats = None
     raw_stats = payload.get("filter_stats")
     if isinstance(raw_stats, dict):
@@ -398,6 +403,12 @@ def read_clusters_file(
             raise ParseError(f"malformed pair entry: {exc}", path=name) from exc
         if not isinstance(clusters, list) or not clusters:
             raise ParseError(f"pair {pair}: 'clusters' must be a non-empty array", path=name)
+        if ip_route_count < len(clusters):
+            raise ParseError(
+                f"pair {pair}: ip_route_count {ip_route_count} is below its "
+                f"{len(clusters)} clusters",
+                path=name,
+            )
         representatives = []
         for cluster in clusters:
             if not isinstance(cluster, dict) or "representative" not in cluster:

@@ -3,15 +3,27 @@
 Everything here deliberately avoids the package's own computation paths:
 numpy trigonometry and dense sampling for geodesy, numpy statistics for
 the pairwise score, an explicit set-based replay for the greedy
-accumulation, and a linear scan for longest-prefix lookup.
+accumulation, and a linear scan for longest-prefix lookup. The one
+exception is the MGDI oracle: it is the original exhaustive subset search,
+kept on the package's planar score and greedy accumulation so that the
+fast search must match it bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from ipaddress import IPv4Address, IPv4Network
 
 import numpy as np
+
+from geodiv.diversity import (
+    DiversityConfig,
+    _greedy_accumulate,
+    _height_grid,
+    planar_pair_diversity,
+    triangle_route,
+)
 
 EARTH_R = 6371.0
 
@@ -111,4 +123,42 @@ def brute_force_lookup(
         if address in network and network.prefixlen > best_len:
             best = value
             best_len = network.prefixlen
+    return best
+
+
+def mgdi_exhaustive(n_routes: int, endpoint_distance_km: float, longest_route_km: float, cfg=None) -> float:
+    """The original MGDI search: the full planar pair table for the grid
+    routes, then the greedy GDI of every height subset holding the pinned
+    route, via ``itertools.combinations``."""
+    cfg = cfg or DiversityConfig()
+    if n_routes <= 1:
+        return 0.0
+    h_max = math.sqrt(max(0.0, (longest_route_km / 2.0) ** 2 - (endpoint_distance_km / 2.0) ** 2))
+    grid = sorted(set(_height_grid(h_max, cfg.mgdi_grid_steps)))
+    pinned = len(grid) - 1  # +h_max is always the last grid value
+    routes = [triangle_route(endpoint_distance_km, h) for h in grid]
+
+    m = len(grid)
+    table = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            score = planar_pair_diversity(routes[i], routes[j])
+            table[i][j] = table[j][i] = score
+
+    return best_greedy_set_exhaustive(table, pinned, n_routes)
+
+
+def best_greedy_set_exhaustive(table, pinned: int, n_routes: int) -> float:
+    """Largest greedy GDI over every index set of at most ``n_routes``
+    members that holds ``pinned``; 0 when there is none."""
+    m = len(table)
+    free = [i for i in range(m) if i != pinned]
+    best = 0.0
+    for k in range(1, min(n_routes - 1, len(free)) + 1):
+        for combo in itertools.combinations(free, k):
+            idxs = sorted(combo + (pinned,))
+            sub = [[table[a][b] for b in idxs] for a in idxs]
+            value = _greedy_accumulate(sub)
+            if value > best:
+                best = value
     return best

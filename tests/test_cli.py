@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from geodiv.cli import main
 
 REPORT_FILES = ("report.json", "pairs.csv", "compression_ecdf.csv", "gdi_ratio_ecdf.csv")
@@ -119,3 +121,35 @@ def test_unexpected_failure_is_internal_error(seven_route_corpus, tmp_path, monk
     )
     assert rc == 2
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags, edit, named",
+    [
+        ("pipeline", ["--threshold-km", "-1"], None, "--threshold-km"),
+        ("pipeline", ["--mgdi-grid-steps", "0"], None, "--mgdi-grid-steps"),
+        ("cluster", ["--earth-radius-km", "-5"], None, "--earth-radius-km"),
+        ("gdi", ["--mgdi-grid-steps", "0"], None, "--mgdi-grid-steps"),
+        ("gdi", [], lambda payload: payload.update(earth_radius_km=-5), "clusters.json"),
+        ("gdi", [], lambda payload: payload["pairs"][0].update(ip_route_count=0), "clusters.json"),
+    ],
+    ids=["threshold", "grid-steps", "radius", "gdi-grid-steps", "file-radius", "file-route-count"],
+)
+def test_bad_setting_is_input_error(seven_route_corpus, tmp_path, capsys, command, flags, edit, named):
+    traces, geodb, _ = seven_route_corpus
+    inputs = ["--traces", str(traces), "--geodb", str(geodb)]
+    if command == "gdi":
+        staged = tmp_path / "staged"
+        assert main(["cluster", *inputs, "--out", str(staged), "--jobs", "1"]) == 0
+        clusters = staged / "clusters.json"
+        payload = json.loads(clusters.read_text())
+        if edit is not None:
+            edit(payload)
+        clusters.write_text(json.dumps(payload), encoding="utf-8")
+        inputs = ["--clusters", str(clusters)]
+    capsys.readouterr()
+    rc = main([command, *inputs, *flags, "--out", str(tmp_path / "out"), "--jobs", "1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err

@@ -19,10 +19,12 @@ from geodiv import (
     mgdi,
     pair_diversity,
     planar_gdi,
+    planar_pair_diversity,
     set_diversity,
     triangle_route,
 )
-from oracles import delta_score, greedy_replay
+from geodiv.diversity import _best_greedy_set
+from oracles import best_greedy_set_exhaustive, delta_score, greedy_replay, mgdi_exhaustive
 
 deltas = st.lists(
     st.floats(min_value=0.0, max_value=5000.0, allow_nan=False), min_size=1, max_size=20
@@ -218,6 +220,67 @@ def test_mgdi_three_routes_matches_full_assignment_search():
         for h2 in grid
     )
     assert mgdi(3, endpoint, longest, cfg) == want
+
+
+# Geometries whose apex-height grids are exact integers, so mirrored
+# triangle pairs score exactly alike and the greedy's tie-breaks decide.
+_TIED_GEOMETRIES = [(8.0, 10.0), (48.0, 52.0)]  # h_max 3 and 10
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 7, 21, 41])
+def test_mgdi_equals_exhaustive_search(steps):
+    rng = random.Random(steps)
+    cfg = DiversityConfig(mgdi_grid_steps=steps)
+    geometries = [(1000.0, 1000.0), (1000.0, 1000.0 * (1.0 + 1e-12)), *_TIED_GEOMETRIES]
+    geometries += [(d, d * rng.uniform(1.0, 3.0)) for d in (rng.uniform(1.0, 5000.0) for _ in range(3))]
+    for n in range(1, 9):
+        # Keep the oracle to at most ~25k height subsets per call.
+        if sum(math.comb(steps - 1, k) for k in range(1, n)) > 25_000:
+            break
+        for endpoint, longest in geometries:
+            want = mgdi_exhaustive(n, endpoint, longest, cfg)
+            assert mgdi(n, endpoint, longest, cfg) == want, (n, endpoint, longest)
+
+
+def test_mgdi_equals_exhaustive_search_for_eight_tied_routes():
+    cfg = DiversityConfig()
+    endpoint, longest = _TIED_GEOMETRIES[1]
+    grid = [-10.0 + k for k in range(21)]
+    scores = [
+        planar_pair_diversity(triangle_route(endpoint, a), triangle_route(endpoint, b))
+        for a, b in itertools.combinations(grid, 2)
+    ]
+    assert len(set(scores)) < len(scores) * 0.6
+    assert mgdi(8, endpoint, longest, cfg) == mgdi_exhaustive(8, endpoint, longest, cfg)
+
+
+def test_trajectory_search_matches_subset_search_on_tied_tables():
+    # A handful of score levels makes ties in the opening pair and in every
+    # pick common, so each greedy tie-break rule decides which sets the
+    # trajectory search may reach; non-dyadic levels make the summation
+    # order visible in the last bit.
+    rng = random.Random(12)
+    levels = [0.0, 0.1, 0.25, 0.7, 1.0 / 3.0]
+    for _ in range(400):
+        m = rng.randint(3, 9)
+        table = [[0.0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                table[i][j] = table[j][i] = rng.choice(levels)
+        pinned = rng.randrange(m)
+        n = rng.randint(3, m)
+        pairs_with_pinned = max([0.0] + [table[pinned][k] for k in range(m) if k != pinned])
+        want = best_greedy_set_exhaustive(table, pinned, n)
+        assert _best_greedy_set(table, pinned, n, pairs_with_pinned) == want, (table, pinned, n)
+
+
+def test_mgdi_grows_with_route_count_until_the_grid_is_used_up():
+    # The whole sweep, n = 30 included, must run quickly: there is no
+    # exponential cliff in the route count.
+    values = [mgdi(n, 1000.0, 1400.0) for n in range(2, 31)]
+    assert values == sorted(values)
+    at_grid_size = values[21 - 2]
+    assert values[21 - 2 :] == [at_grid_size] * len(values[21 - 2 :])
 
 
 def test_mgdi_positive_when_geometry_allows():
