@@ -46,7 +46,6 @@ from .geolocate import (
     GeoPath,
     filter_pairs,
     load_geodb,
-    lookup_ip,
     route_to_geopath,
 )
 from .pipeline import (
@@ -105,7 +104,6 @@ __all__ = [
     "great_circle_distance",
     "group_by_pair",
     "load_geodb",
-    "lookup_ip",
     "mgdi",
     "pair_diversity",
     "parse_trace_file",

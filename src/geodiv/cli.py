@@ -25,7 +25,7 @@ from .pipeline import (
     prepare_filtered_pairs,
     read_clusters_file,
     run_pipeline,
-    score_clustered_pair,
+    score_cluster_rows,
     summarize,
     write_clusters_file,
 )
@@ -141,12 +141,7 @@ def _cmd_gdi(args: argparse.Namespace) -> int:
     rows, stored_radius, stats = read_clusters_file(args.clusters)
     radius = args.earth_radius_km if args.earth_radius_km is not None else (stored_radius or 6371.0)
     cfg = DiversityConfig(earth_radius_km=radius, mgdi_grid_steps=args.mgdi_grid_steps)
-    reports = [
-        score_clustered_pair(pair, representatives, geo_path_count, ip_route_count, cfg)
-        for pair, representatives, geo_path_count, ip_route_count in sorted(
-            rows, key=lambda row: row[0]
-        )
-    ]
+    reports = score_cluster_rows(rows, cfg, jobs=args.jobs)
     if stats is None:
         summary = PipelineSummary(
             total_pairs=len(reports),

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .geodesy import EARTH_RADIUS_KM, point_to_path_distance
+from .geodesy import EARTH_RADIUS_KM
 from .geolocate import GeoPath
 
 
@@ -40,22 +40,26 @@ class Cluster:
 
 
 def delta_vector(p: GeoPath, l: GeoPath, radius_km: float = EARTH_RADIUS_KM) -> DeltaVector:
-    values = [point_to_path_distance(u, l.nodes, radius_km) for u in p.nodes]
-    values += [point_to_path_distance(u, p.nodes, radius_km) for u in l.nodes]
+    """Equal, entry for entry, to ``point_to_path_distance`` of each node
+    against the other path's nodes."""
+    pp, lp = p.prepared, l.prepared
+    values = [lp.distance(u, radius_km) for u in pp.points]
+    values += [pp.distance(u, radius_km) for u in lp.points]
     return DeltaVector(values=tuple(values))
 
 
 def geo_equal(p: GeoPath, l: GeoPath, threshold_km: float, radius_km: float = EARTH_RADIUS_KM) -> bool:
-    """True iff max(delta_vector(p, l)) <= threshold_km (inclusive)."""
+    """True iff max(delta_vector(p, l)) <= threshold_km (inclusive).
+
+    A node passes at the first arc within the threshold, and the test
+    fails at the first node that does not pass.
+    """
     if threshold_km <= 0:
         raise ValueError(f"threshold_km must be positive, got {threshold_km}")
-    for u in p.nodes:
-        if point_to_path_distance(u, l.nodes, radius_km) > threshold_km:
-            return False
-    for u in l.nodes:
-        if point_to_path_distance(u, p.nodes, radius_km) > threshold_km:
-            return False
-    return True
+    pp, lp = p.prepared, l.prepared
+    return all(lp.distance(u, radius_km, threshold_km) <= threshold_km for u in pp.points) and all(
+        pp.distance(u, radius_km, threshold_km) <= threshold_km for u in lp.points
+    )
 
 
 def cluster_pair_routes(

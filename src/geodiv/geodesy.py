@@ -10,7 +10,7 @@ nearer endpoint otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import EmptyPath
@@ -21,6 +21,10 @@ EARTH_RADIUS_KM = 6371.0
 # and the great circle through them is undefined.
 _DEGENERATE_NORM = 1e-12
 
+# Text round-tripping of coordinates is absorbed by comparing keys at this
+# precision.
+_KEY_DECIMALS = 6
+
 
 def _normalize_lon(lon: float) -> float:
     if -180.0 <= lon < 180.0:
@@ -30,17 +34,30 @@ def _normalize_lon(lon: float) -> float:
 
 @dataclass(frozen=True, order=True)
 class Coordinate:
-    """Geographic position in decimal degrees, lon normalized to [-180, 180)."""
+    """Geographic position in decimal degrees, lon normalized to [-180, 180).
+
+    ``key`` is the position rounded to 1e-6 degrees (~0.1 m); equal keys
+    mean the same place when collapsing duplicates and deduplicating
+    paths. A longitude that rounds to 180 is folded onto -180, the same
+    meridian, so points a hair apart across the antimeridian compare
+    equal.
+    """
 
     lat: float
     lon: float
+    key: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.lat) or not (-90.0 <= self.lat <= 90.0):
             raise ValueError(f"latitude must be in [-90, 90], got {self.lat}")
         if not math.isfinite(self.lon):
             raise ValueError(f"longitude must be finite, got {self.lon}")
-        object.__setattr__(self, "lon", _normalize_lon(self.lon))
+        lon = _normalize_lon(self.lon)
+        object.__setattr__(self, "lon", lon)
+        key_lon = round(lon, _KEY_DECIMALS)
+        object.__setattr__(
+            self, "key", (round(self.lat, _KEY_DECIMALS), -180.0 if key_lon == 180.0 else key_lon)
+        )
 
 
 @dataclass(frozen=True)
@@ -51,79 +68,129 @@ class GeoSegment:
     end: Coordinate
 
 
-def great_circle_distance(a: Coordinate, b: Coordinate, radius_km: float = EARTH_RADIUS_KM) -> float:
-    """Haversine distance in kilometers; exactly 0 iff ``a == b``."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dphi = math.radians(b.lat - a.lat)
-    dlon = math.radians(b.lon - a.lon)
-    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * radius_km * math.asin(min(1.0, math.sqrt(h)))
+# One node as the distance kernels need it: (lat, lon, cos(lat), x, y, z),
+# with (x, y, z) its unit vector. The haversine reads only the first three.
+PreparedPoint = tuple[float, float, float, float, float, float]
 
 
-def _unit_vector(c: Coordinate) -> tuple[float, float, float]:
+def _prepare_point(c: Coordinate) -> PreparedPoint:
     phi = math.radians(c.lat)
     lam = math.radians(c.lon)
     cos_phi = math.cos(phi)
-    return (cos_phi * math.cos(lam), cos_phi * math.sin(lam), math.sin(phi))
+    return (c.lat, c.lon, cos_phi, cos_phi * math.cos(lam), cos_phi * math.sin(lam), math.sin(phi))
 
 
-def _cross(u: tuple[float, float, float], v: tuple[float, float, float]) -> tuple[float, float, float]:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
+def _haversine(p: Sequence[float], q: Sequence[float], diameter_km: float) -> float:
+    h = math.sin(math.radians(q[0] - p[0]) / 2.0) ** 2 + p[2] * q[2] * math.sin(
+        math.radians(q[1] - p[1]) / 2.0
+    ) ** 2
+    return diameter_km * math.asin(min(1.0, math.sqrt(h)))
+
+
+def great_circle_distance(a: Coordinate, b: Coordinate, radius_km: float = EARTH_RADIUS_KM) -> float:
+    """Haversine distance in kilometers; exactly 0 iff ``a == b``."""
+    return _haversine(
+        (a.lat, a.lon, math.cos(math.radians(a.lat))),
+        (b.lat, b.lon, math.cos(math.radians(b.lat))),
+        2.0 * radius_km,
     )
 
 
-def _dot(u: tuple[float, float, float], v: tuple[float, float, float]) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _norm(u: tuple[float, float, float]) -> float:
-    return math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-
-
-def _point_to_arc_distance(p: Coordinate, a: Coordinate, b: Coordinate, radius_km: float) -> float:
-    if p == a or p == b:
-        return 0.0
-    d_pa = great_circle_distance(p, a, radius_km)
-    if a == b:
-        return d_pa
-    d_pb = great_circle_distance(p, b, radius_km)
-
-    va = _unit_vector(a)
-    vb = _unit_vector(b)
-    vp = _unit_vector(p)
-
-    n = _cross(va, vb)
-    nn = _norm(n)
-    if nn < _DEGENERATE_NORM:
-        # Coincident or antipodal endpoints: no unique great circle.
-        return min(d_pa, d_pb)
-    n_hat = (n[0] / nn, n[1] / nn, n[2] / nn)
-
+def _cross_track(
+    p: PreparedPoint,
+    a: PreparedPoint,
+    b: PreparedPoint,
+    normal: tuple[float, float, float],
+    radius_km: float,
+) -> float | None:
+    """Distance from ``p`` to the great circle of the arc from ``a`` to
+    ``b`` (unit normal ``normal``) when the perpendicular foot falls inside
+    the arc; None otherwise."""
+    nx, ny, nz = normal
+    px, py, pz = p[3], p[4], p[5]
     # Signed sine of the cross-track angle.
-    s = _dot(vp, n_hat)
-    proj = (vp[0] - s * n_hat[0], vp[1] - s * n_hat[1], vp[2] - s * n_hat[2])
-    pn = _norm(proj)
-    if pn < _DEGENERATE_NORM:
+    s = px * nx + py * ny + pz * nz
+    qx, qy, qz = px - s * nx, py - s * ny, pz - s * nz
+    qn = math.sqrt(qx * qx + qy * qy + qz * qz)
+    if qn < _DEGENERATE_NORM:
         # p sits at a pole of the great circle: equidistant from the whole arc.
-        return min(d_pa, d_pb)
-    foot = (proj[0] / pn, proj[1] / pn, proj[2] / pn)
+        return None
+    fx, fy, fz = qx / qn, qy / qn, qz / qn
+    # The foot is inside the arc when a x foot and foot x b both point
+    # along the normal.
+    ax, ay, az = a[3], a[4], a[5]
+    if (ay * fz - az * fy) * nx + (az * fx - ax * fz) * ny + (ax * fy - ay * fx) * nz < -_DEGENERATE_NORM:
+        return None
+    bx, by, bz = b[3], b[4], b[5]
+    if (fy * bz - fz * by) * nx + (fz * bx - fx * bz) * ny + (fx * by - fy * bx) * nz < -_DEGENERATE_NORM:
+        return None
+    return radius_km * math.asin(min(1.0, abs(s)))
 
-    within = (
-        _dot(_cross(va, foot), n_hat) >= -_DEGENERATE_NORM
-        and _dot(_cross(foot, vb), n_hat) >= -_DEGENERATE_NORM
-    )
-    if within:
-        return radius_km * math.asin(min(1.0, abs(s)))
-    return min(d_pa, d_pb)
+
+class PreparedPath:
+    """A polyline's trigonometry, computed once for any number of
+    point-to-path queries.
+
+    ``points`` holds each node as a :data:`PreparedPoint`; ``normals``
+    holds each arc's great-circle unit normal, or None when the endpoints
+    are equal, coincident or antipodal and no unique great circle exists.
+    Every value comes from the same operations, in the same order, as a
+    from-scratch evaluation of each arc, so distances are the same bits.
+    """
+
+    __slots__ = ("points", "normals")
+
+    def __init__(self, nodes: Sequence[Coordinate]):
+        self.points = tuple(_prepare_point(c) for c in nodes)
+        normals: list[tuple[float, float, float] | None] = []
+        for a, b in zip(self.points, self.points[1:]):
+            ax, ay, az = a[3], a[4], a[5]
+            bx, by, bz = b[3], b[4], b[5]
+            nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+            nn = math.sqrt(nx * nx + ny * ny + nz * nz)
+            normals.append(None if nn < _DEGENERATE_NORM else (nx / nn, ny / nn, nz / nn))
+        self.normals = tuple(normals)
+
+    def distance(self, p: PreparedPoint, radius_km: float, stop_at_km: float = -1.0) -> float:
+        """Minimum distance from ``p`` to the polyline, or the first arc
+        distance found that is at most ``stop_at_km``.
+
+        An arc's distance is 0 when ``p`` equals an endpoint, the
+        cross-track distance when the perpendicular foot falls inside it,
+        and the distance to the nearer endpoint otherwise. Each node's
+        distance from ``p`` is computed at most once, and only when an arc
+        needs it.
+        """
+        diameter_km = 2.0 * radius_km
+        points = self.points
+        a = points[0]
+        if len(points) == 1:
+            return _haversine(p, a, diameter_km)
+        plat, plon = p[0], p[1]
+        best = math.inf
+        d_a = None
+        for b, normal in zip(points[1:], self.normals):
+            d_b = None
+            if (plat == a[0] and plon == a[1]) or (plat == b[0] and plon == b[1]):
+                d = 0.0
+            else:
+                d = None if normal is None else _cross_track(p, a, b, normal, radius_km)
+                if d is None:
+                    if d_a is None:
+                        d_a = _haversine(p, a, diameter_km)
+                    d_b = _haversine(p, b, diameter_km)
+                    d = min(d_a, d_b)
+            if d <= stop_at_km:
+                return d
+            if d < best:
+                best = d
+            a, d_a = b, d_b
+        return best
 
 
 def point_to_segment_distance(p: Coordinate, s: GeoSegment, radius_km: float = EARTH_RADIUS_KM) -> float:
     """Distance from ``p`` to the closest point (not necessarily a node) of the arc."""
-    return _point_to_arc_distance(p, s.start, s.end, radius_km)
+    return point_to_path_distance(p, (s.start, s.end), radius_km)
 
 
 def point_to_path_distance(
@@ -135,12 +202,7 @@ def point_to_path_distance(
     """
     if len(nodes) == 0:
         raise EmptyPath("path has no nodes")
-    if len(nodes) == 1:
-        return great_circle_distance(p, nodes[0], radius_km)
-    return min(
-        _point_to_arc_distance(p, nodes[i], nodes[i + 1], radius_km)
-        for i in range(len(nodes) - 1)
-    )
+    return PreparedPath(nodes).distance(_prepare_point(p), radius_km)
 
 
 def path_length(nodes: Sequence[Coordinate], radius_km: float = EARTH_RADIUS_KM) -> float:

@@ -9,95 +9,111 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from ipaddress import AddressValueError, IPv4Address, IPv4Network, NetmaskValueError, ip_network
+from functools import cached_property
+from ipaddress import AddressValueError, IPv4Address, IPv4Network, ip_network
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import DuplicateCidr, ParseError
-from .geodesy import Coordinate
-from .traces import HopSequence, Pair, RouteSet, UNRESPONSIVE
-
-# Text round-tripping of coordinates is absorbed by comparing at this
-# precision (~0.1 m) when collapsing duplicates and deduplicating paths.
-_EQUALITY_DECIMALS = 6
+from .geodesy import Coordinate, PreparedPath
+from .traces import HopSequence, Pair, RouteSet, UNRESPONSIVE, parse_ipv4
 
 _HEADER = ("cidr", "lat", "lon")
 
 
 class GeoDb:
-    """Immutable longest-prefix-match table from IPv4 prefixes to coordinates."""
+    """Longest-prefix-match table from IPv4 prefixes to coordinates."""
 
     def __init__(self, entries: Iterable[tuple[IPv4Network, Coordinate]]):
-        by_plen: dict[int, dict[int, Coordinate]] = {}
-        count = 0
+        # Per prefix length, a table from the network address shifted right
+        # by ``shift = 32 - prefixlen`` to the location.
+        self._by_shift: dict[int, dict[int, Coordinate]] = {}
+        self._tables: list[tuple[int, dict[int, Coordinate]]] = []  # longest prefix first
         for network, location in entries:
-            table = by_plen.setdefault(network.prefixlen, {})
-            key = int(network.network_address)
-            if key in table:
-                raise DuplicateCidr(f"duplicate CIDR {network}")
-            table[key] = location
-            count += 1
-        self._by_plen = by_plen
-        self._plens_desc = sorted(by_plen, reverse=True)
-        self._count = count
+            self._add(int(network.network_address), network.prefixlen, location)
+
+    def _add(self, network: int, prefixlen: int, location: Coordinate) -> None:
+        shift = 32 - prefixlen
+        table = self._by_shift.get(shift)
+        if table is None:
+            table = self._by_shift[shift] = {}
+            self._tables = sorted(self._by_shift.items())
+        key = network >> shift
+        if key in table:
+            raise DuplicateCidr(f"duplicate CIDR {IPv4Network((network, prefixlen))}")
+        table[key] = location
 
     def __len__(self) -> int:
-        return self._count
+        return sum(len(table) for table in self._by_shift.values())
 
     def lookup(self, ip: str | IPv4Address) -> Coordinate | None:
         """Location of the longest matching prefix, or None when uncovered."""
-        ip_int = int(IPv4Address(ip))
-        for plen in self._plens_desc:
-            shift = 32 - plen
-            key = (ip_int >> shift) << shift
-            location = self._by_plen[plen].get(key)
+        ip_int = parse_ipv4(ip)
+        for shift, table in self._tables:
+            location = table.get(ip_int >> shift)
             if location is not None:
                 return location
         return None
 
 
-def _parse_geodb_row(row: list[str], path: str | None, line: int) -> tuple[IPv4Network, Coordinate]:
+def _parse_cidr(text: str) -> tuple[int, int] | None:
+    """(network address with host bits cleared, prefix length), or None for
+    a valid non-IPv4 prefix; ``ValueError`` when ``text`` is no prefix.
+
+    The same as ``ip_network(text, strict=False)``, which handles every
+    form but ``a.b.c.d/len`` (``len`` at most two digits) and ``a.b.c.d``.
+    """
+    address, slash, prefix = text.partition("/")
+    if not slash:
+        prefix = "32"
+    if len(prefix) <= 2 and prefix.isascii() and prefix.isdigit() and int(prefix) <= 32:
+        try:
+            ip_int = parse_ipv4(address)
+        except AddressValueError:
+            pass
+        else:
+            prefixlen = int(prefix)
+            shift = 32 - prefixlen
+            return ip_int >> shift << shift, prefixlen
+    network = ip_network(text, strict=False)
+    if not isinstance(network, IPv4Network):
+        return None
+    return int(network.network_address), network.prefixlen
+
+
+def _parse_geodb_row(row: list[str], path: str | None, line: int) -> tuple[int, int, Coordinate]:
     if len(row) != 3:
         raise ParseError(f"expected 3 columns, got {len(row)}", path=path, line=line)
-    cidr_text, lat_text, lon_text = (col.strip() for col in row)
+    cidr_text, lat_text, lon_text = [col.strip() for col in row]
     try:
-        network = ip_network(cidr_text, strict=False)
-    except (ValueError, AddressValueError, NetmaskValueError) as exc:
+        prefix = _parse_cidr(cidr_text)
+    except ValueError as exc:
         raise ParseError(f"invalid CIDR {cidr_text!r}: {exc}", path=path, line=line) from exc
-    if not isinstance(network, IPv4Network):
+    if prefix is None:
         raise ParseError(f"not an IPv4 prefix: {cidr_text!r}", path=path, line=line)
     try:
         location = Coordinate(lat=float(lat_text), lon=float(lon_text))
     except ValueError as exc:
         raise ParseError(f"invalid coordinates: {exc}", path=path, line=line) from exc
-    return network, location
+    return *prefix, location
 
 
 def load_geodb(path: str | Path) -> GeoDb:
     """Load a CSV geolocation snapshot, rejecting duplicate identical CIDRs."""
-    entries: list[tuple[IPv4Network, Coordinate]] = []
-    seen: set[tuple[int, int]] = set()
+    db = GeoDb(())
+    name = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
         for line, row in enumerate(csv.reader(fh), start=1):
-            if not row or all(not col.strip() for col in row):
+            if not "".join(row).strip():
                 continue
             if line == 1 and tuple(col.strip().lower() for col in row) == _HEADER:
                 continue
-            network, location = _parse_geodb_row(row, str(path), line)
-            key = (network.prefixlen, int(network.network_address))
-            if key in seen:
-                raise DuplicateCidr(f"{path}:{line}: duplicate CIDR {network}")
-            seen.add(key)
-            entries.append((network, location))
-    return GeoDb(entries)
-
-
-def lookup_ip(db: GeoDb, ip: str | IPv4Address) -> Coordinate | None:
-    return db.lookup(ip)
-
-
-def _coord_key(c: Coordinate) -> tuple[float, float]:
-    return (round(c.lat, _EQUALITY_DECIMALS), round(c.lon, _EQUALITY_DECIMALS))
+            network, prefixlen, location = _parse_geodb_row(row, name, line)
+            try:
+                db._add(network, prefixlen, location)
+            except DuplicateCidr as exc:
+                raise DuplicateCidr(f"{path}:{line}: {exc}") from None
+    return db
 
 
 @dataclass(frozen=True)
@@ -115,11 +131,21 @@ class GeoPath:
         if len(self.nodes) < 2:
             raise ValueError("a geo-path needs at least 2 nodes")
         for a, b in zip(self.nodes, self.nodes[1:]):
-            if _coord_key(a) == _coord_key(b):
+            if a.key == b.key:
                 raise ValueError("consecutive duplicate coordinates in geo-path")
 
     def sort_key(self) -> tuple[tuple[float, float], ...]:
         return tuple((n.lat, n.lon) for n in self.nodes)
+
+    @cached_property
+    def prepared(self) -> PreparedPath:
+        """The nodes' and arcs' trigonometry, built on first use."""
+        return PreparedPath(self.nodes)
+
+    def __getstate__(self) -> dict[str, object]:
+        # Pickles between processes carry the nodes; the prepared
+        # trigonometry is rebuilt where it is used.
+        return {"nodes": self.nodes, "origin_routes": self.origin_routes}
 
 
 def route_to_geopath(route: HopSequence, db: GeoDb) -> GeoPath | None:
@@ -136,7 +162,7 @@ def route_to_geopath(route: HopSequence, db: GeoDb) -> GeoPath | None:
         location = db.lookup(hop)
         if location is None:
             continue
-        key = _coord_key(location)
+        key = location.key
         if key == last_key:
             continue
         nodes.append(location)
@@ -182,7 +208,7 @@ def filter_pairs(
             geopath = route_to_geopath(route, db)
             if geopath is None:
                 continue
-            key = tuple(_coord_key(n) for n in geopath.nodes)
+            key = tuple(n.key for n in geopath.nodes)
             if key in by_key:
                 by_key[key][1].extend(geopath.origin_routes)
             else:

@@ -170,6 +170,22 @@ def _score_pair_task(
     return score_pair(pair, geopaths, ip_route_count, cfg)
 
 
+def _score_row_task(
+    args: tuple[tuple[Pair, Sequence[GeoPath], int, int], DiversityConfig]
+) -> DiversityReport:
+    (pair, representatives, geo_path_count, ip_route_count), cfg = args
+    return score_clustered_pair(pair, representatives, geo_path_count, ip_route_count, cfg)
+
+
+def score_cluster_rows(
+    rows: Iterable[tuple[Pair, Sequence[GeoPath], int, int]], cfg: DiversityConfig, jobs: int = 1
+) -> tuple[DiversityReport, ...]:
+    """Score :func:`read_clusters_file` rows in pair order, optionally
+    across processes."""
+    tasks = [(row, cfg) for row in sorted(rows, key=lambda row: row[0])]
+    return tuple(_parallel_map(_score_row_task, tasks, jobs))
+
+
 def _score_clustered_task(args: tuple[ClusteredPair, DiversityConfig]) -> DiversityReport:
     clustered, cfg = args
     representatives = [c.representative for c in clustered.clusters]

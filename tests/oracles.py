@@ -3,17 +3,20 @@
 Everything here deliberately avoids the package's own computation paths:
 numpy trigonometry and dense sampling for geodesy, numpy statistics for
 the pairwise score, an explicit set-based replay for the greedy
-accumulation, and a linear scan for longest-prefix lookup. The one
-exception is the MGDI oracle: it is the original exhaustive subset search,
-kept on the package's planar score and greedy accumulation so that the
-fast search must match it bit for bit.
+accumulation, and a linear scan for longest-prefix lookup. The
+exceptions are the original code that a fast path replaced, kept verbatim
+so that the fast path must match it bit for bit: the exhaustive MGDI
+subset search (on the package's planar score and greedy accumulation),
+the per-arc point-to-path distance, and the ``ipaddress``-based geodb row
+parser.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from ipaddress import IPv4Address, IPv4Network
+from ipaddress import AddressValueError, IPv4Address, IPv4Network, NetmaskValueError, ip_network
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +27,10 @@ from geodiv.diversity import (
     planar_pair_diversity,
     triangle_route,
 )
+from geodiv.errors import EmptyPath, ParseError
+from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate
+
+_DEGENERATE_NORM = 1e-12
 
 EARTH_R = 6371.0
 
@@ -162,3 +169,107 @@ def best_greedy_set_exhaustive(table, pinned: int, n_routes: int) -> float:
             if value > best:
                 best = value
     return best
+
+
+def great_circle_distance_direct(a: Coordinate, b: Coordinate, radius_km: float = EARTH_RADIUS_KM) -> float:
+    """The original haversine, written out."""
+    phi1 = math.radians(a.lat)
+    phi2 = math.radians(b.lat)
+    dphi = math.radians(b.lat - a.lat)
+    dlon = math.radians(b.lon - a.lon)
+    h = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlon / 2.0) ** 2
+    return 2.0 * radius_km * math.asin(min(1.0, math.sqrt(h)))
+
+
+def _unit_vector(c: Coordinate) -> tuple[float, float, float]:
+    phi = math.radians(c.lat)
+    lam = math.radians(c.lon)
+    cos_phi = math.cos(phi)
+    return (cos_phi * math.cos(lam), cos_phi * math.sin(lam), math.sin(phi))
+
+
+def _cross(u: tuple[float, float, float], v: tuple[float, float, float]) -> tuple[float, float, float]:
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _dot(u: tuple[float, float, float], v: tuple[float, float, float]) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _norm(u: tuple[float, float, float]) -> float:
+    return math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
+
+
+def _point_to_arc_distance(p: Coordinate, a: Coordinate, b: Coordinate, radius_km: float) -> float:
+    if p == a or p == b:
+        return 0.0
+    d_pa = great_circle_distance_direct(p, a, radius_km)
+    if a == b:
+        return d_pa
+    d_pb = great_circle_distance_direct(p, b, radius_km)
+
+    va = _unit_vector(a)
+    vb = _unit_vector(b)
+    vp = _unit_vector(p)
+
+    n = _cross(va, vb)
+    nn = _norm(n)
+    if nn < _DEGENERATE_NORM:
+        # Coincident or antipodal endpoints: no unique great circle.
+        return min(d_pa, d_pb)
+    n_hat = (n[0] / nn, n[1] / nn, n[2] / nn)
+
+    # Signed sine of the cross-track angle.
+    s = _dot(vp, n_hat)
+    proj = (vp[0] - s * n_hat[0], vp[1] - s * n_hat[1], vp[2] - s * n_hat[2])
+    pn = _norm(proj)
+    if pn < _DEGENERATE_NORM:
+        # p sits at a pole of the great circle: equidistant from the whole arc.
+        return min(d_pa, d_pb)
+    foot = (proj[0] / pn, proj[1] / pn, proj[2] / pn)
+
+    within = (
+        _dot(_cross(va, foot), n_hat) >= -_DEGENERATE_NORM
+        and _dot(_cross(foot, vb), n_hat) >= -_DEGENERATE_NORM
+    )
+    if within:
+        return radius_km * math.asin(min(1.0, abs(s)))
+    return min(d_pa, d_pb)
+
+
+def point_to_path_distance_per_arc(
+    p: Coordinate, nodes: Sequence[Coordinate], radius_km: float = EARTH_RADIUS_KM
+) -> float:
+    """The original point-to-path distance: every arc evaluated from
+    scratch, with both endpoint distances and all three unit vectors."""
+    if len(nodes) == 0:
+        raise EmptyPath("path has no nodes")
+    if len(nodes) == 1:
+        return great_circle_distance_direct(p, nodes[0], radius_km)
+    return min(
+        _point_to_arc_distance(p, nodes[i], nodes[i + 1], radius_km)
+        for i in range(len(nodes) - 1)
+    )
+
+
+def parse_geodb_row_ipaddress(row: list[str], path: str | None, line: int) -> tuple[int, int, Coordinate]:
+    """The original geodb row parser, on ``ip_network``; returns (network
+    address, prefix length, location)."""
+    if len(row) != 3:
+        raise ParseError(f"expected 3 columns, got {len(row)}", path=path, line=line)
+    cidr_text, lat_text, lon_text = (col.strip() for col in row)
+    try:
+        network = ip_network(cidr_text, strict=False)
+    except (ValueError, AddressValueError, NetmaskValueError) as exc:
+        raise ParseError(f"invalid CIDR {cidr_text!r}: {exc}", path=path, line=line) from exc
+    if not isinstance(network, IPv4Network):
+        raise ParseError(f"not an IPv4 prefix: {cidr_text!r}", path=path, line=line)
+    try:
+        location = Coordinate(lat=float(lat_text), lon=float(lon_text))
+    except ValueError as exc:
+        raise ParseError(f"invalid coordinates: {exc}", path=path, line=line) from exc
+    return int(network.network_address), network.prefixlen, location

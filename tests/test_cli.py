@@ -3,6 +3,7 @@ import json
 import pytest
 
 from geodiv.cli import main
+from geodiv.synthetic import generate_corpus
 
 REPORT_FILES = ("report.json", "pairs.csv", "compression_ecdf.csv", "gdi_ratio_ecdf.csv")
 
@@ -61,6 +62,27 @@ def test_cluster_then_gdi_matches_pipeline(seven_route_corpus, tmp_path):
     ) == 0
     for name in REPORT_FILES:
         assert (direct / name).read_bytes() == (staged / "scored" / name).read_bytes()
+
+    # Many pairs, so that --jobs 2 really fans scoring out to workers.
+    corpus = generate_corpus(n_pairs=40, seed=11)
+    traces, geodb = tmp_path / "many.jsonl", tmp_path / "many.csv"
+    corpus.write(traces, geodb)
+    inputs = ["--traces", str(traces), "--geodb", str(geodb)]
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main(["pipeline", *inputs, "--out", str(out / "direct"), "--jobs", jobs]) == 0
+        assert main(["cluster", *inputs, "--out", str(out / "staged"), "--jobs", jobs]) == 0
+        scored = json.loads((out / "staged" / "clusters.json").read_text())["pairs"]
+        assert len(scored) > 2 * int(jobs)
+        assert main(
+            ["gdi", "--clusters", str(out / "staged" / "clusters.json"), "--out", str(out / "scored"),
+             "--jobs", jobs]
+        ) == 0
+        for name in REPORT_FILES:
+            assert (out / "direct" / name).read_bytes() == (out / "scored" / name).read_bytes()
+        outputs.append([(out / "scored" / name).read_bytes() for name in REPORT_FILES])
+    assert outputs[0] == outputs[1]
 
 
 def test_missing_traces_file_is_input_error(tmp_path, capsys):

@@ -11,6 +11,8 @@ from geodiv import (
     geo_equal,
 )
 
+from oracles import point_to_path_distance_per_arc
+
 KM_PER_DEG = math.pi * 6371.0 / 180.0
 
 
@@ -154,3 +156,23 @@ def test_clustering_invariants_on_random_sets():
                         assert geo_equal(p, l, threshold)
             counts.append(len(clusters))
         assert counts == sorted(counts, reverse=True)
+
+
+def test_delta_vector_matches_per_arc_oracle():
+    rng = random.Random(3)
+    paths = _random_paths(rng, 30, spread_deg=20.0)
+    for p, l in zip(paths, paths[1:]):
+        expected = [point_to_path_distance_per_arc(u, l.nodes) for u in p.nodes]
+        expected += [point_to_path_distance_per_arc(u, p.nodes) for u in l.nodes]
+        assert list(delta_vector(p, l).values) == expected
+
+
+def test_geo_equal_is_the_max_delta_test():
+    rng = random.Random(5)
+    paths = _random_paths(rng, 40, spread_deg=1.0) + _random_paths(rng, 10, spread_deg=6.0)
+    for p in paths:
+        for l in paths[:15]:
+            values = delta_vector(p, l).values
+            # Every entry as a threshold puts some distance exactly on it.
+            for threshold in (*[v for v in values if v > 0.0], 1.0, 50.0, 400.0):
+                assert geo_equal(p, l, threshold) == (max(values) <= threshold)

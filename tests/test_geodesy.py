@@ -14,7 +14,8 @@ from geodiv import (
     point_to_path_distance,
     point_to_segment_distance,
 )
-from oracles import sampled_point_to_polyline
+from geodiv.geodesy import PreparedPath, _prepare_point
+from oracles import great_circle_distance_direct, point_to_path_distance_per_arc, sampled_point_to_polyline
 
 KM_PER_DEG = math.pi * 6371.0 / 180.0
 
@@ -58,6 +59,12 @@ def test_one_degree_of_longitude_at_equator():
 def test_radius_is_configurable():
     d = great_circle_distance(Coordinate(0, 0), Coordinate(0, 180), radius_km=1.0)
     assert abs(d - math.pi) < 1e-12
+
+
+@given(coordinates, coordinates)
+def test_distance_equals_direct_haversine(a, b):
+    assert great_circle_distance(a, b) == great_circle_distance_direct(a, b)
+    assert great_circle_distance(a, b, 1.0) == great_circle_distance_direct(a, b, 1.0)
 
 
 @given(coordinates, coordinates)
@@ -177,3 +184,58 @@ def test_path_length_sums_segments():
     assert path_length([Coordinate(12, 34)]) == 0.0
     with pytest.raises(EmptyPath):
         path_length([])
+
+
+def _edge_paths(rng: random.Random) -> list[tuple[Coordinate, list[Coordinate]]]:
+    """Random (point, path) cases near the antimeridian and the poles, with
+    the point at the pole of an arc's great circle, near-antipodal arcs,
+    repeated nodes and the point on a node."""
+    cases = []
+    for _ in range(300):
+        kind = rng.choice(["antimeridian", "polar", "circle-pole", "antipodal", "repeated", "on-node", "any"])
+        n = rng.randint(1, 6)
+        if kind == "circle-pole":
+            # Arcs along the equator, the point at one of its poles.
+            nodes = [Coordinate(0.0, rng.uniform(-180, 180)) for _ in range(n)]
+            p = Coordinate(rng.choice([90.0, -90.0]), rng.uniform(-180, 180))
+        elif kind == "antimeridian":
+            nodes = [Coordinate(rng.uniform(-60, 60), rng.choice([-1, 1]) * rng.uniform(175, 180)) for _ in range(n)]
+            p = Coordinate(rng.uniform(-60, 60), rng.choice([179.9999999, -180.0, rng.uniform(-180, 180)]))
+        elif kind == "polar":
+            nodes = [Coordinate(rng.choice([-1, 1]) * rng.uniform(85, 90), rng.uniform(-180, 180)) for _ in range(n)]
+            p = Coordinate(rng.choice([90.0, -90.0, rng.uniform(80, 90)]), rng.uniform(-180, 180))
+        elif kind == "antipodal":
+            a = Coordinate(rng.uniform(-80, 80), rng.uniform(-180, 180))
+            eps = rng.choice([0.0, 1e-9, 1e-6, 1e-3])
+            b = Coordinate(-a.lat + eps, a.lon + 180.0 - eps)
+            nodes = [a, b] if rng.random() < 0.5 else [a, b, a]
+            p = Coordinate(rng.uniform(-90, 90), rng.uniform(-180, 180))
+        else:
+            nodes = [Coordinate(rng.uniform(-90, 90), rng.uniform(-180, 180)) for _ in range(n)]
+            if kind == "repeated":
+                i = rng.randrange(len(nodes))
+                nodes.insert(i, nodes[i])
+            p = rng.choice(nodes) if kind == "on-node" else Coordinate(rng.uniform(-90, 90), rng.uniform(-180, 180))
+        cases.append((p, nodes))
+    return cases
+
+
+def test_path_distance_equals_per_arc_oracle_on_edge_cases():
+    for p, nodes in _edge_paths(random.Random(2016)):
+        for radius in (6371.0, 1.0):
+            assert point_to_path_distance(p, nodes, radius) == point_to_path_distance_per_arc(p, nodes, radius)
+
+
+@given(coordinates, st.lists(coordinates, min_size=1, max_size=6))
+def test_path_distance_equals_per_arc_oracle(p, nodes):
+    assert point_to_path_distance(p, nodes) == point_to_path_distance_per_arc(p, nodes)
+
+
+@given(coordinates, st.lists(coordinates, min_size=1, max_size=6), st.floats(min_value=0.0, max_value=25000.0))
+def test_prepared_distance_stops_only_within_the_limit(p, nodes, limit):
+    full = point_to_path_distance(p, nodes)
+    stopped = PreparedPath(nodes).distance(_prepare_point(p), 6371.0, limit)
+    assert (stopped <= limit) == (full <= limit)
+    assert stopped >= full
+    if stopped > limit:
+        assert stopped == full

@@ -2,6 +2,8 @@ import random
 from ipaddress import IPv4Address, ip_network
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geodiv import (
     Coordinate,
@@ -12,10 +14,10 @@ from geodiv import (
     RouteSet,
     filter_pairs,
     load_geodb,
-    lookup_ip,
     route_to_geopath,
 )
-from oracles import brute_force_lookup
+from geodiv.geolocate import _parse_geodb_row
+from oracles import brute_force_lookup, parse_geodb_row_ipaddress
 
 
 def _db(*rows: tuple[str, float, float]) -> GeoDb:
@@ -74,23 +76,23 @@ def test_load_rejects_ipv6(tmp_path):
 
 def test_lookup_prefers_longest_prefix():
     db = _db(("10.0.0.0/8", 47.5, 19.05), ("10.1.0.0/16", 1.0, 2.0))
-    assert lookup_ip(db, "10.1.2.3") == Coordinate(1.0, 2.0)
-    assert lookup_ip(db, "10.2.2.3") == Coordinate(47.5, 19.05)
+    assert db.lookup("10.1.2.3") == Coordinate(1.0, 2.0)
+    assert db.lookup("10.2.2.3") == Coordinate(47.5, 19.05)
 
 
 def test_lookup_miss_returns_none():
     db = _db(("10.0.0.0/8", 47.5, 19.05))
-    assert lookup_ip(db, "192.0.2.1") is None
+    assert db.lookup("192.0.2.1") is None
 
 
 def test_lookup_host_route():
     db = _db(("10.0.0.0/8", 47.5, 19.05), ("10.3.4.5/32", -5.0, 5.0))
-    assert lookup_ip(db, "10.3.4.5") == Coordinate(-5.0, 5.0)
+    assert db.lookup("10.3.4.5") == Coordinate(-5.0, 5.0)
 
 
 def test_lookup_default_route_matches_everything():
     db = _db(("0.0.0.0/0", 3.0, 4.0))
-    assert lookup_ip(db, "203.0.113.9") == Coordinate(3.0, 4.0)
+    assert db.lookup("203.0.113.9") == Coordinate(3.0, 4.0)
 
 
 def test_lookup_matches_brute_force_scan():
@@ -264,3 +266,76 @@ def test_filter_accounting_and_survivor_invariants():
             assert len(path.nodes) >= 2
             for a, b in zip(path.nodes, path.nodes[1:]):
                 assert (round(a.lat, 6), round(a.lon, 6)) != (round(b.lat, 6), round(b.lon, 6))
+
+
+def _row_outcome(parse, row):
+    try:
+        return parse(row, "geo.csv", 7), None
+    except ParseError as exc:
+        return None, (type(exc), str(exc), exc.line)
+
+
+CIDR_CASES = [
+    "10.0.0.0/8", "10.1.2.3/8", "10.1.2.3", "0.0.0.0/0", "255.255.255.255/32", "1.2.3.4/31",
+    "10.0.0.0/08", "10.0.0.0/008", "10.0.0.0/033", "10.0.0.0/32", "10.0.0.0/33", "10.0.0.0/-1",
+    "10.0.0.0/+8", "10.0.0.0/ 8", "10.0.0.0/", "/8", "10.0.0.0/8/8", "10.0.0.0/1e1",
+    "10.0.0.0/\u0668", "10.0.0.0/255.0.0.0", "10.1.2.3/255.255.0.0", "10.0.0.0/0.255.255.255",
+    "10.0.0.0/255.0.255.0", "010.0.0.0/8", "10.0.0/8", "1.2.3.4.5/8", "",
+    "2001:db8::/32", "::ffff:10.0.0.1/128", "::/0", "not-a-prefix",
+    # A prefix too long for int(): the address error must still come first.
+    "x.0.0.0/" + "0" * 5000,
+]
+
+
+@pytest.mark.parametrize("cidr", CIDR_CASES)
+def test_row_parser_matches_ip_network_on_edge_cases(cidr):
+    row = [f" {cidr} ", "47.5", "19.05"]
+    assert _row_outcome(_parse_geodb_row, row) == _row_outcome(parse_geodb_row_ipaddress, row)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [["10.0.0.0/8", "91", "0"], ["10.0.0.0/8", "x", "0"], ["10.0.0.0/8", "0"], ["10.0.0.0/8", "0", "0", "0"],
+     ["10.0.0.0/33", "x", "0"], ["10.0.0.0/8", "1", "nan"]],
+)
+def test_malformed_rows_raise_the_same_error(row):
+    assert _row_outcome(_parse_geodb_row, row) == _row_outcome(parse_geodb_row_ipaddress, row)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1).map(lambda n: str(IPv4Address(n))),
+    st.one_of(st.none(), st.integers(min_value=-1, max_value=40).map(str), st.text(max_size=4)),
+)
+def test_row_parser_matches_ip_network(address, prefix):
+    cidr = address if prefix is None else f"{address}/{prefix}"
+    row = [cidr, "1.5", "-2.5"]
+    assert _row_outcome(_parse_geodb_row, row) == _row_outcome(parse_geodb_row_ipaddress, row)
+
+
+def test_duplicate_cidr_message_is_located(tmp_path):
+    path = tmp_path / "geo.csv"
+    path.write_text("cidr,lat,lon\n10.0.0.0/8,1,2\n10.1.0.0/16,1,2\n10.9.9.9/8,3,4\n", encoding="utf-8")
+    with pytest.raises(DuplicateCidr) as excinfo:
+        load_geodb(path)
+    assert str(excinfo.value) == f"{path}:4: duplicate CIDR 10.0.0.0/8"
+    with pytest.raises(DuplicateCidr, match=r"^duplicate CIDR 10\.0\.0\.0/8$"):
+        _db(("10.0.0.0/8", 0.0, 0.0), ("10.0.0.0/8", 1.0, 1.0))
+
+
+_ANTIMERIDIAN_DB = (
+    ("10.1.0.0/16", 10.0, 170.0),
+    ("10.2.0.0/16", 10.0, 179.9999999),
+    ("10.3.0.0/16", 10.0, -180.0),
+)
+
+
+def test_route_collapses_across_the_antimeridian():
+    path = route_to_geopath(("10.1.0.1", "10.2.0.1", "10.3.0.1"), _db(*_ANTIMERIDIAN_DB))
+    assert path.nodes == (Coordinate(10.0, 170.0), Coordinate(10.0, 179.9999999))
+
+
+def test_routes_differing_across_the_antimeridian_are_one_geo_path():
+    routes = [("10.1.0.1", "10.2.0.1"), ("10.1.0.1", "10.3.0.1")]
+    kept, stats = filter_pairs(_route_sets({("10.0.0.1", "10.9.0.1"): routes}), _db(*_ANTIMERIDIAN_DB))
+    assert kept == {}
+    assert stats.removed_single_geo_path == 1

@@ -1,7 +1,11 @@
 import random
+from ipaddress import AddressValueError, IPv4Address
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from geodiv import traces
 from geodiv import (
     InvalidAddress,
     ParseError,
@@ -10,6 +14,7 @@ from geodiv import (
     parse_trace_file,
     parse_trace_line,
 )
+from geodiv.traces import parse_ipv4
 
 
 def test_parse_basic_record():
@@ -149,3 +154,61 @@ def test_group_counts_match_brute_force():
         if all(stripped[j] != route for j in range(i))
     ]
     assert len(grouped[("10.0.0.1", "10.9.0.1")].ip_routes) == len(distinct)
+
+
+def _ipv4_outcome(parse, text):
+    """(int, None) when ``parse`` accepts ``text``, (None, message) when it
+    raises ``AddressValueError``."""
+    try:
+        return int(parse(text)), None
+    except AddressValueError as exc:
+        return None, str(exc)
+
+
+IPV4_CASES = [
+    "0.0.0.0", "255.255.255.255", "1.2.3.4", "10.0.0.1", "100.200.10.0",
+    "01.2.3.4", "1.2.3.04", "1.2.3.00", "00.0.0.0", "0000.1.1.1", "1.2.3.1000",
+    "1.2.3", "1.2.3.4.5", "1.2.3.4.", ".1.2.3", "1..2.3", "", ".", "...",
+    "256.0.0.1", "1.2.3.256", "999.1.1.1", "-1.2.3.4", "+1.2.3.4", "1_0.2.3.4",
+    "0x1.2.3.4", "0x01020304", "16909060", "1.2.3.4 ", " 1.2.3.4", "1.2.3.4\n",
+    "1.2.3.4\x00", "1.2\x00.3.4", "1.2.3.4/32", "1.2.3.4%eth0", "::1", "::ffff:1.2.3.4",
+    "\u0661.2.3.4", "\uff11.2.3.4", "1.2.3.\u00b2", "1.2.3.\u0664", "\ud800.1.1.1", "*",
+]
+
+
+@pytest.mark.parametrize("text", IPV4_CASES)
+def test_parse_ipv4_matches_ipaddress_on_edge_cases(text):
+    assert _ipv4_outcome(parse_ipv4, text) == _ipv4_outcome(IPv4Address, text)
+
+
+_octet_like = st.text(alphabet="0123456789x ._-\u0661\uff11\x00", max_size=4)
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=0, max_value=2**32 - 1).map(lambda n: str(IPv4Address(n))),
+        st.lists(_octet_like, min_size=1, max_size=6).map(".".join),
+        st.text(max_size=20),
+    )
+)
+def test_parse_ipv4_matches_ipaddress(text):
+    assert _ipv4_outcome(parse_ipv4, text) == _ipv4_outcome(IPv4Address, text)
+
+
+def test_parse_file_checks_each_distinct_address_once(tmp_path, monkeypatch):
+    seen = []
+
+    def counting(text):
+        seen.append(text)
+        return parse_ipv4(text)
+
+    monkeypatch.setattr(traces, "parse_ipv4", counting)
+    path = tmp_path / "t.jsonl"
+    path.write_text(
+        '{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.1","*","10.1.0.1","10.2.0.1"]}\n'
+        '{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.2.0.1","10.9.0.1"]}\n',
+        encoding="utf-8",
+    )
+    records = parse_trace_file(path)
+    assert [r.hops for r in records] == [("10.1.0.1", "*", "10.1.0.1", "10.2.0.1"), ("10.2.0.1", "10.9.0.1")]
+    assert sorted(seen) == ["10.0.0.1", "10.1.0.1", "10.2.0.1", "10.9.0.1"]
