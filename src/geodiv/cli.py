@@ -123,7 +123,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     cfg = DiversityConfig(threshold_km=args.threshold_km, earth_radius_km=args.earth_radius_km)
-    filtered, ip_route_counts, stats = prepare_filtered_pairs(args.traces, args.geodb)
+    filtered, ip_route_counts, stats = prepare_filtered_pairs(args.traces, args.geodb, args.jobs)
     clustered = cluster_filtered_pairs(filtered, ip_route_counts, cfg, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -170,6 +170,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise InvalidConfig("jobs", f"must be a positive integer, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except (ParseError, DuplicateCidr, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

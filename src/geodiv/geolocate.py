@@ -81,7 +81,12 @@ def _parse_cidr(text: str) -> tuple[int, int] | None:
     return int(network.network_address), network.prefixlen
 
 
-def _parse_geodb_row(row: list[str], path: str | None, line: int) -> tuple[int, int, Coordinate]:
+def _parse_geodb_row(
+    row: list[str], path: str | None, line: int, locations: dict[tuple[str, str], Coordinate]
+) -> tuple[int, int, Coordinate]:
+    """(network, prefix length, location) of one snapshot row. ``locations``
+    maps the stripped ``(lat, lon)`` texts seen so far to their coordinate,
+    so rows that repeat a location share one ``Coordinate``."""
     if len(row) != 3:
         raise ParseError(f"expected 3 columns, got {len(row)}", path=path, line=line)
     cidr_text, lat_text, lon_text = [col.strip() for col in row]
@@ -91,16 +96,21 @@ def _parse_geodb_row(row: list[str], path: str | None, line: int) -> tuple[int, 
         raise ParseError(f"invalid CIDR {cidr_text!r}: {exc}", path=path, line=line) from exc
     if prefix is None:
         raise ParseError(f"not an IPv4 prefix: {cidr_text!r}", path=path, line=line)
-    try:
-        location = Coordinate(lat=float(lat_text), lon=float(lon_text))
-    except ValueError as exc:
-        raise ParseError(f"invalid coordinates: {exc}", path=path, line=line) from exc
+    location = locations.get((lat_text, lon_text))
+    if location is None:
+        try:
+            location = Coordinate(lat=float(lat_text), lon=float(lon_text))
+        except ValueError as exc:
+            raise ParseError(f"invalid coordinates: {exc}", path=path, line=line) from exc
+        locations[lat_text, lon_text] = location
     return *prefix, location
 
 
 def load_geodb(path: str | Path) -> GeoDb:
-    """Load a CSV geolocation snapshot, rejecting duplicate identical CIDRs."""
+    """Load a CSV geolocation snapshot, rejecting duplicate identical CIDRs.
+    Rows that repeat a location's text share one ``Coordinate``."""
     db = GeoDb(())
+    locations: dict[tuple[str, str], Coordinate] = {}
     name = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
         for line, row in enumerate(csv.reader(fh), start=1):
@@ -108,7 +118,7 @@ def load_geodb(path: str | Path) -> GeoDb:
                 continue
             if line == 1 and tuple(col.strip().lower() for col in row) == _HEADER:
                 continue
-            network, prefixlen, location = _parse_geodb_row(row, name, line)
+            network, prefixlen, location = _parse_geodb_row(row, name, line, locations)
             try:
                 db._add(network, prefixlen, location)
             except DuplicateCidr as exc:

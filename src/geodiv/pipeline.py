@@ -2,7 +2,9 @@
 
 Per-pair work is pure, so pairs can be fanned out to worker processes;
 results are always merged back in lexicographic pair order, which keeps
-every output file byte-identical regardless of the worker count.
+every output file, and the warnings on stderr, byte-identical regardless
+of the worker count. With more than one job, a reader process parses the
+trace file while the main process loads the geolocation snapshot.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -19,8 +22,8 @@ from .cluster import Cluster, cluster_pair_routes
 from .diversity import DiversityConfig, DiversityReport, compression_ratio, gdi, mgdi
 from .errors import EmptyInput, ParseError
 from .geodesy import Coordinate, great_circle_distance, path_length
-from .geolocate import FilterStats, GeoPath, filter_pairs, load_geodb
-from .traces import Pair, group_by_pair, parse_trace_file
+from .geolocate import FilterStats, GeoDb, GeoPath, filter_pairs, load_geodb
+from .traces import Pair, RouteSet, group_by_pair, parse_trace_file
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +79,7 @@ def ecdf(values: Sequence[float]) -> EcdfTable:
 
 def _parallel_map(fn: Callable[[_T], _R], tasks: Sequence[_T], jobs: int) -> list[_R]:
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             chunk = max(1, len(tasks) // (jobs * 4))
             return list(pool.map(fn, tasks, chunksize=chunk))
     return [fn(task) for task in tasks]
@@ -137,10 +140,6 @@ def score_clustered_pair(
         ratio = gdi_km / mgdi_km
     else:
         ratio = 0.0 if gdi_km == 0.0 else float("inf")
-    if ratio > 1.0:
-        logger.warning(
-            "pair %s -> %s: GDI %.3f km exceeds MGDI %.3f km", pair[0], pair[1], gdi_km, mgdi_km
-        )
 
     return DiversityReport(
         src=pair[0],
@@ -153,6 +152,17 @@ def score_clustered_pair(
         mgdi_km=mgdi_km,
         gdi_over_mgdi=ratio,
     )
+
+
+def _warn_over_ceiling(reports: Sequence[DiversityReport]) -> None:
+    """Log each report whose GDI exceeds its MGDI. Called in the merging
+    process on reports in pair order, so the lines do not depend on which
+    worker scored which pair."""
+    for r in reports:
+        if r.gdi_over_mgdi > 1.0:
+            logger.warning(
+                "pair %s -> %s: GDI %.3f km exceeds MGDI %.3f km", r.src, r.dst, r.gdi_km, r.mgdi_km
+            )
 
 
 def score_pair(
@@ -183,7 +193,9 @@ def score_cluster_rows(
     """Score :func:`read_clusters_file` rows in pair order, optionally
     across processes."""
     tasks = [(row, cfg) for row in sorted(rows, key=lambda row: row[0])]
-    return tuple(_parallel_map(_score_row_task, tasks, jobs))
+    reports = tuple(_parallel_map(_score_row_task, tasks, jobs))
+    _warn_over_ceiling(reports)
+    return reports
 
 
 def _score_clustered_task(args: tuple[ClusteredPair, DiversityConfig]) -> DiversityReport:
@@ -206,7 +218,9 @@ def score_filtered_pairs(
 ) -> tuple[DiversityReport, ...]:
     """Cluster and score every surviving pair, optionally across processes."""
     tasks = [(pair, filtered[pair], ip_route_counts[pair], cfg) for pair in sorted(filtered)]
-    return tuple(_parallel_map(_score_pair_task, tasks, jobs))
+    reports = tuple(_parallel_map(_score_pair_task, tasks, jobs))
+    _warn_over_ceiling(reports)
+    return reports
 
 
 def summarize(stats: FilterStats, reports: Iterable[DiversityReport]) -> PipelineSummary:
@@ -220,13 +234,73 @@ def summarize(stats: FilterStats, reports: Iterable[DiversityReport]) -> Pipelin
     )
 
 
-def prepare_filtered_pairs(
+def _send_route_sets(
+    traces_path: str | Path,
+    receiver: multiprocessing.connection.Connection,
+    sender: multiprocessing.connection.Connection,
+) -> None:
+    """Reader process: parse and group the trace file, then send the route
+    sets, or the error that stopped them, to the parent. The copy of the
+    parent's end is closed first, so a send fails instead of blocking once
+    the parent has closed it."""
+    receiver.close()
+    try:
+        result: object = group_by_pair(parse_trace_file(traces_path))
+    except Exception as exc:  # noqa: BLE001 - raised again in the parent
+        result = exc
+    sender.send(result)
+
+
+def _read_while_loading(
     traces_path: str | Path, geodb_path: str | Path
+) -> tuple[dict[Pair, RouteSet], GeoDb]:
+    """Route sets from a reader process, and the snapshot loaded here
+    meanwhile. The reader is a child process with a pipe, not a thread: a
+    thread here, such as an executor's feeder, would get no time while the
+    load holds the GIL.
+    """
+    receiver, sender = multiprocessing.Pipe(duplex=False)
+    reader = multiprocessing.Process(target=_send_route_sets, args=(traces_path, receiver, sender))
+    reader.start()
+    sender.close()
+    try:
+        try:
+            db = load_geodb(geodb_path)
+        except Exception:
+            # As when the traces are read first, their error wins.
+            _receive_route_sets(receiver)
+            raise
+        return _receive_route_sets(receiver), db
+    finally:
+        receiver.close()
+        reader.join()
+
+
+def _receive_route_sets(receiver: multiprocessing.connection.Connection) -> dict[Pair, RouteSet]:
+    """The reader's route sets; the error it sent instead is raised here."""
+    try:
+        result = receiver.recv()
+    except EOFError:
+        raise RuntimeError("the trace reader exited without a result") from None
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def prepare_filtered_pairs(
+    traces_path: str | Path, geodb_path: str | Path, jobs: int = 1
 ) -> tuple[dict[Pair, tuple[GeoPath, ...]], dict[Pair, int], FilterStats]:
-    """Shared front half of the pipeline: parse, group, localize, filter."""
-    records = parse_trace_file(traces_path)
-    route_sets = group_by_pair(records)
-    db = load_geodb(geodb_path)
+    """Shared front half of the pipeline: parse, group, localize, filter.
+
+    With ``jobs > 1`` the traces are parsed and grouped in one reader
+    process while this process loads the snapshot; the reader has exited
+    when this returns.
+    """
+    if jobs > 1:
+        route_sets, db = _read_while_loading(traces_path, geodb_path)
+    else:
+        route_sets = group_by_pair(parse_trace_file(traces_path))
+        db = load_geodb(geodb_path)
     filtered, stats = filter_pairs(route_sets, db)
     ip_route_counts = {pair: len(route_sets[pair].ip_routes) for pair in filtered}
     return filtered, ip_route_counts, stats
@@ -240,7 +314,7 @@ def run_pipeline(
 ) -> PipelineSummary:
     """Run the whole pipeline over a trace file and a geolocation snapshot."""
     cfg = cfg or DiversityConfig()
-    filtered, ip_route_counts, stats = prepare_filtered_pairs(traces_path, geodb_path)
+    filtered, ip_route_counts, stats = prepare_filtered_pairs(traces_path, geodb_path, jobs)
     reports = score_filtered_pairs(filtered, ip_route_counts, cfg, jobs=jobs)
     return summarize(stats, reports)
 

@@ -8,11 +8,12 @@ exceptions are the original code that a fast path replaced, kept verbatim
 so that the fast path must match it bit for bit: the exhaustive MGDI
 subset search (on the package's planar score and greedy accumulation),
 the per-arc point-to-path distance, and the ``ipaddress``-based geodb row
-parser.
+parser with its per-row ``Coordinate`` construction.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from ipaddress import AddressValueError, IPv4Address, IPv4Network, NetmaskValueError, ip_network
@@ -29,6 +30,7 @@ from geodiv.diversity import (
 )
 from geodiv.errors import EmptyPath, ParseError
 from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate
+from geodiv.geolocate import GeoDb
 
 _DEGENERATE_NORM = 1e-12
 
@@ -273,3 +275,17 @@ def parse_geodb_row_ipaddress(row: list[str], path: str | None, line: int) -> tu
     except ValueError as exc:
         raise ParseError(f"invalid coordinates: {exc}", path=path, line=line) from exc
     return int(network.network_address), network.prefixlen, location
+
+
+def load_geodb_per_row(path) -> GeoDb:
+    """A snapshot loaded with one new ``Coordinate`` per row, through the
+    original row parser."""
+    db = GeoDb(())
+    with open(path, newline="", encoding="utf-8") as fh:
+        for line, row in enumerate(csv.reader(fh), start=1):
+            if not "".join(row).strip():
+                continue
+            if line == 1 and tuple(col.strip().lower() for col in row) == ("cidr", "lat", "lon"):
+                continue
+            db._add(*parse_geodb_row_ipaddress(row, str(path), line))
+    return db

@@ -17,7 +17,8 @@ from geodiv import (
     route_to_geopath,
 )
 from geodiv.geolocate import _parse_geodb_row
-from oracles import brute_force_lookup, parse_geodb_row_ipaddress
+from geodiv.synthetic import generate_corpus
+from oracles import brute_force_lookup, load_geodb_per_row, parse_geodb_row_ipaddress
 
 
 def _db(*rows: tuple[str, float, float]) -> GeoDb:
@@ -268,6 +269,10 @@ def test_filter_accounting_and_survivor_invariants():
                 assert (round(a.lat, 6), round(a.lon, 6)) != (round(b.lat, 6), round(b.lon, 6))
 
 
+def _parse_row(row, path, line):
+    return _parse_geodb_row(row, path, line, {})
+
+
 def _row_outcome(parse, row):
     try:
         return parse(row, "geo.csv", 7), None
@@ -290,7 +295,7 @@ CIDR_CASES = [
 @pytest.mark.parametrize("cidr", CIDR_CASES)
 def test_row_parser_matches_ip_network_on_edge_cases(cidr):
     row = [f" {cidr} ", "47.5", "19.05"]
-    assert _row_outcome(_parse_geodb_row, row) == _row_outcome(parse_geodb_row_ipaddress, row)
+    assert _row_outcome(_parse_row, row) == _row_outcome(parse_geodb_row_ipaddress, row)
 
 
 @pytest.mark.parametrize(
@@ -299,7 +304,7 @@ def test_row_parser_matches_ip_network_on_edge_cases(cidr):
      ["10.0.0.0/33", "x", "0"], ["10.0.0.0/8", "1", "nan"]],
 )
 def test_malformed_rows_raise_the_same_error(row):
-    assert _row_outcome(_parse_geodb_row, row) == _row_outcome(parse_geodb_row_ipaddress, row)
+    assert _row_outcome(_parse_row, row) == _row_outcome(parse_geodb_row_ipaddress, row)
 
 
 @given(
@@ -309,7 +314,7 @@ def test_malformed_rows_raise_the_same_error(row):
 def test_row_parser_matches_ip_network(address, prefix):
     cidr = address if prefix is None else f"{address}/{prefix}"
     row = [cidr, "1.5", "-2.5"]
-    assert _row_outcome(_parse_geodb_row, row) == _row_outcome(parse_geodb_row_ipaddress, row)
+    assert _row_outcome(_parse_row, row) == _row_outcome(parse_geodb_row_ipaddress, row)
 
 
 def test_duplicate_cidr_message_is_located(tmp_path):
@@ -339,3 +344,58 @@ def test_routes_differing_across_the_antimeridian_are_one_geo_path():
     kept, stats = filter_pairs(_route_sets({("10.0.0.1", "10.9.0.1"): routes}), _db(*_ANTIMERIDIAN_DB))
     assert kept == {}
     assert stats.removed_single_geo_path == 1
+
+
+def _tables(db: GeoDb) -> dict[int, dict[int, str]]:
+    # repr keeps every float bit, the sign of zero included.
+    return {shift: {key: repr(c) for key, c in table.items()} for shift, table in db._by_shift.items()}
+
+
+_REPEATED_LOCATIONS = (
+    "cidr,lat,lon\n"
+    "10.0.0.0/8,1.0,2.5\n"
+    "11.0.0.0/8, 1.0 ,2.5 \n"
+    "12.0.0.0/8,1.00,2.5\n"
+    "13.0.0.0/8,-0.0,190\n"
+    "14.0.0.0/8,0.0,-170\n"
+    "15.0.0.0/8,-0.0,190\n"
+    "16.0.0.0/8,1e0,2.5\n"
+    "17.0.0.0/8,1.0,2.5\n"
+)
+
+
+def test_load_matches_per_row_construction(tmp_path):
+    corpus = generate_corpus(n_pairs=60, seed=3)
+    corpus.write(tmp_path / "traces.jsonl", tmp_path / "synthetic.csv")
+    handmade = tmp_path / "handmade.csv"
+    handmade.write_text(_REPEATED_LOCATIONS, encoding="utf-8")
+    for path in (tmp_path / "synthetic.csv", handmade):
+        assert _tables(load_geodb(path)) == _tables(load_geodb_per_row(path))
+
+
+def test_rows_with_identical_location_text_share_one_coordinate(tmp_path):
+    path = tmp_path / "geo.csv"
+    path.write_text(_REPEATED_LOCATIONS, encoding="utf-8")
+    db = load_geodb(path)
+    at = {first: db.lookup(f"{first}.1.2.3") for first in range(10, 18)}
+    assert at[10] is at[11] is at[17]  # the same text once stripped
+    assert at[13] is at[15]
+    # Different texts of one place: distinct objects, equal coordinates.
+    for first in (12, 16):
+        assert at[first] is not at[10]
+        assert at[first] == at[10] and at[first].key == at[10].key
+    assert at[14] == at[13] == Coordinate(0.0, -170.0)
+
+
+@pytest.mark.parametrize("bad_line", [2, 3])
+def test_invalid_location_fails_at_its_first_row(tmp_path, bad_line):
+    rows = ["10.0.0.0/8,1.0,2.0", "11.0.0.0/8,1.0,2.0", "12.0.0.0/8,1.0,2.0", "13.0.0.0/8,91,2.0"]
+    rows[bad_line - 1] = rows[bad_line - 1].split(",")[0] + ",91,2.0"
+    path = tmp_path / "geo.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_geodb(path)
+    with pytest.raises(ParseError) as expected:
+        parse_geodb_row_ipaddress(rows[bad_line - 1].split(","), str(path), bad_line)
+    assert excinfo.value.line == bad_line
+    assert str(excinfo.value) == str(expected.value)

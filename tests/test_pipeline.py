@@ -1,5 +1,6 @@
 import json
 import logging
+import multiprocessing
 import random
 
 import pytest
@@ -14,12 +15,16 @@ from geodiv import (
     run_pipeline,
     score_pair,
 )
+from geodiv import pipeline
 from geodiv.pipeline import (
     PAIRS_CSV_HEADER,
     cluster_filtered_pairs,
+    prepare_filtered_pairs,
     read_clusters_file,
+    score_cluster_rows,
     write_clusters_file,
 )
+from geodiv.synthetic import generate_corpus
 
 
 def test_ecdf_counts_duplicates():
@@ -158,11 +163,62 @@ def _parallel_paths():
 
 
 def test_gdi_over_mgdi_above_one_is_flagged(caplog):
+    # The flag is logged by the process that merges the results, in pair
+    # order, whichever process scored the pair.
     p1, p2 = _parallel_paths()
-    with caplog.at_level(logging.WARNING, logger="geodiv.pipeline"):
-        report = score_pair(("10.0.0.1", "10.9.0.1"), (p1, p2), 2, DiversityConfig())
-    assert report.gdi_over_mgdi > 1.0
-    assert any("exceeds MGDI" in message for message in caplog.messages)
+    flat = GeoPath(nodes=(Coordinate(0, 0), Coordinate(0, 9)))
+    rows = [
+        (("10.0.0.3", "10.9.0.1"), (p1, p2), 2, 2),
+        (("10.0.0.2", "10.9.0.1"), (p1, flat), 2, 2),
+        (("10.0.0.1", "10.9.0.1"), (p2, p1), 2, 2),
+    ]
+    for jobs in (1, 2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="geodiv.pipeline"):
+            reports = score_cluster_rows(rows, DiversityConfig(), jobs=jobs)
+        flagged = [r for r in reports if r.gdi_over_mgdi > 1.0]
+        assert [r.src for r in flagged] == ["10.0.0.1", "10.0.0.3"]
+        assert caplog.messages == [
+            f"pair {r.src} -> {r.dst}: GDI {r.gdi_km:.3f} km exceeds MGDI {r.mgdi_km:.3f} km"
+            for r in flagged
+        ]
+        assert [r.name for r in caplog.records] == ["geodiv.pipeline"] * 2
+
+
+def test_pool_is_never_larger_than_its_tasks(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    p1, p2 = _parallel_paths()
+    rows = [((f"10.0.0.{i}", "10.9.0.1"), (p1, p2), 2, 2) for i in range(3)]
+    assert len(score_cluster_rows(rows, DiversityConfig(), jobs=64)) == 3
+    assert len(score_cluster_rows(rows, DiversityConfig(), jobs=2)) == 3
+    assert len(score_cluster_rows(rows[:1], DiversityConfig(), jobs=64)) == 1
+    assert sizes == [3, 2]
+
+
+def test_reader_gives_the_same_front_half(seven_route_corpus, tmp_path):
+    traces, geodb, _ = seven_route_corpus
+    assert prepare_filtered_pairs(traces, geodb, jobs=2) == prepare_filtered_pairs(traces, geodb)
+    assert multiprocessing.active_children() == []
+    corpus = generate_corpus(n_pairs=60, seed=5)
+    traces, geodb = tmp_path / "traces.jsonl", tmp_path / "geodb.csv"
+    corpus.write(traces, geodb)
+    serial = prepare_filtered_pairs(traces, geodb, jobs=1)
+    assert serial[0] and prepare_filtered_pairs(traces, geodb, jobs=2) == serial
 
 
 def test_mgdi_zero_for_loop_route():
@@ -179,8 +235,6 @@ def test_mgdi_zero_for_loop_route():
 
 
 def test_clusters_file_round_trip(seven_route_corpus, tmp_path):
-    from geodiv.pipeline import prepare_filtered_pairs
-
     traces, geodb, expected = seven_route_corpus
     cfg = DiversityConfig()
     filtered, counts, stats = prepare_filtered_pairs(traces, geodb)
