@@ -6,7 +6,7 @@ and score each pair's route set with the Geographic Diversity Index (GDI)
 and its hypothetical maximum (MGDI).
 """
 
-from .cluster import Cluster, DeltaVector, cluster_pair_routes, delta_vector, geo_equal
+from .cluster import Cluster, cluster_pair_routes, delta_vector, geo_equal
 from .diversity import (
     DiversityConfig,
     DiversityReport,
@@ -72,7 +72,6 @@ __all__ = [
     "UNRESPONSIVE",
     "Cluster",
     "Coordinate",
-    "DeltaVector",
     "DiversityConfig",
     "DiversityReport",
     "DuplicateCidr",

@@ -18,11 +18,11 @@ from pathlib import Path
 
 from .diversity import DiversityConfig
 from .errors import DuplicateCidr, InvalidConfig, ParseError
+from .geolocate import FilterStats
 from .pipeline import (
     PipelineSummary,
-    cluster_filtered_pairs,
+    cluster_corpus,
     emit_report,
-    prepare_filtered_pairs,
     read_clusters_file,
     run_pipeline,
     score_cluster_rows,
@@ -123,8 +123,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     cfg = DiversityConfig(threshold_km=args.threshold_km, earth_radius_km=args.earth_radius_km)
-    filtered, ip_route_counts, stats = prepare_filtered_pairs(args.traces, args.geodb, args.jobs)
-    clustered = cluster_filtered_pairs(filtered, ip_route_counts, cfg, jobs=args.jobs)
+    clustered, stats = cluster_corpus(args.traces, args.geodb, cfg, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = write_clusters_file(clustered, cfg, out / "clusters.json", stats=stats)
@@ -142,16 +141,8 @@ def _cmd_gdi(args: argparse.Namespace) -> int:
     radius = args.earth_radius_km if args.earth_radius_km is not None else (stored_radius or 6371.0)
     cfg = DiversityConfig(earth_radius_km=radius, mgdi_grid_steps=args.mgdi_grid_steps)
     reports = score_cluster_rows(rows, cfg, jobs=args.jobs)
-    if stats is None:
-        summary = PipelineSummary(
-            total_pairs=len(reports),
-            pairs_removed_stage1=0,
-            pairs_removed_stage2=0,
-            pairs_scored=len(reports),
-            per_pair=tuple(reports),
-        )
-    else:
-        summary = summarize(stats, reports)
+    # Without recorded filter stats, every pair in the file counts as scored.
+    summary = summarize(stats or FilterStats(len(reports), 0, 0), reports)
     out = Path(args.out)
     emit_report(summary, out)
     _print_summary(summary, out)

@@ -17,17 +17,6 @@ from .geolocate import GeoPath
 
 
 @dataclass(frozen=True)
-class DeltaVector:
-    """All node-to-opposite-path distances between two geo-paths, in km.
-
-    Ordered as: each node of the first path against the second path's
-    polyline, then each node of the second path against the first's.
-    """
-
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class Cluster:
     """Set of pairwise geographically equal geo-paths; ids follow creation order."""
 
@@ -39,13 +28,15 @@ class Cluster:
         return min(self.members, key=GeoPath.sort_key)
 
 
-def delta_vector(p: GeoPath, l: GeoPath, radius_km: float = EARTH_RADIUS_KM) -> DeltaVector:
-    """Equal, entry for entry, to ``point_to_path_distance`` of each node
-    against the other path's nodes."""
+def delta_vector(p: GeoPath, l: GeoPath, radius_km: float = EARTH_RADIUS_KM) -> tuple[float, ...]:
+    """All node-to-opposite-path distances between two geo-paths, in km:
+    each node of ``p`` against ``l``'s polyline, then each node of ``l``
+    against ``p``'s. Equal, entry for entry, to ``point_to_path_distance``
+    of each node against the other path's nodes."""
     pp, lp = p.prepared, l.prepared
     values = [lp.distance(u, radius_km) for u in pp.points]
     values += [pp.distance(u, radius_km) for u in lp.points]
-    return DeltaVector(values=tuple(values))
+    return tuple(values)
 
 
 def geo_equal(p: GeoPath, l: GeoPath, threshold_km: float, radius_km: float = EARTH_RADIUS_KM) -> bool:

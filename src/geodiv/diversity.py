@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cluster import delta_vector
 from .errors import EmptySet, InvalidConfig, InvalidCounts, InvalidGeometry
@@ -79,7 +79,7 @@ def diversity_from_delta(values: Sequence[float]) -> float:
 
 def pair_diversity(p: GeoPath, l: GeoPath, radius_km: float = EARTH_RADIUS_KM) -> float:
     """Diversity of two geo-paths, in kilometers; symmetric, 0 for identical paths."""
-    return diversity_from_delta(delta_vector(p, l, radius_km).values)
+    return diversity_from_delta(delta_vector(p, l, radius_km))
 
 
 def set_diversity(p: GeoPath, routes: Iterable[GeoPath], radius_km: float = EARTH_RADIUS_KM) -> float:
@@ -129,18 +129,20 @@ def _greedy_accumulate(matrix: Sequence[Sequence[float]]) -> float:
     return total
 
 
-def gdi(paths: Iterable[GeoPath], radius_km: float = EARTH_RADIUS_KM) -> float:
-    """Geographic Diversity Index of a route set; 0 for fewer than 2 routes."""
-    ordered = sorted(paths, key=GeoPath.sort_key)
+def _greedy_gdi(ordered: Sequence, score: Callable[..., float]) -> float:
+    """Greedy GDI of routes in canonical order, scored pairwise by ``score``."""
     n = len(ordered)
-    if n <= 1:
-        return 0.0
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            score = pair_diversity(ordered[i], ordered[j], radius_km)
-            matrix[i][j] = matrix[j][i] = score
+            matrix[i][j] = matrix[j][i] = score(ordered[i], ordered[j])
     return _greedy_accumulate(matrix)
+
+
+def gdi(paths: Iterable[GeoPath], radius_km: float = EARTH_RADIUS_KM) -> float:
+    """Geographic Diversity Index of a route set; 0 for fewer than 2 routes."""
+    ordered = sorted(paths, key=GeoPath.sort_key)
+    return _greedy_gdi(ordered, lambda p, l: pair_diversity(p, l, radius_km))
 
 
 def _planar_point_to_path(point: PlanarPoint, path: PlanarPath) -> float:
@@ -169,16 +171,7 @@ def planar_pair_diversity(p: PlanarPath, l: PlanarPath) -> float:
 
 def planar_gdi(paths: Iterable[PlanarPath]) -> float:
     """GDI for planar paths; canonical order is lexicographic on coordinates."""
-    ordered = sorted(paths)
-    n = len(ordered)
-    if n <= 1:
-        return 0.0
-    matrix = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            score = planar_pair_diversity(ordered[i], ordered[j])
-            matrix[i][j] = matrix[j][i] = score
-    return _greedy_accumulate(matrix)
+    return _greedy_gdi(sorted(paths), planar_pair_diversity)
 
 
 def _height_grid(h_max: float, steps: int) -> list[float]:
@@ -191,6 +184,50 @@ def _height_grid(h_max: float, steps: int) -> list[float]:
 def triangle_route(endpoint_distance_km: float, height_km: float) -> PlanarPath:
     """Two-segment route from (0,0) to (d,0) via an apex on the bisector."""
     return ((0.0, 0.0), (endpoint_distance_km / 2.0, height_km), (endpoint_distance_km, 0.0))
+
+
+def _triangle_pair_scores(
+    endpoint_distance_km: float, heights: Sequence[float], pairs: Iterable[tuple[int, int]]
+) -> list[float]:
+    """``diversity_from_delta([0, a, 0, 0, b, 0])`` for each ``(i, j)`` in
+    ``pairs``, with ``a`` and ``b`` the :func:`_planar_point_to_path`
+    distances from the apex of the triangle route of height ``heights[i]``
+    to that of ``heights[j]`` and back. The same float operations run in
+    the same order, on arc terms computed once per triangle; only the
+    (exact) subtractions of a zero coordinate are left out."""
+    x = endpoint_distance_km / 2.0
+    run = endpoint_distance_km - x  # each second arc runs from (x, h) to (d, 0)
+    arcs = [(h, x * x + h * h, 0.0 - h, run * run + (0.0 - h) * (0.0 - h)) for h in heights]
+    hypot, fsum = math.hypot, math.fsum
+
+    def apex_to(hp: float, hq: float, sq1: float, rise: float, sq2: float) -> float:
+        if sq1 == 0.0:
+            d1 = hypot(x, hp)
+        else:
+            t = (x * x + hp * hq) / sq1
+            t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0  # min(1.0, max(0.0, t))
+            d1 = hypot(x - (0.0 + t * x), hp - (0.0 + t * hq))
+        if sq2 == 0.0:
+            d2 = hypot(x - x, hp - hq)
+        else:
+            t = (0.0 * run + (hp - hq) * rise) / sq2
+            t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0
+            d2 = hypot(x - (x + t * run), hp - (hq + t * rise))
+        return d2 if d2 < d1 else d1
+
+    scores = []
+    for i, j in pairs:
+        a, b = apex_to(arcs[i][0], *arcs[j]), apex_to(arcs[j][0], *arcs[i])
+        peak = max(0.0, a, b)
+        if peak <= 0.0:
+            scores.append(0.0)
+            continue
+        na, nb = a / peak, b / peak
+        mean = fsum((0.0, na, 0.0, 0.0, nb, 0.0)) / 6
+        z = (0.0 - mean) ** 2
+        variance = fsum((z, (na - mean) ** 2, z, z, (nb - mean) ** 2, z)) / 6
+        scores.append((1.0 - variance) * (fsum((0.0, a, 0.0, 0.0, b, 0.0)) / 6))
+    return scores
 
 
 # Relative slack on the branch-and-bound cut, so that rounding in the bound
@@ -330,25 +367,20 @@ def mgdi(
     h_max = math.sqrt(max(0.0, (longest_route_km / 2.0) ** 2 - (endpoint_distance_km / 2.0) ** 2))
     grid = sorted(set(_height_grid(h_max, cfg.mgdi_grid_steps)))
     pinned = len(grid) - 1  # +h_max is always the last grid value
-    routes = [triangle_route(endpoint_distance_km, h) for h in grid]
-
-    def pair_score(i: int, j: int) -> float:
-        a = _planar_point_to_path(routes[i][1], routes[j])
-        b = _planar_point_to_path(routes[j][1], routes[i])
-        return diversity_from_delta([0.0, a, 0.0, 0.0, b, 0.0])
 
     m = len(grid)
-    pinned_scores = [pair_score(i, pinned) for i in range(pinned)]
+    pinned_scores = _triangle_pair_scores(endpoint_distance_km, grid, [(i, pinned) for i in range(pinned)])
     best = max([0.0, *pinned_scores])
     max_routes = min(n_routes, m)
     if max_routes <= 2:
         return best
 
     table = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            score = pinned_scores[i] if j == pinned else pair_score(i, j)
-            table[i][j] = table[j][i] = score
+    for i, score in enumerate(pinned_scores):
+        table[i][pinned] = table[pinned][i] = score
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, pinned)]
+    for (i, j), score in zip(pairs, _triangle_pair_scores(endpoint_distance_km, grid, pairs)):
+        table[i][j] = table[j][i] = score
     return _best_greedy_set(table, pinned, max_routes, best)
 
 

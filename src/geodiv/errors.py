@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class GeodivError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,6 +31,18 @@ class ParseError(GeodivError):
         if prefix:
             return f"{prefix} {self.reason}"
         return self.reason
+
+
+def not_utf8(path: str | Path) -> ParseError:
+    """The error for a file that is not UTF-8, at its first bad byte. A
+    text read decodes in blocks, so the file is read again as bytes."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+        return ParseError("not valid UTF-8", path=str(path))  # changed since
+    except UnicodeDecodeError as exc:
+        reason = f"not valid UTF-8 at byte offset {exc.start} (0x{data[exc.start]:02x}: {exc.reason})"
+        return ParseError(reason, path=str(path), line=data.count(b"\n", 0, exc.start) + 1)
 
 
 class InvalidAddress(ParseError):

@@ -14,7 +14,7 @@ from ipaddress import AddressValueError, IPv4Address, IPv4Network, ip_network
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import DuplicateCidr, ParseError
+from .errors import DuplicateCidr, ParseError, not_utf8
 from .geodesy import Coordinate, PreparedPath
 from .traces import HopSequence, Pair, RouteSet, UNRESPONSIVE, parse_ipv4
 
@@ -113,16 +113,19 @@ def load_geodb(path: str | Path) -> GeoDb:
     locations: dict[tuple[str, str], Coordinate] = {}
     name = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        for line, row in enumerate(csv.reader(fh), start=1):
-            if not "".join(row).strip():
-                continue
-            if line == 1 and tuple(col.strip().lower() for col in row) == _HEADER:
-                continue
-            network, prefixlen, location = _parse_geodb_row(row, name, line, locations)
-            try:
-                db._add(network, prefixlen, location)
-            except DuplicateCidr as exc:
-                raise DuplicateCidr(f"{path}:{line}: {exc}") from None
+        try:
+            for line, row in enumerate(csv.reader(fh), start=1):
+                if not "".join(row).strip():
+                    continue
+                if line == 1 and tuple(col.strip().lower() for col in row) == _HEADER:
+                    continue
+                network, prefixlen, location = _parse_geodb_row(row, name, line, locations)
+                try:
+                    db._add(network, prefixlen, location)
+                except DuplicateCidr as exc:
+                    raise DuplicateCidr(f"{path}:{line}: {exc}") from None
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return db
 
 

@@ -1,10 +1,13 @@
 """End-to-end pipeline: parse traces, localize, filter, cluster, score, report.
 
-Per-pair work is pure, so pairs can be fanned out to worker processes;
-results are always merged back in lexicographic pair order, which keeps
-every output file, and the warnings on stderr, byte-identical regardless
-of the worker count. With more than one job, a reader process parses the
-trace file while the main process loads the geolocation snapshot.
+Per-pair work is pure, so pairs are split into stripes: with ``jobs``
+processes, each takes every ``jobs``-th pair in lexicographic order. The
+main process works one stripe itself, and forked children, which inherit
+the inputs already in memory, work the others. Results are merged back in
+pair order, which keeps every output file, and the warnings on stderr,
+byte-identical regardless of the worker count. With more than one job, a
+reader process parses the trace file while the main process loads the
+geolocation snapshot.
 """
 
 from __future__ import annotations
@@ -13,17 +16,20 @@ import json
 import logging
 import math
 import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import chain
+from multiprocessing.connection import Connection
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .cluster import Cluster, cluster_pair_routes
 from .diversity import DiversityConfig, DiversityReport, compression_ratio, gdi, mgdi
-from .errors import EmptyInput, ParseError
+from .errors import EmptyInput, ParseError, not_utf8
 from .geodesy import Coordinate, great_circle_distance, path_length
-from .geolocate import FilterStats, GeoDb, GeoPath, filter_pairs, load_geodb
-from .traces import Pair, RouteSet, group_by_pair, parse_trace_file
+from .geolocate import FilterStats, GeoPath, filter_pairs, load_geodb
+from .traces import Pair, group_by_pair, parse_trace_file
 
 logger = logging.getLogger(__name__)
 
@@ -32,6 +38,8 @@ ECDF_CSV_HEADER = "value,cum_fraction"
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+
+_FORK = multiprocessing.get_context("fork")
 
 
 @dataclass(frozen=True)
@@ -77,33 +85,155 @@ def ecdf(values: Sequence[float]) -> EcdfTable:
     return EcdfTable(points=tuple(points))
 
 
-def _parallel_map(fn: Callable[[_T], _R], tasks: Sequence[_T], jobs: int) -> list[_R]:
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            chunk = max(1, len(tasks) // (jobs * 4))
-            return list(pool.map(fn, tasks, chunksize=chunk))
-    return [fn(task) for task in tasks]
+def _run_forked(calls: Sequence[Callable[[], object]]) -> list[object]:
+    """The outcome of each call: its result, or the exception it raised.
+
+    The first call runs here once every other one has started in a forked
+    child, which inherits this process's memory (nothing is pickled into
+    it) and sends its outcome back through a pipe. Every pipe is read, so
+    no child blocks on a full one, and every child has exited on return.
+    Call it only while no other thread runs.
+    """
+    children: list[tuple[multiprocessing.process.BaseProcess, Connection]] = []
+    try:
+        for call in calls[1:]:
+            receiver, sender = _FORK.Pipe(duplex=False)
+            receivers = [r for _, r in children] + [receiver]
+            child = _FORK.Process(target=_send_outcome, args=(call, sender, receivers))
+            child.start()
+            sender.close()
+            children.append((child, receiver))
+        outcomes = [_outcome(calls[0])]
+        for _, receiver in children:
+            try:
+                outcomes.append(receiver.recv())
+            except EOFError:
+                raise RuntimeError("a worker process exited without a result") from None
+        return outcomes
+    except BaseException:
+        for child, _ in children:
+            child.kill()
+        raise
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            child.join()
 
 
-def _cluster_task(args: tuple[Pair, tuple[GeoPath, ...], int, DiversityConfig]) -> ClusteredPair:
-    pair, geopaths, ip_route_count, cfg = args
-    clusters = cluster_pair_routes(geopaths, cfg.threshold_km, cfg.earth_radius_km)
-    return ClusteredPair(
-        pair=pair,
-        ip_route_count=ip_route_count,
-        geo_path_count=len(geopaths),
-        clusters=clusters,
+def _outcome(call: Callable[[], _R]) -> _R | Exception:
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - handed to the caller
+        return exc
+
+
+def _send_outcome(call: Callable[[], object], sender: Connection, receivers: list[Connection]) -> None:
+    """Forked child: close the inherited receiving ends, so that a send
+    fails instead of blocking once the parent has closed its own, then
+    send the outcome of ``call``."""
+    for receiver in receivers:
+        receiver.close()
+    sender.send(_outcome(call))
+
+
+def _raise_first(outcomes: Iterable[object]) -> None:
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+
+
+def _each(fn: Callable[..., _R], tasks: Iterable[tuple[int, tuple]]) -> list[tuple[int, _R | Exception]]:
+    """``(position, fn(*args))`` for each ``(position, args)`` task in order,
+    up to the first call that raises, which is paired with its exception."""
+    done: list[tuple[int, _R | Exception]] = []
+    for position, args in tasks:
+        try:
+            done.append((position, fn(*args)))
+        except Exception as exc:  # noqa: BLE001 - raised after the merge
+            done.append((position, exc))
+            break
+    return done
+
+
+def _in_stripes(
+    stripe: Callable[[int, int], tuple[list, _T]], count: int, jobs: int
+) -> tuple[list, list[_T]]:
+    """Run ``stripe(k, w)`` for each ``k < w = min(jobs, count)``, each but
+    stripe 0 in a forked child. A stripe returns :func:`_each`'s pairs and
+    one more value; returns the results merged by position and the extra
+    values. A stripe that failed as a whole raises first, then the first
+    failing position does."""
+    w = max(1, min(jobs, count))
+    outcomes = _run_forked([partial(stripe, k, w) for k in range(w)])
+    _raise_first(outcomes)
+    merged = sorted(chain.from_iterable(done for done, _ in outcomes), key=itemgetter(0))
+    results = [result for _, result in merged]
+    _raise_first(results)
+    return results, [extra for _, extra in outcomes]
+
+
+def _read_inputs(traces_path: str | Path, geodb_path: str | Path, jobs: int) -> list:
+    """``[route sets, snapshot]``. With ``jobs > 1`` a forked reader parses
+    and groups the traces while this process loads the snapshot; as when
+    the traces are read first, their error wins."""
+    if jobs <= 1:
+        return [group_by_pair(parse_trace_file(traces_path)), load_geodb(geodb_path)]
+    outcomes = _run_forked(
+        [lambda: load_geodb(geodb_path), lambda: group_by_pair(parse_trace_file(traces_path))]
+    )[::-1]
+    _raise_first(outcomes)
+    return outcomes
+
+
+def _over_corpus(
+    traces_path: str | Path,
+    geodb_path: str | Path,
+    cfg: DiversityConfig,
+    jobs: int,
+    per_pair: Callable[[Pair, Sequence[GeoPath], int, DiversityConfig], _R],
+) -> tuple[list[_R], FilterStats]:
+    """``per_pair`` of every pair that survives the filter, in pair order,
+    and the filter's accounting. Once the route sets and the snapshot are
+    in memory, each of ``w`` processes takes every ``w``-th pair, and
+    localizes, filters and finishes them from the inputs it inherited."""
+    inputs = _read_inputs(traces_path, geodb_path, jobs)
+    pairs = sorted(inputs[0])
+
+    def stripe(k: int, w: int) -> tuple[list[tuple[int, _R | Exception]], FilterStats]:
+        positions = range(k, len(pairs), w)
+        route_sets, db = inputs
+        inputs.clear()  # so that the inputs are freed once the stripe is localized
+        filtered, stats = filter_pairs({pairs[p]: route_sets[pairs[p]] for p in positions}, db)
+        counts = {pair: len(route_sets[pair].ip_routes) for pair in filtered}
+        del route_sets, db
+        tasks = (
+            (p, (pairs[p], filtered[pairs[p]], counts[pairs[p]], cfg))
+            for p in positions
+            if pairs[p] in filtered
+        )
+        return _each(per_pair, tasks), stats
+
+    results, stats = _in_stripes(stripe, len(pairs), jobs)
+    return results, FilterStats(
+        input_pairs=len(pairs),
+        removed_single_ip_route=sum(s.removed_single_ip_route for s in stats),
+        removed_single_geo_path=sum(s.removed_single_geo_path for s in stats),
     )
 
 
-def cluster_filtered_pairs(
-    filtered: dict[Pair, tuple[GeoPath, ...]],
-    ip_route_counts: dict[Pair, int],
-    cfg: DiversityConfig,
-    jobs: int = 1,
-) -> tuple[ClusteredPair, ...]:
-    tasks = [(pair, filtered[pair], ip_route_counts[pair], cfg) for pair in sorted(filtered)]
-    return tuple(_parallel_map(_cluster_task, tasks, jobs))
+def cluster_pair(
+    pair: Pair, geopaths: Sequence[GeoPath], ip_route_count: int, cfg: DiversityConfig
+) -> ClusteredPair:
+    """Cluster one pair's geo-paths."""
+    clusters = cluster_pair_routes(geopaths, cfg.threshold_km, cfg.earth_radius_km)
+    return ClusteredPair(pair, ip_route_count, len(geopaths), clusters)
+
+
+def cluster_corpus(
+    traces_path: str | Path, geodb_path: str | Path, cfg: DiversityConfig, jobs: int = 1
+) -> tuple[list[ClusteredPair], FilterStats]:
+    """Parse, localize, filter and cluster, in up to ``jobs`` processes."""
+    return _over_corpus(traces_path, geodb_path, cfg, jobs, cluster_pair)
 
 
 def score_clustered_pair(
@@ -169,56 +299,23 @@ def score_pair(
     pair: Pair, geopaths: Sequence[GeoPath], ip_route_count: int, cfg: DiversityConfig
 ) -> DiversityReport:
     """Cluster one pair's geo-paths and compute its diversity report."""
-    clustered = _cluster_task((pair, tuple(geopaths), ip_route_count, cfg))
-    return _score_clustered_task((clustered, cfg))
-
-
-def _score_pair_task(
-    args: tuple[Pair, tuple[GeoPath, ...], int, DiversityConfig]
-) -> DiversityReport:
-    pair, geopaths, ip_route_count, cfg = args
-    return score_pair(pair, geopaths, ip_route_count, cfg)
-
-
-def _score_row_task(
-    args: tuple[tuple[Pair, Sequence[GeoPath], int, int], DiversityConfig]
-) -> DiversityReport:
-    (pair, representatives, geo_path_count, ip_route_count), cfg = args
-    return score_clustered_pair(pair, representatives, geo_path_count, ip_route_count, cfg)
+    clusters = cluster_pair(pair, geopaths, ip_route_count, cfg).clusters
+    representatives = [c.representative for c in clusters]
+    return score_clustered_pair(pair, representatives, len(geopaths), ip_route_count, cfg)
 
 
 def score_cluster_rows(
     rows: Iterable[tuple[Pair, Sequence[GeoPath], int, int]], cfg: DiversityConfig, jobs: int = 1
 ) -> tuple[DiversityReport, ...]:
-    """Score :func:`read_clusters_file` rows in pair order, optionally
-    across processes."""
-    tasks = [(row, cfg) for row in sorted(rows, key=lambda row: row[0])]
-    reports = tuple(_parallel_map(_score_row_task, tasks, jobs))
-    _warn_over_ceiling(reports)
-    return reports
+    """Score :func:`read_clusters_file` rows in pair order, in up to
+    ``jobs`` processes."""
+    ordered = sorted(rows, key=lambda row: row[0])
 
+    def stripe(k: int, w: int) -> tuple[list[tuple[int, DiversityReport | Exception]], None]:
+        tasks = ((p, (*ordered[p], cfg)) for p in range(k, len(ordered), w))
+        return _each(score_clustered_pair, tasks), None
 
-def _score_clustered_task(args: tuple[ClusteredPair, DiversityConfig]) -> DiversityReport:
-    clustered, cfg = args
-    representatives = [c.representative for c in clustered.clusters]
-    return score_clustered_pair(
-        clustered.pair,
-        representatives,
-        clustered.geo_path_count,
-        clustered.ip_route_count,
-        cfg,
-    )
-
-
-def score_filtered_pairs(
-    filtered: dict[Pair, tuple[GeoPath, ...]],
-    ip_route_counts: dict[Pair, int],
-    cfg: DiversityConfig,
-    jobs: int = 1,
-) -> tuple[DiversityReport, ...]:
-    """Cluster and score every surviving pair, optionally across processes."""
-    tasks = [(pair, filtered[pair], ip_route_counts[pair], cfg) for pair in sorted(filtered)]
-    reports = tuple(_parallel_map(_score_pair_task, tasks, jobs))
+    reports = tuple(_in_stripes(stripe, len(ordered), jobs)[0])
     _warn_over_ceiling(reports)
     return reports
 
@@ -234,88 +331,17 @@ def summarize(stats: FilterStats, reports: Iterable[DiversityReport]) -> Pipelin
     )
 
 
-def _send_route_sets(
-    traces_path: str | Path,
-    receiver: multiprocessing.connection.Connection,
-    sender: multiprocessing.connection.Connection,
-) -> None:
-    """Reader process: parse and group the trace file, then send the route
-    sets, or the error that stopped them, to the parent. The copy of the
-    parent's end is closed first, so a send fails instead of blocking once
-    the parent has closed it."""
-    receiver.close()
-    try:
-        result: object = group_by_pair(parse_trace_file(traces_path))
-    except Exception as exc:  # noqa: BLE001 - raised again in the parent
-        result = exc
-    sender.send(result)
-
-
-def _read_while_loading(
-    traces_path: str | Path, geodb_path: str | Path
-) -> tuple[dict[Pair, RouteSet], GeoDb]:
-    """Route sets from a reader process, and the snapshot loaded here
-    meanwhile. The reader is a child process with a pipe, not a thread: a
-    thread here, such as an executor's feeder, would get no time while the
-    load holds the GIL.
-    """
-    receiver, sender = multiprocessing.Pipe(duplex=False)
-    reader = multiprocessing.Process(target=_send_route_sets, args=(traces_path, receiver, sender))
-    reader.start()
-    sender.close()
-    try:
-        try:
-            db = load_geodb(geodb_path)
-        except Exception:
-            # As when the traces are read first, their error wins.
-            _receive_route_sets(receiver)
-            raise
-        return _receive_route_sets(receiver), db
-    finally:
-        receiver.close()
-        reader.join()
-
-
-def _receive_route_sets(receiver: multiprocessing.connection.Connection) -> dict[Pair, RouteSet]:
-    """The reader's route sets; the error it sent instead is raised here."""
-    try:
-        result = receiver.recv()
-    except EOFError:
-        raise RuntimeError("the trace reader exited without a result") from None
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
-def prepare_filtered_pairs(
-    traces_path: str | Path, geodb_path: str | Path, jobs: int = 1
-) -> tuple[dict[Pair, tuple[GeoPath, ...]], dict[Pair, int], FilterStats]:
-    """Shared front half of the pipeline: parse, group, localize, filter.
-
-    With ``jobs > 1`` the traces are parsed and grouped in one reader
-    process while this process loads the snapshot; the reader has exited
-    when this returns.
-    """
-    if jobs > 1:
-        route_sets, db = _read_while_loading(traces_path, geodb_path)
-    else:
-        route_sets = group_by_pair(parse_trace_file(traces_path))
-        db = load_geodb(geodb_path)
-    filtered, stats = filter_pairs(route_sets, db)
-    ip_route_counts = {pair: len(route_sets[pair].ip_routes) for pair in filtered}
-    return filtered, ip_route_counts, stats
-
-
 def run_pipeline(
     traces_path: str | Path,
     geodb_path: str | Path,
     cfg: DiversityConfig | None = None,
     jobs: int = 1,
 ) -> PipelineSummary:
-    """Run the whole pipeline over a trace file and a geolocation snapshot."""
+    """Run the whole pipeline over a trace file and a geolocation snapshot,
+    in up to ``jobs`` processes."""
     cfg = cfg or DiversityConfig()
-    filtered, ip_route_counts, stats = prepare_filtered_pairs(traces_path, geodb_path, jobs)
-    reports = score_filtered_pairs(filtered, ip_route_counts, cfg, jobs=jobs)
+    reports, stats = _over_corpus(traces_path, geodb_path, cfg, jobs, score_pair)
+    _warn_over_ceiling(reports)
     return summarize(stats, reports)
 
 
@@ -462,6 +488,8 @@ def read_clusters_file(
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", path=name, line=exc.lineno) from exc
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
         raise ParseError("clusters file must be an object with a 'pairs' array", path=name)
     # A missing, null or zero radius means "not recorded".

@@ -14,7 +14,7 @@ from pathlib import Path
 from socket import AF_INET, inet_pton
 from typing import Iterable, Sequence
 
-from .errors import InvalidAddress, ParseError
+from .errors import InvalidAddress, ParseError, not_utf8
 
 UNRESPONSIVE = "*"
 
@@ -110,10 +110,13 @@ def parse_trace_file(path: str | Path) -> list[TraceRecord]:
     valid: set[str] = set()
     name = str(path)
     with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            records.append(_parse_line(line, valid, name, number))
+        try:
+            for number, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                records.append(_parse_line(line, valid, name, number))
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
     return records
 
 

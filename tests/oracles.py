@@ -7,6 +7,7 @@ accumulation, and a linear scan for longest-prefix lookup. The
 exceptions are the original code that a fast path replaced, kept verbatim
 so that the fast path must match it bit for bit: the exhaustive MGDI
 subset search (on the package's planar score and greedy accumulation),
+the MGDI triangle-pair score on the generic planar distance,
 the per-arc point-to-path distance, and the ``ipaddress``-based geodb row
 parser with its per-row ``Coordinate`` construction.
 """
@@ -25,6 +26,8 @@ from geodiv.diversity import (
     DiversityConfig,
     _greedy_accumulate,
     _height_grid,
+    _planar_point_to_path,
+    diversity_from_delta,
     planar_pair_diversity,
     triangle_route,
 )
@@ -155,6 +158,17 @@ def mgdi_exhaustive(n_routes: int, endpoint_distance_km: float, longest_route_km
             table[i][j] = table[j][i] = score
 
     return best_greedy_set_exhaustive(table, pinned, n_routes)
+
+
+def mgdi_pair_score(endpoint_distance_km: float, h_i: float, h_j: float) -> float:
+    """The original score of two MGDI triangle routes: both triangles
+    built, each apex measured against the other triangle with the generic
+    planar point-to-path distance, then the six-entry delta vector scored."""
+    routes = [triangle_route(endpoint_distance_km, h) for h in (h_i, h_j)]
+    i, j = 0, 1
+    a = _planar_point_to_path(routes[i][1], routes[j])
+    b = _planar_point_to_path(routes[j][1], routes[i])
+    return diversity_from_delta([0.0, a, 0.0, 0.0, b, 0.0])
 
 
 def best_greedy_set_exhaustive(table, pinned: int, n_routes: int) -> float:

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import geodiv
+from geodiv import pipeline
 from geodiv.cli import main
 from geodiv.synthetic import generate_corpus
 
@@ -51,7 +52,7 @@ def test_pipeline_threshold_flag_changes_clustering(seven_route_corpus, tmp_path
     assert row[4] == "1"  # everything merges at a continental threshold
 
 
-def test_cluster_then_gdi_matches_pipeline(seven_route_corpus, tmp_path):
+def test_cluster_then_gdi_matches_pipeline(seven_route_corpus, tmp_path, monkeypatch):
     traces, geodb, _ = seven_route_corpus
     direct = tmp_path / "direct"
     staged = tmp_path / "staged"
@@ -72,29 +73,54 @@ def test_cluster_then_gdi_matches_pipeline(seven_route_corpus, tmp_path):
     for name in REPORT_FILES:
         assert (direct / name).read_bytes() == (staged / "scored" / name).read_bytes()
 
-    # Many pairs, so that --jobs 2 really fans scoring out to workers.
+    # One pair at --jobs 5: the reader is the only child; the pair is
+    # scored in this process.
+    started = []
+
+    class CountingProcess(pipeline._FORK.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(pipeline._FORK, "Process", CountingProcess)
+    wide = tmp_path / "wide"
+    assert main(
+        ["pipeline", "--traces", str(traces), "--geodb", str(geodb), "--out", str(wide), "--jobs", "5"]
+    ) == 0
+    assert len(started) == 1
+    for name in REPORT_FILES:
+        assert (wide / name).read_bytes() == (direct / name).read_bytes()
+    monkeypatch.undo()
+
+    # Many pairs, so that --jobs 2 and 3 really stripe the pairs; at 3 the
+    # stripes are uneven. Run as subprocesses to compare stderr.
     corpus = generate_corpus(n_pairs=40, seed=11)
     traces, geodb = tmp_path / "many.jsonl", tmp_path / "many.csv"
     corpus.write(traces, geodb)
     inputs = ["--traces", str(traces), "--geodb", str(geodb)]
-    outputs = []
-    clusters = []
-    for jobs in ("1", "2"):
+    runs = []
+    for jobs in ("1", "2", "3"):
         out = tmp_path / f"jobs{jobs}"
-        assert main(["pipeline", *inputs, "--out", str(out / "direct"), "--jobs", jobs]) == 0
-        assert main(["cluster", *inputs, "--out", str(out / "staged"), "--jobs", jobs]) == 0
-        clusters.append((out / "staged" / "clusters.json").read_bytes())
-        scored = json.loads(clusters[-1])["pairs"]
-        assert len(scored) > 2 * int(jobs)
-        assert main(
+        pipeline_run = _cli(["pipeline", *inputs, "--out", str(out / "direct"), "--jobs", jobs])
+        cluster_run = _cli(["cluster", *inputs, "--out", str(out / "staged"), "--jobs", jobs])
+        clusters = (out / "staged" / "clusters.json").read_bytes()
+        scored = json.loads(clusters)["pairs"]
+        assert len(scored) > 2 * int(jobs) and len(scored) % 3 != 0
+        gdi_run = _cli(
             ["gdi", "--clusters", str(out / "staged" / "clusters.json"), "--out", str(out / "scored"),
              "--jobs", jobs]
-        ) == 0
+        )
+        assert [r.returncode for r in (pipeline_run, cluster_run, gdi_run)] == [0, 0, 0]
         for name in REPORT_FILES:
             assert (out / "direct" / name).read_bytes() == (out / "scored" / name).read_bytes()
-        outputs.append([(out / "scored" / name).read_bytes() for name in REPORT_FILES])
-    assert outputs[0] == outputs[1]
-    assert clusters[0] == clusters[1]
+        runs.append((
+            [(out / "scored" / name).read_bytes() for name in REPORT_FILES],
+            clusters,
+            [r.stderr for r in (pipeline_run, cluster_run, gdi_run)],
+        ))
+    assert b"exceeds MGDI" in runs[0][2][0]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def _cli(argv):
@@ -292,6 +318,39 @@ def test_input_errors_are_the_same_with_a_reader(tmp_path, capsys, command, trac
     )
     assert serial == parallel
     assert serial.startswith("error: ") and located in serial
+
+
+@pytest.mark.parametrize(
+    "bad_file, good_lines",
+    [("traces.jsonl", 1), ("traces.jsonl", 300), ("geodb.csv", 1), ("geodb.csv", 1000), ("clusters.json", None)],
+    ids=["traces", "traces-past-8k", "geodb", "geodb-past-8k", "clusters"],
+)
+def test_non_utf8_input_is_a_located_input_error(seven_route_corpus, tmp_path, capsys, bad_file, good_lines):
+    # A text read decodes 8 KiB blocks at a time, so in the "past-8k" cases
+    # the bad byte is met before the lines ahead of it are parsed.
+    work = tmp_path / "work"
+    work.mkdir()
+    traces, geodb = work / "traces.jsonl", work / "geodb.csv"
+    traces.write_text(_GOOD_TRACE * (good_lines or 1), encoding="utf-8")
+    geodb.write_text("".join(f"10.{i >> 8}.{i & 255}.0/24,0,0\n" for i in range(good_lines or 1)))
+    argv = ["pipeline", "--traces", str(traces), "--geodb", str(geodb)]
+    if bad_file == "traces.jsonl":
+        traces.write_bytes(traces.read_bytes() + _GOOD_TRACE.replace("10.1.0.1", "10.1.0.\xff").encode("latin-1"))
+    elif bad_file == "geodb.csv":
+        geodb.write_bytes(geodb.read_bytes() + b"10.250.0.0/16,1,1\xff\n")
+    else:
+        seven_traces, seven_geodb, _ = seven_route_corpus
+        assert main(["cluster", "--traces", str(seven_traces), "--geodb", str(seven_geodb),
+                     "--out", str(work), "--jobs", "1"]) == 0
+        clusters = work / "clusters.json"
+        data = clusters.read_bytes().replace(b'"src": "', b'"src": "\xff', 1)
+        clusters.write_bytes(data)
+        good_lines = data[: data.index(b"\xff")].count(b"\n")
+        argv = ["gdi", "--clusters", str(clusters)]
+    serial, parallel = _run_both_ways(capsys, [*argv, "--out", str(tmp_path / "out")])
+    assert serial == parallel
+    assert serial.startswith(f"error: {work / bad_file}:{good_lines + 1}: not valid UTF-8 at byte offset ")
+    assert serial.endswith(" (0xff: invalid start byte)\n")
 
 
 def test_bad_geodb_next_to_a_large_trace_file_fails_promptly(tmp_path, capsys):

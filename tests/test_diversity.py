@@ -23,8 +23,14 @@ from geodiv import (
     set_diversity,
     triangle_route,
 )
-from geodiv.diversity import _best_greedy_set
-from oracles import best_greedy_set_exhaustive, delta_score, greedy_replay, mgdi_exhaustive
+from geodiv.diversity import _best_greedy_set, _height_grid, _triangle_pair_scores
+from oracles import (
+    best_greedy_set_exhaustive,
+    delta_score,
+    greedy_replay,
+    mgdi_exhaustive,
+    mgdi_pair_score,
+)
 
 deltas = st.lists(
     st.floats(min_value=0.0, max_value=5000.0, allow_nan=False), min_size=1, max_size=20
@@ -108,7 +114,7 @@ def test_pair_diversity_equals_delta_evaluation():
     rng = random.Random(4)
     for _ in range(25):
         p, l = _random_paths(rng, 2)
-        assert pair_diversity(p, l) == diversity_from_delta(delta_vector(p, l).values)
+        assert pair_diversity(p, l) == diversity_from_delta(delta_vector(p, l))
 
 
 def test_set_diversity_with_duplicate_member():
@@ -272,6 +278,44 @@ def test_trajectory_search_matches_subset_search_on_tied_tables():
         pairs_with_pinned = max([0.0] + [table[pinned][k] for k in range(m) if k != pinned])
         want = best_greedy_set_exhaustive(table, pinned, n)
         assert _best_greedy_set(table, pinned, n, pairs_with_pinned) == want, (table, pinned, n)
+
+
+def _assert_kernel_matches_oracle(d, h_i, h_j):
+    got = _triangle_pair_scores(d, [h_i, h_j], [(0, 1)])
+    assert got == [mgdi_pair_score(d, h_i, h_j)], (d, h_i, h_j)
+
+
+@pytest.mark.parametrize("d", [5e-324, 1e-300, 1e-9, 1.0, 1000.0, 2e4])
+def test_triangle_kernel_equals_generic_distance_on_edge_cases(d):
+    # At d = 5e-324, d / 2 underflows to 0, so a triangle with a zero (or
+    # tiny) apex has a zero-length arc and the seg_sq == 0.0 branch runs.
+    for h_max in (0.0, 5e-324, d, 3.0 * d, 2e4):
+        heights = (0.0, -0.0, h_max, -h_max, h_max / 3.0)
+        for h_i, h_j in itertools.product(heights, repeat=2):
+            _assert_kernel_matches_oracle(d, h_i, h_j)
+
+
+@given(
+    d=st.one_of(st.just(5e-324), st.floats(min_value=5e-324, max_value=2e4)),
+    ratio=st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=10.0)),
+    steps=st.integers(min_value=1, max_value=41),
+    picks=st.tuples(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40)),
+)
+def test_triangle_kernel_equals_generic_distance_on_mgdi_grids(d, ratio, steps, picks):
+    # The heights mgdi scores: a signed grid of up to 41 steps over +/-h_max.
+    h_max = math.sqrt(max(0.0, (d * ratio / 2.0) ** 2 - (d / 2.0) ** 2))
+    grid = sorted(set(_height_grid(h_max, steps)))
+    h_i, h_j = (grid[k % len(grid)] for k in picks)
+    _assert_kernel_matches_oracle(d, h_i, h_j)
+
+
+@given(
+    d=st.floats(min_value=5e-324, max_value=2e4),
+    h_i=st.floats(min_value=-2e4, max_value=2e4),
+    h_j=st.floats(min_value=-2e4, max_value=2e4),
+)
+def test_triangle_kernel_equals_generic_distance_on_any_heights(d, h_i, h_j):
+    _assert_kernel_matches_oracle(d, h_i, h_j)
 
 
 def test_mgdi_grows_with_route_count_until_the_grid_is_used_up():

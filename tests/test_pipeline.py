@@ -1,7 +1,11 @@
+import gc
 import json
 import logging
 import multiprocessing
+import os
 import random
+import time
+import weakref
 
 import pytest
 
@@ -9,6 +13,7 @@ from geodiv import (
     Coordinate,
     DiversityConfig,
     EmptyInput,
+    GeoDb,
     GeoPath,
     ecdf,
     emit_report,
@@ -18,13 +23,14 @@ from geodiv import (
 from geodiv import pipeline
 from geodiv.pipeline import (
     PAIRS_CSV_HEADER,
-    cluster_filtered_pairs,
-    prepare_filtered_pairs,
+    cluster_corpus,
     read_clusters_file,
     score_cluster_rows,
     write_clusters_file,
 )
 from geodiv.synthetic import generate_corpus
+
+from test_cli import _deadline
 
 
 def test_ecdf_counts_duplicates():
@@ -185,40 +191,113 @@ def test_gdi_over_mgdi_above_one_is_flagged(caplog):
         assert [r.name for r in caplog.records] == ["geodiv.pipeline"] * 2
 
 
-def test_pool_is_never_larger_than_its_tasks(monkeypatch):
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+def _rows(count):
     p1, p2 = _parallel_paths()
-    rows = [((f"10.0.0.{i}", "10.9.0.1"), (p1, p2), 2, 2) for i in range(3)]
-    assert len(score_cluster_rows(rows, DiversityConfig(), jobs=64)) == 3
-    assert len(score_cluster_rows(rows, DiversityConfig(), jobs=2)) == 3
-    assert len(score_cluster_rows(rows[:1], DiversityConfig(), jobs=64)) == 1
-    assert sizes == [3, 2]
+    return [((f"10.0.0.{i}", "10.9.0.1"), (p1, p2), 2, 2) for i in range(count)]
+
+
+def test_stripes_start_one_child_fewer_than_their_count(monkeypatch):
+    started = []
+
+    class CountingProcess(pipeline._FORK.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(pipeline._FORK, "Process", CountingProcess)
+    want = score_cluster_rows(_rows(3), DiversityConfig(), jobs=1)
+    counts = []
+    for count, jobs in ((3, 64), (3, 2), (1, 64), (3, 1)):
+        started.clear()
+        with _deadline(60):
+            reports = score_cluster_rows(_rows(count), DiversityConfig(), jobs=jobs)
+        assert reports == want[:count]
+        counts.append(len(started))
+    assert counts == [2, 1, 0, 0]
+    assert multiprocessing.active_children() == []
+
+
+def test_first_failing_pair_in_pair_order_wins(monkeypatch):
+    def fails_on_some(pair, *args):
+        if pair[0] in ("10.0.0.2", "10.0.0.3", "10.0.0.5"):
+            raise ValueError(f"cannot score {pair[0]}")
+        return score_clustered(pair, *args)
+
+    score_clustered = pipeline.score_clustered_pair
+    monkeypatch.setattr(pipeline, "score_clustered_pair", fails_on_some)
+    rows = _rows(6)
+    random.Random(3).shuffle(rows)
+    for jobs in (1, 2, 3):
+        # At --jobs 3 the first failure is a child's, and the main
+        # process's own stripe fails later, at 10.0.0.3.
+        with _deadline(60), pytest.raises(ValueError, match=r"^cannot score 10\.0\.0\.2$"):
+            score_cluster_rows(rows, DiversityConfig(), jobs=jobs)
+    assert multiprocessing.active_children() == []
+
+
+def test_failing_main_stripe_next_to_a_large_child_result_fails_promptly(monkeypatch):
+    # The child's stripe result is far larger than a pipe buffer, so it is
+    # still sending when the main process's own stripe has failed.
+    def fails_first(pair, *args):
+        if pair[0] == "10.0.0.0":
+            raise ValueError("the main stripe fails")
+        return "x" * 1_000_000
+
+    monkeypatch.setattr(pipeline, "score_clustered_pair", fails_first)
+    start = time.perf_counter()
+    with _deadline(60), pytest.raises(ValueError, match="the main stripe fails"):
+        score_cluster_rows(_rows(4), DiversityConfig(), jobs=2)
+    assert time.perf_counter() - start < 30.0
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_that_exits_without_a_result_is_an_error():
+    with _deadline(60), pytest.raises(RuntimeError, match="exited without a result"):
+        pipeline._run_forked([lambda: 1, lambda: os._exit(3)])
+    assert multiprocessing.active_children() == []
+
+
+def test_a_stripe_frees_the_full_inputs_before_scoring(seven_route_corpus, monkeypatch):
+    # Once a process has localized its stripe it holds neither the route
+    # sets nor the snapshot, so scoring does not run next to the corpus.
+    traces, geodb, _ = seven_route_corpus
+    inputs = []
+
+    def remember(load):
+        def loaded(path):
+            result = load(path)
+            inputs.append(weakref.ref(result if isinstance(result, GeoDb) else next(iter(result.values()))))
+            return result
+
+        return loaded
+
+    monkeypatch.setattr(pipeline, "load_geodb", remember(pipeline.load_geodb))
+    monkeypatch.setattr(pipeline, "group_by_pair", remember(pipeline.group_by_pair))
+    alive = []
+
+    def score(*args):
+        gc.collect()
+        alive.append([ref() is not None for ref in inputs])
+        return real_score(*args)
+
+    real_score = pipeline.score_pair
+    monkeypatch.setattr(pipeline, "score_pair", score)
+    assert run_pipeline(traces, geodb, jobs=1).pairs_scored == 1
+    assert alive == [[False, False]]
 
 
 def test_reader_gives_the_same_front_half(seven_route_corpus, tmp_path):
+    # The clustered pairs carry every surviving pair's geo-paths, with
+    # their origin routes, and its IP route count.
+    cfg = DiversityConfig()
     traces, geodb, _ = seven_route_corpus
-    assert prepare_filtered_pairs(traces, geodb, jobs=2) == prepare_filtered_pairs(traces, geodb)
+    assert cluster_corpus(traces, geodb, cfg, jobs=2) == cluster_corpus(traces, geodb, cfg)
     assert multiprocessing.active_children() == []
     corpus = generate_corpus(n_pairs=60, seed=5)
     traces, geodb = tmp_path / "traces.jsonl", tmp_path / "geodb.csv"
     corpus.write(traces, geodb)
-    serial = prepare_filtered_pairs(traces, geodb, jobs=1)
-    assert serial[0] and prepare_filtered_pairs(traces, geodb, jobs=2) == serial
+    serial = cluster_corpus(traces, geodb, cfg, jobs=1)
+    assert serial[0] and cluster_corpus(traces, geodb, cfg, jobs=2) == serial
 
 
 def test_mgdi_zero_for_loop_route():
@@ -237,8 +316,7 @@ def test_mgdi_zero_for_loop_route():
 def test_clusters_file_round_trip(seven_route_corpus, tmp_path):
     traces, geodb, expected = seven_route_corpus
     cfg = DiversityConfig()
-    filtered, counts, stats = prepare_filtered_pairs(traces, geodb)
-    clustered = cluster_filtered_pairs(filtered, counts, cfg)
+    clustered, stats = cluster_corpus(traces, geodb, cfg)
     path = write_clusters_file(clustered, cfg, tmp_path / "clusters.json", stats=stats)
     rows, radius, read_stats = read_clusters_file(path)
     assert radius == cfg.earth_radius_km
