@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end demo on a small synthetic corpus.
 
-Generates a corpus, runs the full pipeline at the default 50 km threshold,
-emits the report files and prints the most diverse pairs.
+Generates a corpus as make_synthetic_corpus.py does, runs the full
+pipeline at the default 50 km threshold, emits the report files and prints
+the most diverse pairs.
 
 Usage:
     python scripts/run_demo.py --out demo_out/ [--pairs 120] [--seed 1]
@@ -13,14 +14,15 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from make_synthetic_corpus import build_corpus, pairs_argument, spec_for_pairs, template_pool
+
 from geodiv import DiversityConfig, emit_report, run_pipeline
-from geodiv.synthetic import generate_corpus
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, metavar="DIR")
-    parser.add_argument("--pairs", type=int, default=120)
+    parser.add_argument("--pairs", type=pairs_argument, default=120)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--threshold-km", type=float, default=50.0)
     parser.add_argument("--jobs", type=int, default=1)
@@ -28,9 +30,8 @@ def main() -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    corpus = generate_corpus(n_pairs=args.pairs, seed=args.seed)
-    traces, geodb = out / "traces.jsonl", out / "geodb.csv"
-    corpus.write(traces, geodb)
+    corpus = build_corpus(spec_for_pairs(args.pairs), args.seed, template_pool("small"))
+    traces, geodb = corpus.write(out)
 
     cfg = DiversityConfig(threshold_km=args.threshold_km)
     summary = run_pipeline(traces, geodb, cfg, jobs=args.jobs)

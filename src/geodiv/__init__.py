@@ -15,16 +15,11 @@ from .diversity import (
     gdi,
     mgdi,
     pair_diversity,
-    planar_gdi,
-    planar_pair_diversity,
-    set_diversity,
-    triangle_route,
 )
 from .errors import (
     DuplicateCidr,
     EmptyInput,
     EmptyPath,
-    EmptySet,
     GeodivError,
     InvalidAddress,
     InvalidCounts,
@@ -34,11 +29,9 @@ from .errors import (
 from .geodesy import (
     EARTH_RADIUS_KM,
     Coordinate,
-    GeoSegment,
     great_circle_distance,
     path_length,
     point_to_path_distance,
-    point_to_segment_distance,
 )
 from .geolocate import (
     FilterStats,
@@ -78,11 +71,9 @@ __all__ = [
     "EcdfTable",
     "EmptyInput",
     "EmptyPath",
-    "EmptySet",
     "FilterStats",
     "GeoDb",
     "GeoPath",
-    "GeoSegment",
     "GeodivError",
     "InvalidAddress",
     "InvalidCounts",
@@ -108,13 +99,8 @@ __all__ = [
     "parse_trace_file",
     "parse_trace_line",
     "path_length",
-    "planar_gdi",
-    "planar_pair_diversity",
     "point_to_path_distance",
-    "point_to_segment_distance",
     "route_to_geopath",
     "run_pipeline",
     "score_pair",
-    "set_diversity",
-    "triangle_route",
 ]

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cluster import delta_vector
-from .errors import EmptySet, InvalidConfig, InvalidCounts, InvalidGeometry
+from .errors import InvalidConfig, InvalidCounts, InvalidGeometry
 from .geodesy import EARTH_RADIUS_KM
 from .geolocate import GeoPath
 
-PlanarPoint = tuple[float, float]
-PlanarPath = tuple[PlanarPoint, ...]
+# Far beyond any planet, and far below where squared route lengths overflow.
+MAX_EARTH_RADIUS_KM = 1e12
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,13 @@ class DiversityConfig:
     mgdi_grid_steps: int = 21
 
     def __post_init__(self) -> None:
-        if self.threshold_km <= 0:
+        if not self.threshold_km > 0:
             raise InvalidConfig("threshold_km", f"must be positive, got {self.threshold_km}")
-        if self.earth_radius_km <= 0:
-            raise InvalidConfig("earth_radius_km", f"must be positive, got {self.earth_radius_km}")
+        if not 0 < self.earth_radius_km <= MAX_EARTH_RADIUS_KM:
+            raise InvalidConfig(
+                "earth_radius_km",
+                f"must be positive and at most {MAX_EARTH_RADIUS_KM:g}, got {self.earth_radius_km}",
+            )
         if self.mgdi_grid_steps < 1:
             raise InvalidConfig(
                 "mgdi_grid_steps", f"must be a positive integer, got {self.mgdi_grid_steps}"
@@ -82,18 +85,6 @@ def pair_diversity(p: GeoPath, l: GeoPath, radius_km: float = EARTH_RADIUS_KM) -
     return diversity_from_delta(delta_vector(p, l, radius_km))
 
 
-def set_diversity(p: GeoPath, routes: Iterable[GeoPath], radius_km: float = EARTH_RADIUS_KM) -> float:
-    """Minimum pairwise diversity between ``p`` and any member of ``routes``."""
-    best = None
-    for other in routes:
-        score = pair_diversity(p, other, radius_km)
-        if best is None or score < best:
-            best = score
-    if best is None:
-        raise EmptySet("set_diversity needs at least one route in the set")
-    return best
-
-
 def _greedy_accumulate(matrix: Sequence[Sequence[float]]) -> float:
     """Greedy GDI on a symmetric pairwise-score matrix in canonical row order.
 
@@ -129,49 +120,15 @@ def _greedy_accumulate(matrix: Sequence[Sequence[float]]) -> float:
     return total
 
 
-def _greedy_gdi(ordered: Sequence, score: Callable[..., float]) -> float:
-    """Greedy GDI of routes in canonical order, scored pairwise by ``score``."""
+def gdi(paths: Iterable[GeoPath], radius_km: float = EARTH_RADIUS_KM) -> float:
+    """Geographic Diversity Index of a route set; 0 for fewer than 2 routes."""
+    ordered = sorted(paths, key=GeoPath.sort_key)
     n = len(ordered)
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            matrix[i][j] = matrix[j][i] = score(ordered[i], ordered[j])
+            matrix[i][j] = matrix[j][i] = pair_diversity(ordered[i], ordered[j], radius_km)
     return _greedy_accumulate(matrix)
-
-
-def gdi(paths: Iterable[GeoPath], radius_km: float = EARTH_RADIUS_KM) -> float:
-    """Geographic Diversity Index of a route set; 0 for fewer than 2 routes."""
-    ordered = sorted(paths, key=GeoPath.sort_key)
-    return _greedy_gdi(ordered, lambda p, l: pair_diversity(p, l, radius_km))
-
-
-def _planar_point_to_path(point: PlanarPoint, path: PlanarPath) -> float:
-    px, py = point
-    best = math.inf
-    for (ax, ay), (bx, by) in zip(path, path[1:]):
-        dx, dy = bx - ax, by - ay
-        seg_sq = dx * dx + dy * dy
-        if seg_sq == 0.0:
-            dist = math.hypot(px - ax, py - ay)
-        else:
-            t = ((px - ax) * dx + (py - ay) * dy) / seg_sq
-            t = min(1.0, max(0.0, t))
-            dist = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
-        if dist < best:
-            best = dist
-    return best
-
-
-def planar_pair_diversity(p: PlanarPath, l: PlanarPath) -> float:
-    """Pairwise diversity for paths given as (x, y) kilometer coordinates."""
-    values = [_planar_point_to_path(u, l) for u in p]
-    values += [_planar_point_to_path(u, p) for u in l]
-    return diversity_from_delta(values)
-
-
-def planar_gdi(paths: Iterable[PlanarPath]) -> float:
-    """GDI for planar paths; canonical order is lexicographic on coordinates."""
-    return _greedy_gdi(sorted(paths), planar_pair_diversity)
 
 
 def _height_grid(h_max: float, steps: int) -> list[float]:
@@ -181,20 +138,16 @@ def _height_grid(h_max: float, steps: int) -> list[float]:
     return [-h_max + span * k / (steps - 1) for k in range(steps)]
 
 
-def triangle_route(endpoint_distance_km: float, height_km: float) -> PlanarPath:
-    """Two-segment route from (0,0) to (d,0) via an apex on the bisector."""
-    return ((0.0, 0.0), (endpoint_distance_km / 2.0, height_km), (endpoint_distance_km, 0.0))
-
-
 def _triangle_pair_scores(
     endpoint_distance_km: float, heights: Sequence[float], pairs: Iterable[tuple[int, int]]
 ) -> list[float]:
     """``diversity_from_delta([0, a, 0, 0, b, 0])`` for each ``(i, j)`` in
-    ``pairs``, with ``a`` and ``b`` the :func:`_planar_point_to_path`
-    distances from the apex of the triangle route of height ``heights[i]``
-    to that of ``heights[j]`` and back. The same float operations run in
-    the same order, on arc terms computed once per triangle; only the
-    (exact) subtractions of a zero coordinate are left out."""
+    ``pairs``, with ``a`` and ``b`` the planar point-to-path distances
+    (``tests/oracles.py``) from the apex of the triangle route of height
+    ``heights[i]`` to that of ``heights[j]`` and back. The same float
+    operations run in the same order, on arc terms computed once per
+    triangle; only the (exact) subtractions of a zero coordinate are left
+    out."""
     x = endpoint_distance_km / 2.0
     run = endpoint_distance_km - x  # each second arc runs from (x, h) to (d, 0)
     arcs = [(h, x * x + h * h, 0.0 - h, run * run + (0.0 - h) * (0.0 - h)) for h in heights]
@@ -297,15 +250,16 @@ def _best_greedy_set(
         if (max_routes - 1) * top * _BOUND_SLACK <= best:
             break
         row_i, row_j = table[i], table[j]
+        # A route may join only if neither of its pairs with the opening
+        # routes beats the opening pair (i, j): a lower score, or a tie
+        # with a later pair, which for i < j means k > j and k > i.
         candidates = [
             (min(row_i[k], row_j[k]), k)
             for k in range(m)
             if k != i
             and k != j
-            and all(
-                table[k][x] < top or (table[k][x] == top and (min(k, x), max(k, x)) > (i, j))
-                for x in (i, j)
-            )
+            and (row_i[k] < top or (row_i[k] == top and k > j))
+            and (row_j[k] < top or (row_j[k] == top and k > i))
         ]
         has_pinned = pinned in (i, j)
         if has_pinned or any(k == pinned for _, k in candidates):
@@ -334,8 +288,8 @@ def mgdi(
     endpoint lies exactly (to the bit) on every other triangle, so a
     pair's distance vector is ``(0, a, 0, 0, b, 0)`` with ``a`` and ``b``
     the distances from each apex to the other triangle. Only those two are
-    computed, and the score is evaluated on the same vector as
-    :func:`planar_pair_diversity` would build. Two-route sets need only
+    computed, and the score is evaluated on the same vector as the planar
+    pair score (``tests/oracles.py``) would build. Two-route sets need only
     the pinned route's row, so the full table is built only for three or
     more routes.
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 
@@ -45,6 +46,17 @@ def not_utf8(path: str | Path) -> ParseError:
         return ParseError(reason, path=str(path), line=data.count(b"\n", 0, exc.start) + 1)
 
 
+def invalid_json(exc: ValueError | RecursionError, path: str | None, line: int | None) -> ParseError:
+    """The error for text that ``json`` cannot load: malformed, nested
+    deeper than the decoder recurses, or holding an integer with more
+    digits than Python converts."""
+    if isinstance(exc, json.JSONDecodeError):
+        return ParseError(f"invalid JSON: {exc.msg}", path=path, line=line)
+    if isinstance(exc, RecursionError):
+        return ParseError("invalid JSON: nested too deeply", path=path, line=line)
+    return ParseError(f"invalid JSON: {str(exc).partition(';')[0]}", path=path, line=line)
+
+
 class InvalidAddress(ParseError):
     """A field that should hold an IPv4 address does not parse as one."""
 
@@ -55,10 +67,6 @@ class DuplicateCidr(GeodivError):
 
 class EmptyPath(GeodivError):
     """A path with zero nodes was passed where at least one is required."""
-
-
-class EmptySet(GeodivError):
-    """An empty route set was passed where at least one member is required."""
 
 
 class InvalidGeometry(GeodivError):

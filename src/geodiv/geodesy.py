@@ -60,14 +60,6 @@ class Coordinate:
         )
 
 
-@dataclass(frozen=True)
-class GeoSegment:
-    """Great-circle arc between two coordinates; zero length is allowed."""
-
-    start: Coordinate
-    end: Coordinate
-
-
 # One node as the distance kernels need it: (lat, lon, cos(lat), x, y, z),
 # with (x, y, z) its unit vector. The haversine reads only the first three.
 PreparedPoint = tuple[float, float, float, float, float, float]
@@ -186,11 +178,6 @@ class PreparedPath:
                 best = d
             a, d_a = b, d_b
         return best
-
-
-def point_to_segment_distance(p: Coordinate, s: GeoSegment, radius_km: float = EARTH_RADIUS_KM) -> float:
-    """Distance from ``p`` to the closest point (not necessarily a node) of the arc."""
-    return point_to_path_distance(p, (s.start, s.end), radius_km)
 
 
 def point_to_path_distance(

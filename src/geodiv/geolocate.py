@@ -113,8 +113,9 @@ def load_geodb(path: str | Path) -> GeoDb:
     locations: dict[tuple[str, str], Coordinate] = {}
     name = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            for line, row in enumerate(csv.reader(fh), start=1):
+            for line, row in enumerate(reader, start=1):
                 if not "".join(row).strip():
                     continue
                 if line == 1 and tuple(col.strip().lower() for col in row) == _HEADER:
@@ -126,6 +127,8 @@ def load_geodb(path: str | Path) -> GeoDb:
                     raise DuplicateCidr(f"{path}:{line}: {exc}") from None
         except UnicodeDecodeError:
             raise not_utf8(path) from None
+        except csv.Error as exc:  # such as a field past the csv module's size limit
+            raise ParseError(f"malformed CSV: {exc}", path=name, line=reader.line_num) from None
     return db
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import multiprocessing
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -25,8 +24,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .cluster import Cluster, cluster_pair_routes
-from .diversity import DiversityConfig, DiversityReport, compression_ratio, gdi, mgdi
-from .errors import EmptyInput, ParseError, not_utf8
+from .diversity import MAX_EARTH_RADIUS_KM, DiversityConfig, DiversityReport, compression_ratio, gdi, mgdi
+from .errors import EmptyInput, ParseError, invalid_json, not_utf8
 from .geodesy import Coordinate, great_circle_distance, path_length
 from .geolocate import FilterStats, GeoPath, filter_pairs, load_geodb
 from .traces import Pair, group_by_pair, parse_trace_file
@@ -476,6 +475,15 @@ def _path_from_json(nodes: object, *, path: str, what: str) -> GeoPath:
         raise ParseError(f"{what}: {exc}", path=path) from exc
 
 
+def _count(value: object) -> int:
+    """A whole count from a clusters file. Past the float range it could
+    not form a ratio, so ``float`` raises ``OverflowError`` there, as
+    ``int`` does for an infinite float."""
+    count = int(value)
+    float(count)
+    return count
+
+
 def read_clusters_file(
     path: str | Path,
 ) -> tuple[list[tuple[Pair, list[GeoPath], int, int]], float, FilterStats | None]:
@@ -486,27 +494,31 @@ def read_clusters_file(
     with open(path, encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", path=name, line=exc.lineno) from exc
         except UnicodeDecodeError:
             raise not_utf8(path) from None
+        except (ValueError, RecursionError) as exc:
+            # A malformed file's error has a line; a too deep or too long one's has none.
+            raise invalid_json(exc, name, getattr(exc, "lineno", None)) from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
         raise ParseError("clusters file must be an object with a 'pairs' array", path=name)
     # A missing, null or zero radius means "not recorded".
     radius = payload.get("earth_radius_km") or 0.0
-    if not isinstance(radius, (int, float)) or not 0.0 <= radius < math.inf:
-        raise ParseError(f"earth_radius_km must be a positive number, got {radius!r}", path=name)
+    if not isinstance(radius, (int, float)) or not 0.0 <= radius <= MAX_EARTH_RADIUS_KM:
+        raise ParseError(
+            f"earth_radius_km must be a positive number of at most {MAX_EARTH_RADIUS_KM:g}, got {radius!r}",
+            path=name,
+        )
     radius = float(radius)
     stats = None
     raw_stats = payload.get("filter_stats")
     if isinstance(raw_stats, dict):
         try:
             stats = FilterStats(
-                input_pairs=int(raw_stats["input_pairs"]),
-                removed_single_ip_route=int(raw_stats["removed_single_ip_route"]),
-                removed_single_geo_path=int(raw_stats["removed_single_geo_path"]),
+                input_pairs=_count(raw_stats["input_pairs"]),
+                removed_single_ip_route=_count(raw_stats["removed_single_ip_route"]),
+                removed_single_geo_path=_count(raw_stats["removed_single_geo_path"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed filter_stats: {exc}", path=name) from exc
     rows = []
     for entry in payload["pairs"]:
@@ -514,10 +526,10 @@ def read_clusters_file(
             raise ParseError("each pair entry must be an object", path=name)
         try:
             pair = (str(entry["src"]), str(entry["dst"]))
-            ip_route_count = int(entry["ip_route_count"])
-            geo_path_count = int(entry["geo_path_count"])
+            ip_route_count = _count(entry["ip_route_count"])
+            geo_path_count = _count(entry["geo_path_count"])
             clusters = entry["clusters"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed pair entry: {exc}", path=name) from exc
         if not isinstance(clusters, list) or not clusters:
             raise ParseError(f"pair {pair}: 'clusters' must be a non-empty array", path=name)

@@ -14,7 +14,7 @@ from pathlib import Path
 from socket import AF_INET, inet_pton
 from typing import Iterable, Sequence
 
-from .errors import InvalidAddress, ParseError, not_utf8
+from .errors import InvalidAddress, ParseError, invalid_json, not_utf8
 
 UNRESPONSIVE = "*"
 
@@ -84,8 +84,8 @@ def parse_trace_line(line: str, *, path: str | None = None, line_number: int | N
 def _parse_line(line: str, valid: set[str], path: str | None, line_number: int | None) -> TraceRecord:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=line_number) from exc
+    except (ValueError, RecursionError) as exc:
+        raise invalid_json(exc, path, line_number) from exc
     if not isinstance(obj, dict):
         raise ParseError("trace record must be a JSON object", path=path, line=line_number)
     for key in ("src", "dst", "hops"):

@@ -1,16 +1,24 @@
-"""Shared fixtures: the grid route layout used for the GDI ordering checks
-and the 7-IP-route example corpus that collapses to 3 clusters."""
+"""Shared fixtures: the grid route layout used for the GDI ordering checks,
+the 7-IP-route example corpus that collapses to 3 clusters, and the
+template pools of the benchmark's corpus generator (``perfbench/corpus.py``),
+which the tests use for every corpus with planted truth."""
 
 from __future__ import annotations
 
 import json
 import logging
 import math
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from geodiv import Coordinate, GeoPath
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from corpus import template_pool  # noqa: E402 - needs the path above
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -24,6 +32,18 @@ def _quiet_pipeline_warnings():
     # Synthetic corpora routinely trip the GDI-over-ceiling flag; keep the
     # suite output readable. Tests that check the flag re-enable capture.
     logging.getLogger("geodiv.pipeline").setLevel(logging.ERROR)
+
+
+@pytest.fixture(scope="session")
+def small_pool():
+    """1-3 planted clusters per template, as in the benchmark's ``mixed``."""
+    return template_pool("small")
+
+
+@pytest.fixture(scope="session")
+def many_pool():
+    """4-7 planted clusters per template; every fourth crosses the antimeridian."""
+    return template_pool("many")
 
 
 def grid_path(*cells: tuple[float, float]) -> GeoPath:

@@ -9,7 +9,9 @@ so that the fast path must match it bit for bit: the exhaustive MGDI
 subset search (on the package's planar score and greedy accumulation),
 the MGDI triangle-pair score on the generic planar distance,
 the per-arc point-to-path distance, and the ``ipaddress``-based geodb row
-parser with its per-row ``Coordinate`` construction.
+parser with its per-row ``Coordinate`` construction. The planar model that
+MGDI is defined on (triangle routes, the planar pair score and GDI) is the
+reference the MGDI kernel is checked against.
 """
 
 from __future__ import annotations
@@ -18,19 +20,11 @@ import csv
 import itertools
 import math
 from ipaddress import AddressValueError, IPv4Address, IPv4Network, NetmaskValueError, ip_network
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from geodiv.diversity import (
-    DiversityConfig,
-    _greedy_accumulate,
-    _height_grid,
-    _planar_point_to_path,
-    diversity_from_delta,
-    planar_pair_diversity,
-    triangle_route,
-)
+from geodiv.diversity import DiversityConfig, _greedy_accumulate, _height_grid, diversity_from_delta
 from geodiv.errors import EmptyPath, ParseError
 from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate
 from geodiv.geolocate import GeoDb
@@ -38,6 +32,49 @@ from geodiv.geolocate import GeoDb
 _DEGENERATE_NORM = 1e-12
 
 EARTH_R = 6371.0
+
+PlanarPoint = tuple[float, float]
+PlanarPath = tuple[PlanarPoint, ...]
+
+
+def _planar_point_to_path(point: PlanarPoint, path: PlanarPath) -> float:
+    px, py = point
+    best = math.inf
+    for (ax, ay), (bx, by) in zip(path, path[1:]):
+        dx, dy = bx - ax, by - ay
+        seg_sq = dx * dx + dy * dy
+        if seg_sq == 0.0:
+            dist = math.hypot(px - ax, py - ay)
+        else:
+            t = ((px - ax) * dx + (py - ay) * dy) / seg_sq
+            t = min(1.0, max(0.0, t))
+            dist = math.hypot(px - (ax + t * dx), py - (ay + t * dy))
+        if dist < best:
+            best = dist
+    return best
+
+
+def planar_pair_diversity(p: PlanarPath, l: PlanarPath) -> float:
+    """Pairwise diversity for paths given as (x, y) kilometer coordinates."""
+    values = [_planar_point_to_path(u, l) for u in p]
+    values += [_planar_point_to_path(u, p) for u in l]
+    return diversity_from_delta(values)
+
+
+def planar_gdi(paths: Iterable[PlanarPath]) -> float:
+    """GDI for planar paths; canonical order is lexicographic on coordinates."""
+    ordered = sorted(paths)
+    n = len(ordered)
+    matrix = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i][j] = matrix[j][i] = planar_pair_diversity(ordered[i], ordered[j])
+    return _greedy_accumulate(matrix)
+
+
+def triangle_route(endpoint_distance_km: float, height_km: float) -> PlanarPath:
+    """Two-segment route from (0,0) to (d,0) via an apex on the bisector."""
+    return ((0.0, 0.0), (endpoint_distance_km / 2.0, height_km), (endpoint_distance_km, 0.0))
 
 
 def _unit(lat: float, lon: float) -> np.ndarray:

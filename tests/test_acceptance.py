@@ -8,27 +8,21 @@ import random
 import time
 
 import pytest
+from corpus import CorpusSpec, build_corpus
 
 from geodiv import (
     Coordinate,
     GeoPath,
-    GeoSegment,
     cluster_pair_routes,
     diversity_from_delta,
     gdi,
     geo_equal,
     great_circle_distance,
     pair_diversity,
-    point_to_segment_distance,
+    point_to_path_distance,
     run_pipeline,
 )
 from geodiv.cli import main as cli_main
-from geodiv.synthetic import (
-    KIND_SCORED,
-    KIND_SINGLE_GEOPATH,
-    KIND_SINGLE_ROUTE,
-    generate_corpus,
-)
 from oracles import delta_score, greedy_replay, sampled_point_to_polyline
 
 
@@ -139,7 +133,7 @@ def test_criterion_5_geodesy_oracle():
             )
             cp = Coordinate(*p)
             assert great_circle_distance(cp, ca) == great_circle_distance(ca, cp)
-            got = point_to_segment_distance(cp, GeoSegment(ca, cb))
+            got = point_to_path_distance(cp, (ca, cb))
             oracle = sampled_point_to_polyline(p, [a, b])
             assert abs(got - oracle) < 0.5
             checked += 1
@@ -178,13 +172,15 @@ def test_criterion_6_clustering_invariants():
             assert counts == sorted(counts, reverse=True)
 
 
-def test_criterion_7_pipeline_determinism(tmp_path):
+def test_criterion_7_pipeline_determinism(small_pool, tmp_path):
     with criterion(7, "pipeline output is byte-identical for --jobs 1 and --jobs 8"):
-        corpus = generate_corpus(min_lines=10_000, seed=20240810)
-        assert corpus.line_count >= 10_000
-        traces = tmp_path / "traces.jsonl"
-        geodb = tmp_path / "geodb.csv"
-        corpus.write(traces, geodb)
+        # 1442 pairs in the 40/20/40 and 35/40/25 mixes, topped up to 10,000 lines.
+        spec = CorpusSpec(
+            "small", {1: 202, 2: 231, 3: 144}, single_route=577, single_geopath=288, min_lines=10_000
+        )
+        corpus = build_corpus(spec, 20240810, small_pool)
+        assert len(corpus.trace_lines) >= 10_000
+        traces, geodb = corpus.write(tmp_path)
 
         start = time.perf_counter()
         rc1 = cli_main(
@@ -204,29 +200,25 @@ def test_criterion_7_pipeline_determinism(tmp_path):
         assert elapsed < 30.0
 
 
-def test_criterion_8_planted_corpus_recovery(tmp_path):
+def test_criterion_8_planted_corpus_recovery(small_pool, tmp_path):
     with criterion(8, "planted cluster structure recovered for 100% of 1000 pairs"):
-        corpus = generate_corpus(n_pairs=1000, seed=808)
-        assert len(corpus.planted) == 1000
-        traces = tmp_path / "traces.jsonl"
-        geodb = tmp_path / "geodb.csv"
-        corpus.write(traces, geodb)
+        spec = CorpusSpec("small", {1: 140, 2: 160, 3: 100}, single_route=400, single_geopath=200)
+        corpus = build_corpus(spec, 808, small_pool)
+        assert corpus.summary["total_pairs"] == 1000
+        traces, geodb = corpus.write(tmp_path)
         summary = run_pipeline(traces, geodb, jobs=2)
 
-        by_kind = {KIND_SINGLE_ROUTE: 0, KIND_SINGLE_GEOPATH: 0, KIND_SCORED: 0}
-        for pair in corpus.planted:
-            by_kind[pair.kind] += 1
         assert summary.total_pairs == 1000
-        assert summary.pairs_removed_stage1 == by_kind[KIND_SINGLE_ROUTE]
-        assert summary.pairs_removed_stage2 == by_kind[KIND_SINGLE_GEOPATH]
-        assert summary.pairs_scored == by_kind[KIND_SCORED]
+        assert summary.pairs_removed_stage1 == corpus.summary["pairs_removed_stage1"]
+        assert summary.pairs_removed_stage2 == corpus.summary["pairs_removed_stage2"]
+        assert summary.pairs_scored == corpus.summary["pairs_scored"]
 
-        planted = {(p.src, p.dst): p for p in corpus.planted}
+        planted = corpus.pairs
         mismatched = [
             report
             for report in summary.per_pair
-            if report.cluster_count != planted[(report.src, report.dst)].cluster_count
-            or report.ip_route_count != planted[(report.src, report.dst)].ip_route_count
-            or report.geo_path_count != planted[(report.src, report.dst)].geo_path_count
+            if report.cluster_count != planted[(report.src, report.dst)]["clusters"]
+            or report.ip_route_count != planted[(report.src, report.dst)]["ip_routes"]
+            or report.geo_path_count != planted[(report.src, report.dst)]["geo_paths"]
         ]
         assert not mismatched

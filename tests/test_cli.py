@@ -1,7 +1,9 @@
 import contextlib
+import io
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -9,11 +11,13 @@ import time
 from pathlib import Path
 
 import pytest
+from corpus import CorpusSpec, build_corpus
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import geodiv
 from geodiv import pipeline
 from geodiv.cli import main
-from geodiv.synthetic import generate_corpus
 
 REPORT_FILES = ("report.json", "pairs.csv", "compression_ecdf.csv", "gdi_ratio_ecdf.csv")
 
@@ -52,7 +56,7 @@ def test_pipeline_threshold_flag_changes_clustering(seven_route_corpus, tmp_path
     assert row[4] == "1"  # everything merges at a continental threshold
 
 
-def test_cluster_then_gdi_matches_pipeline(seven_route_corpus, tmp_path, monkeypatch):
+def test_cluster_then_gdi_matches_pipeline(seven_route_corpus, small_pool, tmp_path, monkeypatch):
     traces, geodb, _ = seven_route_corpus
     direct = tmp_path / "direct"
     staged = tmp_path / "staged"
@@ -94,9 +98,8 @@ def test_cluster_then_gdi_matches_pipeline(seven_route_corpus, tmp_path, monkeyp
 
     # Many pairs, so that --jobs 2 and 3 really stripe the pairs; at 3 the
     # stripes are uneven. Run as subprocesses to compare stderr.
-    corpus = generate_corpus(n_pairs=40, seed=11)
-    traces, geodb = tmp_path / "many.jsonl", tmp_path / "many.csv"
-    corpus.write(traces, geodb)
+    spec = CorpusSpec("small", {1: 6, 2: 6, 3: 4}, single_route=16, single_geopath=8)
+    traces, geodb = build_corpus(spec, 11, small_pool).write(tmp_path)
     inputs = ["--traces", str(traces), "--geodb", str(geodb)]
     runs = []
     for jobs in ("1", "2", "3"):
@@ -131,11 +134,10 @@ def _cli(argv):
     )
 
 
-def test_warnings_are_identical_for_any_jobs(tmp_path):
+def test_warnings_are_identical_for_any_jobs(small_pool, tmp_path):
     # Enough pairs over the MGDI ceiling that workers would interleave them.
-    corpus = generate_corpus(n_pairs=120, seed=11)
-    traces, geodb = tmp_path / "traces.jsonl", tmp_path / "geodb.csv"
-    corpus.write(traces, geodb)
+    spec = CorpusSpec("small", {1: 17, 2: 19, 3: 12}, single_route=48, single_geopath=24)
+    traces, geodb = build_corpus(spec, 11, small_pool).write(tmp_path)
     runs = [
         _cli(["pipeline", "--traces", str(traces), "--geodb", str(geodb),
               "--out", str(tmp_path / f"out{i}"), "--jobs", jobs])
@@ -218,12 +220,17 @@ def test_unexpected_failure_is_internal_error(seven_route_corpus, tmp_path, monk
         ("gdi", ["--mgdi-grid-steps", "0"], None, "--mgdi-grid-steps"),
         ("gdi", [], lambda payload: payload.update(earth_radius_km=-5), "clusters.json"),
         ("gdi", [], lambda payload: payload["pairs"][0].update(ip_route_count=0), "clusters.json"),
+        ("pipeline", ["--threshold-km", "nan"], None, "--threshold-km"),
+        ("pipeline", ["--earth-radius-km", "nan"], None, "--earth-radius-km"),
+        ("pipeline", ["--earth-radius-km", "1e200"], None, "--earth-radius-km"),
+        ("gdi", [], lambda payload: payload.update(earth_radius_km=1e200), "clusters.json"),
         ("pipeline", ["--jobs", "0"], None, "error: --jobs must be a positive integer, got 0\n"),
         ("cluster", ["--jobs", "-2"], None, "error: --jobs must be a positive integer, got -2\n"),
         ("gdi", ["--jobs", "0"], None, "error: --jobs must be a positive integer, got 0\n"),
     ],
     ids=[
         "threshold", "grid-steps", "radius", "gdi-grid-steps", "file-radius", "file-route-count",
+        "threshold-nan", "radius-nan", "radius-huge", "file-radius-huge",
         "jobs-zero", "cluster-jobs-negative", "gdi-jobs-zero",
     ],
 )
@@ -353,6 +360,65 @@ def test_non_utf8_input_is_a_located_input_error(seven_route_corpus, tmp_path, c
     assert serial.endswith(" (0xff: invalid start byte)\n")
 
 
+_TOO_DEEP = "[" * 1000 + "]" * 1000
+_FIELD_PAST_CSV_LIMIT = "0" * 140_000  # the csv module's limit is 131,072 characters
+_CSV_LIMIT_REASON = "malformed CSV: field larger than field limit"
+
+
+@pytest.mark.parametrize(
+    "bad_file, bad, reason",
+    [
+        ("traces.jsonl", _TOO_DEEP, "invalid JSON: nested too deeply"),
+        ("traces.jsonl", '{"src": ' + "1" * 5000 + "}", "invalid JSON"),
+        ("geodb.csv", "10.1.0.0/16,0," + _FIELD_PAST_CSV_LIMIT, _CSV_LIMIT_REASON),
+        ("geodb.csv", f'10.1.0.0/16,0,"{_FIELD_PAST_CSV_LIMIT}"', _CSV_LIMIT_REASON),
+        ("clusters.json", _TOO_DEEP, "invalid JSON: nested too deeply"),
+        ("clusters.json", ("ip_route_count", "1e400"), "malformed pair entry"),
+        ("clusters.json", ("geo_path_count", "1e400"), "malformed pair entry"),
+        ("clusters.json", ("input_pairs", "1e400"), "malformed filter_stats"),
+        ("clusters.json", ("removed_single_geo_path", "1e400"), "malformed filter_stats"),
+        ("clusters.json", ("ip_route_count", "1" + "0" * 400), "malformed pair entry"),
+        ("clusters.json", ("ip_route_count", "1" * 5000), "invalid JSON"),
+    ],
+    ids=[
+        "trace-too-deep", "trace-long-integer", "geodb-long-field", "geodb-long-quoted-field",
+        "clusters-too-deep", "clusters-infinite-route-count", "clusters-infinite-geo-path-count",
+        "clusters-infinite-input-pairs", "clusters-infinite-removed", "clusters-route-count-past-float",
+        "clusters-long-integer",
+    ],
+)
+def test_input_past_parser_limits_is_a_located_input_error(seven_route_corpus, tmp_path, capsys, bad_file, bad, reason):
+    # Each of these once escaped as an internal error (exit 2). A trace or
+    # snapshot gets the bad line after one good one; a clusters file is
+    # replaced or gets one count replaced, and its errors have no line.
+    work = tmp_path / "work"
+    work.mkdir()
+    traces, geodb = work / "traces.jsonl", work / "geodb.csv"
+    traces.write_text(_GOOD_TRACE, encoding="utf-8")
+    geodb.write_text("10.0.0.0/8,0,0\n", encoding="utf-8")
+    argv = ["pipeline", "--traces", str(traces), "--geodb", str(geodb)]
+    located = f"{work / bad_file}:2: "
+    if bad_file == "clusters.json":
+        seven_traces, seven_geodb, _ = seven_route_corpus
+        assert main(["cluster", "--traces", str(seven_traces), "--geodb", str(seven_geodb),
+                     "--out", str(work), "--jobs", "1"]) == 0
+        clusters = work / "clusters.json"
+        if isinstance(bad, tuple):
+            key, value = bad
+            text = clusters.read_text(encoding="utf-8")
+            assert f'"{key}": ' in text
+            bad = re.sub(f'"{key}": [0-9]+', f'"{key}": {value}', text, count=1)
+        clusters.write_text(bad, encoding="utf-8")
+        argv = ["gdi", "--clusters", str(clusters)]
+        located = f"{clusters}: "
+    else:
+        path = work / bad_file
+        path.write_text(path.read_text(encoding="utf-8") + bad + "\n", encoding="utf-8")
+    serial, parallel = _run_both_ways(capsys, [*argv, "--out", str(tmp_path / "out")])
+    assert serial == parallel
+    assert serial.startswith(f"error: {located}{reason}")
+
+
 def test_bad_geodb_next_to_a_large_trace_file_fails_promptly(tmp_path, capsys):
     # Far more route sets than a pipe buffer holds: the reader is still
     # sending when the snapshot has already failed.
@@ -371,3 +437,81 @@ def test_bad_geodb_next_to_a_large_trace_file_fails_promptly(tmp_path, capsys):
     assert time.perf_counter() - start < 30.0
     assert serial == parallel
     assert "geodb.csv:1: invalid CIDR 'not-a-prefix'" in serial
+
+
+# Values that have broken parsers before, or sit on a range edge.
+_FUZZ_TOKENS = (
+    b"", b"*", b'"*"', b'""', b"-1", b"0", b"-0.0", b"91", b"1e308", b"1e400", b"-1e400", b"NaN",
+    b"Infinity", b"1" * 5000, b"null", b"true", b"[]", b"{}", b'"10.0.0.999"', b"/33", b"[" * 1000,
+    b'"', b",", b"\n", b"\r", b"\x00", b"\xff",
+)
+_FUZZ_BUDGET_S = 15.0
+
+
+def _mutate(data, edit):
+    """``data`` after deleting, duplicating or replacing a run of bytes, or
+    of fields (the text between commas, colons and newlines)."""
+    kind, unit, position, length, replacement = edit
+    if unit == "field":
+        parts = re.split(rb"([,:\n])", data)
+    else:
+        parts = [data[i : i + 1] for i in range(len(data))]
+    i = position % max(1, len(parts))
+    if kind == "delete":
+        del parts[i : i + length]
+    elif kind == "duplicate":
+        parts[i:i] = parts[i : i + length]
+    else:
+        parts[i : i + (1 if unit == "field" else length)] = [replacement]
+    return b"".join(parts)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(small_pool, tmp_path_factory):
+    """A small valid trace, snapshot and clusters file, a work directory,
+    and the time by which the fuzz examples should be done."""
+    deadline = time.monotonic() + _FUZZ_BUDGET_S
+    work = tmp_path_factory.mktemp("fuzz")
+    spec = CorpusSpec("small", {1: 1, 2: 1, 3: 1}, single_route=1, single_geopath=1)
+    traces, geodb = build_corpus(spec, 3, small_pool).write(work)
+    argv = ["cluster", "--traces", str(traces), "--geodb", str(geodb), "--out", str(work), "--jobs", "1"]
+    with contextlib.redirect_stdout(None):
+        assert main(argv) == 0
+    files = {name: (work / name).read_bytes() for name in ("traces.jsonl", "geodb.csv", "clusters.json")}
+    return work, files, deadline
+
+
+@settings(max_examples=500, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    target=st.sampled_from(["traces.jsonl", "geodb.csv", "clusters.json"]),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["delete", "duplicate", "replace"]),
+            st.sampled_from(["byte", "field"]),
+            st.integers(0, 1 << 16),
+            st.integers(1, 8),
+            st.one_of(st.sampled_from(_FUZZ_TOKENS), st.binary(max_size=2)),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_mutated_inputs_never_exit_2(fuzz_inputs, target, edits):
+    # Any input, however broken, exits 0 or 1. Examples past the time
+    # budget return at once, so the whole run stays bounded.
+    work, files, deadline = fuzz_inputs
+    if time.monotonic() > deadline:
+        return
+    data = files[target]
+    for edit in edits:
+        data = _mutate(data, edit)
+    for name, original in files.items():
+        (work / name).write_bytes(data if name == target else original)
+    if target == "clusters.json":
+        argv = ["gdi", "--clusters", str(work / target)]
+    else:
+        argv = ["pipeline", "--traces", str(work / "traces.jsonl"), "--geodb", str(work / "geodb.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([*argv, "--out", str(work / "out"), "--jobs", "1"])
+    assert rc in (0, 1), err.getvalue()

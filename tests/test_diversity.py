@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from geodiv import (
     Coordinate,
     DiversityConfig,
-    EmptySet,
     GeoPath,
     InvalidCounts,
     InvalidGeometry,
@@ -18,10 +17,6 @@ from geodiv import (
     gdi,
     mgdi,
     pair_diversity,
-    planar_gdi,
-    planar_pair_diversity,
-    set_diversity,
-    triangle_route,
 )
 from geodiv.diversity import _best_greedy_set, _height_grid, _triangle_pair_scores
 from oracles import (
@@ -30,6 +25,9 @@ from oracles import (
     greedy_replay,
     mgdi_exhaustive,
     mgdi_pair_score,
+    planar_gdi,
+    planar_pair_diversity,
+    triangle_route,
 )
 
 deltas = st.lists(
@@ -115,31 +113,6 @@ def test_pair_diversity_equals_delta_evaluation():
     for _ in range(25):
         p, l = _random_paths(rng, 2)
         assert pair_diversity(p, l) == diversity_from_delta(delta_vector(p, l))
-
-
-def test_set_diversity_with_duplicate_member():
-    p = _path((0, 0), (1, 1))
-    other = _path((2, 2), (3, 3))
-    assert set_diversity(p, [other, p]) == 0.0
-
-
-def test_set_diversity_singleton():
-    p = _path((0, 0), (1, 1))
-    l = _path((0.5, 0), (1.5, 1))
-    assert set_diversity(p, [l]) == pair_diversity(p, l)
-
-
-def test_set_diversity_is_minimum():
-    rng = random.Random(6)
-    for _ in range(20):
-        paths = _random_paths(rng, 4)
-        p, rest = paths[0], paths[1:]
-        assert set_diversity(p, rest) == min(pair_diversity(p, l) for l in rest)
-
-
-def test_set_diversity_rejects_empty_set():
-    with pytest.raises(EmptySet):
-        set_diversity(_path((0, 0), (1, 1)), [])
 
 
 def test_gdi_of_singleton_is_zero():

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 from geodiv import (
     Coordinate,
     EmptyPath,
-    GeoSegment,
     great_circle_distance,
     path_length,
     point_to_path_distance,
-    point_to_segment_distance,
 )
 from geodiv.geodesy import PreparedPath, _prepare_point
 from oracles import great_circle_distance_direct, point_to_path_distance_per_arc, sampled_point_to_polyline
@@ -89,26 +87,26 @@ def test_triangle_inequality(a, b, c):
 
 
 def test_point_at_segment_start():
-    s = GeoSegment(Coordinate(10, 20), Coordinate(11, 21))
-    assert point_to_segment_distance(Coordinate(10, 20), s) == 0.0
+    s = (Coordinate(10, 20), Coordinate(11, 21))
+    assert point_to_path_distance(Coordinate(10, 20), s) == 0.0
 
 
 def test_cross_track_from_equatorial_segment():
-    s = GeoSegment(Coordinate(0, -10), Coordinate(0, 10))
-    d = point_to_segment_distance(Coordinate(1, 0), s)
+    s = (Coordinate(0, -10), Coordinate(0, 10))
+    d = point_to_path_distance(Coordinate(1, 0), s)
     assert abs(d - 111.195) < 0.05
 
 
 def test_clamped_to_nearer_endpoint():
-    s = GeoSegment(Coordinate(0, 0), Coordinate(0, 10))
-    d = point_to_segment_distance(Coordinate(0, 20), s)
+    s = (Coordinate(0, 0), Coordinate(0, 10))
+    d = point_to_path_distance(Coordinate(0, 20), s)
     assert abs(d - 1111.95) < 0.05
 
 
 def test_zero_length_segment_is_point_distance():
-    s = GeoSegment(Coordinate(5, 5), Coordinate(5, 5))
+    s = (Coordinate(5, 5), Coordinate(5, 5))
     p = Coordinate(6, 5)
-    assert point_to_segment_distance(p, s) == great_circle_distance(p, Coordinate(5, 5))
+    assert point_to_path_distance(p, s) == great_circle_distance(p, Coordinate(5, 5))
 
 
 def test_node_on_path_gives_zero():
@@ -148,9 +146,9 @@ def test_path_distance_bounded_by_nearest_node(p, nodes):
 
 
 def test_antipodal_segment_falls_back_to_endpoints():
-    s = GeoSegment(Coordinate(0, 0), Coordinate(0, 180))
+    s = (Coordinate(0, 0), Coordinate(0, 180))
     p = Coordinate(45, 90)
-    d = point_to_segment_distance(p, s)
+    d = point_to_path_distance(p, s)
     expected = min(
         great_circle_distance(p, Coordinate(0, 0)), great_circle_distance(p, Coordinate(0, 180))
     )
@@ -171,9 +169,7 @@ def test_segment_oracle_on_random_short_segments():
         if great_circle_distance(Coordinate(*a), Coordinate(*b)) >= 1000.0:
             continue
         p = (min(89.0, max(-89.0, lat + rng.uniform(-6, 6))), lon + rng.uniform(-6, 6))
-        got = point_to_segment_distance(
-            Coordinate(*p), GeoSegment(Coordinate(*a), Coordinate(*b))
-        )
+        got = point_to_path_distance(Coordinate(*p), (Coordinate(*a), Coordinate(*b)))
         oracle = sampled_point_to_polyline(p, [a, b])
         assert abs(got - oracle) < 0.5
 

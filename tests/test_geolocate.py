@@ -4,6 +4,7 @@ from ipaddress import IPv4Address, ip_network
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from corpus import CorpusSpec, build_corpus
 
 from geodiv import (
     Coordinate,
@@ -17,7 +18,6 @@ from geodiv import (
     route_to_geopath,
 )
 from geodiv.geolocate import _parse_geodb_row
-from geodiv.synthetic import generate_corpus
 from oracles import brute_force_lookup, load_geodb_per_row, parse_geodb_row_ipaddress
 
 
@@ -364,12 +364,12 @@ _REPEATED_LOCATIONS = (
 )
 
 
-def test_load_matches_per_row_construction(tmp_path):
-    corpus = generate_corpus(n_pairs=60, seed=3)
-    corpus.write(tmp_path / "traces.jsonl", tmp_path / "synthetic.csv")
+def test_load_matches_per_row_construction(small_pool, tmp_path):
+    spec = CorpusSpec("small", {1: 8, 2: 10, 3: 6}, single_route=24, single_geopath=12)
+    _, generated = build_corpus(spec, 3, small_pool).write(tmp_path)
     handmade = tmp_path / "handmade.csv"
     handmade.write_text(_REPEATED_LOCATIONS, encoding="utf-8")
-    for path in (tmp_path / "synthetic.csv", handmade):
+    for path in (generated, handmade):
         assert _tables(load_geodb(path)) == _tables(load_geodb_per_row(path))
 
 

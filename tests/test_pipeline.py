@@ -8,6 +8,7 @@ import time
 import weakref
 
 import pytest
+from corpus import CorpusSpec, build_corpus
 
 from geodiv import (
     Coordinate,
@@ -28,7 +29,6 @@ from geodiv.pipeline import (
     score_cluster_rows,
     write_clusters_file,
 )
-from geodiv.synthetic import generate_corpus
 
 from test_cli import _deadline
 
@@ -286,16 +286,15 @@ def test_a_stripe_frees_the_full_inputs_before_scoring(seven_route_corpus, monke
     assert alive == [[False, False]]
 
 
-def test_reader_gives_the_same_front_half(seven_route_corpus, tmp_path):
+def test_reader_gives_the_same_front_half(seven_route_corpus, small_pool, tmp_path):
     # The clustered pairs carry every surviving pair's geo-paths, with
     # their origin routes, and its IP route count.
     cfg = DiversityConfig()
     traces, geodb, _ = seven_route_corpus
     assert cluster_corpus(traces, geodb, cfg, jobs=2) == cluster_corpus(traces, geodb, cfg)
     assert multiprocessing.active_children() == []
-    corpus = generate_corpus(n_pairs=60, seed=5)
-    traces, geodb = tmp_path / "traces.jsonl", tmp_path / "geodb.csv"
-    corpus.write(traces, geodb)
+    spec = CorpusSpec("small", {1: 8, 2: 10, 3: 6}, single_route=24, single_geopath=12)
+    traces, geodb = build_corpus(spec, 5, small_pool).write(tmp_path)
     serial = cluster_corpus(traces, geodb, cfg, jobs=1)
     assert serial[0] and cluster_corpus(traces, geodb, cfg, jobs=2) == serial
 
