@@ -18,7 +18,6 @@ from .diversity import (
 )
 from .errors import (
     DuplicateCidr,
-    EmptyInput,
     EmptyPath,
     GeodivError,
     InvalidAddress,
@@ -42,7 +41,6 @@ from .geolocate import (
     route_to_geopath,
 )
 from .pipeline import (
-    EcdfTable,
     PipelineSummary,
     ecdf,
     emit_report,
@@ -68,8 +66,6 @@ __all__ = [
     "DiversityConfig",
     "DiversityReport",
     "DuplicateCidr",
-    "EcdfTable",
-    "EmptyInput",
     "EmptyPath",
     "FilterStats",
     "GeoDb",

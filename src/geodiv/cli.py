@@ -1,24 +1,23 @@
-"""Command-line front end.
+"""Command-line front end, and the only code that writes to the terminal.
 
 Subcommands:
   pipeline  end-to-end: traces + geodb -> per-pair diversity reports
   cluster   stop after clustering, emit clusters.json
   gdi       score a previously emitted clusters.json
 
-Exit codes: 0 success, 1 input error, 2 internal error.
+Exit codes: 0 success, 1 input or usage error, 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .diversity import DiversityConfig
-from .errors import DuplicateCidr, InvalidConfig, ParseError
-from .geolocate import FilterStats
+from .errors import InvalidConfig, ParseError
 from .pipeline import (
     PipelineSummary,
     cluster_corpus,
@@ -30,82 +29,80 @@ from .pipeline import (
     write_clusters_file,
 )
 
-
-def _add_common_output(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        metavar="N",
-        help="worker processes (default: all cores)",
-    )
+_DEFAULTS = DiversityConfig()
 
 
-def _add_trace_inputs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--traces", required=True, metavar="PATH", help="JSONL trace file")
-    parser.add_argument("--geodb", required=True, metavar="PATH", help="CSV geolocation snapshot")
-    parser.add_argument(
-        "--threshold-km",
-        type=float,
-        default=50.0,
-        metavar="KM",
-        help="geographic-equality threshold (default: 50)",
-    )
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input, so it exits 1; 2 means an internal error."""
 
-
-def _add_scoring_flags(parser: argparse.ArgumentParser, *, radius_default: float | None) -> None:
-    parser.add_argument(
-        "--earth-radius-km",
-        type=float,
-        default=radius_default,
-        metavar="KM",
-        help="spherical Earth radius (default: 6371)",
-    )
-    parser.add_argument(
-        "--mgdi-grid-steps",
-        type=int,
-        default=21,
-        metavar="N",
-        help="apex-height grid resolution for the MGDI search (default: 21)",
-    )
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geodiv",
         description="Geographic diversity analysis of traceroute-measured Internet routes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_pipeline = sub.add_parser("pipeline", help="run the full pipeline and emit reports")
-    _add_trace_inputs(p_pipeline)
-    _add_scoring_flags(p_pipeline, radius_default=6371.0)
-    _add_common_output(p_pipeline)
-
-    p_cluster = sub.add_parser("cluster", help="stop after clustering; emit clusters.json")
-    _add_trace_inputs(p_cluster)
-    p_cluster.add_argument(
-        "--earth-radius-km", type=float, default=6371.0, metavar="KM",
-        help="spherical Earth radius (default: 6371)",
-    )
-    _add_common_output(p_cluster)
-
-    p_gdi = sub.add_parser("gdi", help="score a clusters.json file and emit reports")
-    p_gdi.add_argument("--clusters", required=True, metavar="PATH", help="clusters.json input")
-    _add_scoring_flags(p_gdi, radius_default=None)
-    _add_common_output(p_gdi)
-
+    for command, summary in (
+        ("pipeline", "run the full pipeline and emit reports"),
+        ("cluster", "stop after clustering; emit clusters.json"),
+        ("gdi", "score a clusters.json file and emit reports"),
+    ):
+        p = sub.add_parser(command, help=summary)
+        gdi = command == "gdi"
+        if gdi:
+            p.add_argument("--clusters", required=True, metavar="PATH", help="clusters.json input")
+        else:
+            p.add_argument("--traces", required=True, metavar="PATH", help="JSONL trace file")
+            p.add_argument("--geodb", required=True, metavar="PATH", help="CSV geolocation snapshot")
+            p.add_argument(
+                "--threshold-km", type=float, default=_DEFAULTS.threshold_km, metavar="KM",
+                help="geographic-equality threshold (default: %(default)g)",
+            )
+        stored = "the clusters file's, else " if gdi else ""
+        p.add_argument(
+            "--earth-radius-km", type=float, default=None if gdi else _DEFAULTS.earth_radius_km, metavar="KM",
+            help=f"spherical Earth radius (default: {stored}{_DEFAULTS.earth_radius_km:g})",
+        )
+        if command != "cluster":
+            p.add_argument(
+                "--mgdi-grid-steps", type=int, default=_DEFAULTS.mgdi_grid_steps, metavar="N",
+                help="apex-height grid resolution for the MGDI search (default: %(default)s)",
+            )
+        p.add_argument("--out", required=True, metavar="DIR", help="output directory")
+        p.add_argument(
+            "--jobs", type=int, default=os.cpu_count() or 1, metavar="N",
+            help="worker processes (default: all cores)",
+        )
     return parser
 
 
-def _print_summary(summary: PipelineSummary, out: Path) -> None:
+def _print_counts(total: int, single_ip_route: int, single_geo_path: int, outcome: str) -> None:
     print(
-        f"pairs: {summary.total_pairs} total, "
-        f"{summary.pairs_removed_stage1} removed (single IP route), "
-        f"{summary.pairs_removed_stage2} removed (single geo-path), "
-        f"{summary.pairs_scored} scored; reports in {out}"
+        f"pairs: {total} total, {single_ip_route} removed (single IP route), "
+        f"{single_geo_path} removed (single geo-path), {outcome}"
     )
+
+
+def _report(summary: PipelineSummary, out_dir: str) -> int:
+    """Warn, in pair order, of each pair whose GDI exceeds its MGDI, then
+    write the reports and print the counts."""
+    sys.stderr.write("".join(
+        f"WARNING geodiv.pipeline: pair {r.src} -> {r.dst}: "
+        f"GDI {r.gdi_km:.3f} km exceeds MGDI {r.mgdi_km:.3f} km\n"
+        for r in summary.per_pair
+        if r.gdi_over_mgdi > 1.0
+    ))
+    out = Path(out_dir)
+    emit_report(summary, out)
+    _print_counts(
+        summary.total_pairs, summary.pairs_removed_stage1, summary.pairs_removed_stage2,
+        f"{summary.pairs_scored} scored; reports in {out}",
+    )
+    return 0
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
@@ -114,11 +111,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         earth_radius_km=args.earth_radius_km,
         mgdi_grid_steps=args.mgdi_grid_steps,
     )
-    summary = run_pipeline(args.traces, args.geodb, cfg, jobs=args.jobs)
-    out = Path(args.out)
-    emit_report(summary, out)
-    _print_summary(summary, out)
-    return 0
+    return _report(run_pipeline(args.traces, args.geodb, cfg, jobs=args.jobs), args.out)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -127,26 +120,19 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = write_clusters_file(clustered, cfg, out / "clusters.json", stats=stats)
-    print(
-        f"pairs: {stats.input_pairs} total, "
-        f"{stats.removed_single_ip_route} removed (single IP route), "
-        f"{stats.removed_single_geo_path} removed (single geo-path), "
-        f"{len(clustered)} clustered; wrote {path}"
+    _print_counts(
+        stats.input_pairs, stats.removed_single_ip_route, stats.removed_single_geo_path,
+        f"{len(clustered)} clustered; wrote {path}",
     )
     return 0
 
 
 def _cmd_gdi(args: argparse.Namespace) -> int:
-    rows, stored_radius, stats = read_clusters_file(args.clusters)
-    radius = args.earth_radius_km if args.earth_radius_km is not None else (stored_radius or 6371.0)
+    rows, radius, stats = read_clusters_file(args.clusters)
+    if args.earth_radius_km is not None:
+        radius = args.earth_radius_km
     cfg = DiversityConfig(earth_radius_km=radius, mgdi_grid_steps=args.mgdi_grid_steps)
-    reports = score_cluster_rows(rows, cfg, jobs=args.jobs)
-    # Without recorded filter stats, every pair in the file counts as scored.
-    summary = summarize(stats or FilterStats(len(reports), 0, 0), reports)
-    out = Path(args.out)
-    emit_report(summary, out)
-    _print_summary(summary, out)
-    return 0
+    return _report(summarize(stats, score_cluster_rows(rows, cfg, jobs=args.jobs)), args.out)
 
 
 _COMMANDS = {
@@ -157,14 +143,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.jobs < 1:
             raise InvalidConfig("jobs", f"must be a positive integer, got {args.jobs}")
         return _COMMANDS[args.command](args)
-    except (ParseError, DuplicateCidr, OSError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvalidConfig as exc:

@@ -61,7 +61,7 @@ class InvalidAddress(ParseError):
     """A field that should hold an IPv4 address does not parse as one."""
 
 
-class DuplicateCidr(GeodivError):
+class DuplicateCidr(ParseError):
     """The same CIDR prefix appears twice in a geolocation snapshot."""
 
 
@@ -84,7 +84,3 @@ class InvalidConfig(GeodivError, ValueError):
 
 class InvalidCounts(GeodivError):
     """Route/cluster counts violate their mutual constraints."""
-
-
-class EmptyInput(GeodivError):
-    """An empty value sequence was passed to a distribution computation."""

@@ -32,7 +32,10 @@ class GeoDb:
         for network, location in entries:
             self._add(int(network.network_address), network.prefixlen, location)
 
-    def _add(self, network: int, prefixlen: int, location: Coordinate) -> None:
+    def _add(self, network: int, prefixlen: int, location: Coordinate,
+             path: str | None = None, line: int | None = None) -> None:
+        """Add one prefix; a repeated one is a ``DuplicateCidr`` located at
+        the snapshot's ``path`` and ``line`` when they are given."""
         shift = 32 - prefixlen
         table = self._by_shift.get(shift)
         if table is None:
@@ -40,7 +43,7 @@ class GeoDb:
             self._tables = sorted(self._by_shift.items())
         key = network >> shift
         if key in table:
-            raise DuplicateCidr(f"duplicate CIDR {IPv4Network((network, prefixlen))}")
+            raise DuplicateCidr(f"duplicate CIDR {IPv4Network((network, prefixlen))}", path=path, line=line)
         table[key] = location
 
     def __len__(self) -> int:
@@ -120,11 +123,7 @@ def load_geodb(path: str | Path) -> GeoDb:
                     continue
                 if line == 1 and tuple(col.strip().lower() for col in row) == _HEADER:
                     continue
-                network, prefixlen, location = _parse_geodb_row(row, name, line, locations)
-                try:
-                    db._add(network, prefixlen, location)
-                except DuplicateCidr as exc:
-                    raise DuplicateCidr(f"{path}:{line}: {exc}") from None
+                db._add(*_parse_geodb_row(row, name, line, locations), name, line)
         except UnicodeDecodeError:
             raise not_utf8(path) from None
         except csv.Error as exc:  # such as a field past the csv module's size limit

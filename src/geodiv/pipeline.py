@@ -4,16 +4,14 @@ Per-pair work is pure, so pairs are split into stripes: with ``jobs``
 processes, each takes every ``jobs``-th pair in lexicographic order. The
 main process works one stripe itself, and forked children, which inherit
 the inputs already in memory, work the others. Results are merged back in
-pair order, which keeps every output file, and the warnings on stderr,
-byte-identical regardless of the worker count. With more than one job, a
-reader process parses the trace file while the main process loads the
-geolocation snapshot.
+pair order, which keeps every output file byte-identical regardless of
+the worker count. With more than one job, a reader process parses the
+trace file while the main process loads the geolocation snapshot.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import multiprocessing
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -25,12 +23,10 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from .cluster import Cluster, cluster_pair_routes
 from .diversity import MAX_EARTH_RADIUS_KM, DiversityConfig, DiversityReport, compression_ratio, gdi, mgdi
-from .errors import EmptyInput, ParseError, invalid_json, not_utf8
-from .geodesy import Coordinate, great_circle_distance, path_length
+from .errors import ParseError, invalid_json, not_utf8
+from .geodesy import EARTH_RADIUS_KM, Coordinate, great_circle_distance, path_length
 from .geolocate import FilterStats, GeoPath, filter_pairs, load_geodb
 from .traces import Pair, group_by_pair, parse_trace_file
-
-logger = logging.getLogger(__name__)
 
 PAIRS_CSV_HEADER = "src,dst,ip_routes,geo_paths,clusters,compression,gdi_km,mgdi_km,gdi_over_mgdi"
 ECDF_CSV_HEADER = "value,cum_fraction"
@@ -39,13 +35,6 @@ _T = TypeVar("_T")
 _R = TypeVar("_R")
 
 _FORK = multiprocessing.get_context("fork")
-
-
-@dataclass(frozen=True)
-class EcdfTable:
-    """Empirical CDF: (value, cumulative fraction) points over distinct values."""
-
-    points: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -69,10 +58,9 @@ class ClusteredPair:
     clusters: tuple[Cluster, ...]
 
 
-def ecdf(values: Sequence[float]) -> EcdfTable:
-    """Standard empirical CDF over the distinct values of a non-empty sample."""
-    if len(values) == 0:
-        raise EmptyInput("cannot build an ECDF from no values")
+def ecdf(values: Sequence[float]) -> tuple[tuple[float, float], ...]:
+    """Standard empirical CDF: a (value, cumulative fraction) point per
+    distinct value, in increasing order; none for no values."""
     ordered = sorted(values)
     n = len(ordered)
     points = []
@@ -81,7 +69,7 @@ def ecdf(values: Sequence[float]) -> EcdfTable:
         seen += 1
         if i + 1 == n or ordered[i + 1] != value:
             points.append((value, seen / n))
-    return EcdfTable(points=tuple(points))
+    return tuple(points)
 
 
 def _run_forked(calls: Sequence[Callable[[], object]]) -> list[object]:
@@ -283,17 +271,6 @@ def score_clustered_pair(
     )
 
 
-def _warn_over_ceiling(reports: Sequence[DiversityReport]) -> None:
-    """Log each report whose GDI exceeds its MGDI. Called in the merging
-    process on reports in pair order, so the lines do not depend on which
-    worker scored which pair."""
-    for r in reports:
-        if r.gdi_over_mgdi > 1.0:
-            logger.warning(
-                "pair %s -> %s: GDI %.3f km exceeds MGDI %.3f km", r.src, r.dst, r.gdi_km, r.mgdi_km
-            )
-
-
 def score_pair(
     pair: Pair, geopaths: Sequence[GeoPath], ip_route_count: int, cfg: DiversityConfig
 ) -> DiversityReport:
@@ -314,9 +291,7 @@ def score_cluster_rows(
         tasks = ((p, (*ordered[p], cfg)) for p in range(k, len(ordered), w))
         return _each(score_clustered_pair, tasks), None
 
-    reports = tuple(_in_stripes(stripe, len(ordered), jobs)[0])
-    _warn_over_ceiling(reports)
-    return reports
+    return tuple(_in_stripes(stripe, len(ordered), jobs)[0])
 
 
 def summarize(stats: FilterStats, reports: Iterable[DiversityReport]) -> PipelineSummary:
@@ -340,7 +315,6 @@ def run_pipeline(
     in up to ``jobs`` processes."""
     cfg = cfg or DiversityConfig()
     reports, stats = _over_corpus(traces_path, geodb_path, cfg, jobs, score_pair)
-    _warn_over_ceiling(reports)
     return summarize(stats, reports)
 
 
@@ -354,9 +328,7 @@ def _write_text(path: Path, text: str) -> None:
 
 def _ecdf_csv(values: Sequence[float]) -> str:
     lines = [ECDF_CSV_HEADER]
-    if values:
-        table = ecdf(values)
-        lines.extend(f"{_fmt(v)},{_fmt(f)}" for v, f in table.points)
+    lines.extend(f"{_fmt(v)},{_fmt(f)}" for v, f in ecdf(values))
     return "\n".join(lines) + "\n"
 
 
@@ -417,20 +389,15 @@ def write_clusters_file(
     clustered: Sequence[ClusteredPair],
     cfg: DiversityConfig,
     path: str | Path,
-    stats: FilterStats | None = None,
+    stats: FilterStats,
 ) -> Path:
-    """Serialize per-pair clustering results so scoring can resume later."""
-    payload: dict[str, object] = {
+    """Serialize per-pair clustering results and the filter's accounting,
+    so scoring can resume later."""
+    payload = {
         "threshold_km": cfg.threshold_km,
         "earth_radius_km": cfg.earth_radius_km,
-    }
-    if stats is not None:
-        payload["filter_stats"] = {
-            "input_pairs": stats.input_pairs,
-            "removed_single_ip_route": stats.removed_single_ip_route,
-            "removed_single_geo_path": stats.removed_single_geo_path,
-        }
-    payload["pairs"] = [
+        "filter_stats": asdict(stats),
+        "pairs": [
             {
                 "src": cp.pair[0],
                 "dst": cp.pair[1],
@@ -452,7 +419,8 @@ def write_clusters_file(
                 ],
             }
             for cp in clustered
-        ]
+        ],
+    }
     out = Path(path)
     _write_text(out, json.dumps(payload, indent=2) + "\n")
     return out
@@ -486,10 +454,12 @@ def _count(value: object) -> int:
 
 def read_clusters_file(
     path: str | Path,
-) -> tuple[list[tuple[Pair, list[GeoPath], int, int]], float, FilterStats | None]:
+) -> tuple[list[tuple[Pair, list[GeoPath], int, int]], float, FilterStats]:
     """Load a clusters file; returns (pair, representatives, geo_path_count,
-    ip_route_count) rows in file order, the stored earth radius and, when
-    present, the filter stats recorded by the clustering run."""
+    ip_route_count) rows in file order, the earth radius and the filter
+    stats recorded by the clustering run. A file that records no radius
+    gives ``EARTH_RADIUS_KM``, and one without stats counts every pair in
+    it as scored."""
     name = str(path)
     with open(path, encoding="utf-8") as fh:
         try:
@@ -502,7 +472,7 @@ def read_clusters_file(
     if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
         raise ParseError("clusters file must be an object with a 'pairs' array", path=name)
     # A missing, null or zero radius means "not recorded".
-    radius = payload.get("earth_radius_km") or 0.0
+    radius = payload.get("earth_radius_km") or EARTH_RADIUS_KM
     if not isinstance(radius, (int, float)) or not 0.0 <= radius <= MAX_EARTH_RADIUS_KM:
         raise ParseError(
             f"earth_radius_km must be a positive number of at most {MAX_EARTH_RADIUS_KM:g}, got {radius!r}",
@@ -547,4 +517,4 @@ def read_clusters_file(
                 _path_from_json(cluster["representative"], path=name, what=f"pair {pair}")
             )
         rows.append((pair, representatives, geo_path_count, ip_route_count))
-    return rows, radius, stats
+    return rows, radius, stats or FilterStats(len(rows), 0, 0)

@@ -2,12 +2,14 @@
 
 The interchange format is JSON lines: one object per line with keys
 ``src`` (IPv4 string), ``dst`` (IPv4 string) and ``hops`` (array of IPv4
-strings, ``"*"`` for an unresponsive hop). Unknown keys are ignored.
+strings, ``"*"`` for an unresponsive hop). Unknown keys are ignored. A
+record may nest arrays and objects at most 500 levels deep.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from ipaddress import AddressValueError, IPv4Address
 from pathlib import Path
@@ -17,6 +19,12 @@ from typing import Iterable, Sequence
 from .errors import InvalidAddress, ParseError, invalid_json, not_utf8
 
 UNRESPONSIVE = "*"
+
+# Well below the recursion limit, so that whether a line decodes does not
+# depend on how deep the caller's stack is (it is deeper in a forked reader).
+_MAX_NESTING = 500
+# A JSON string (to the end of the line if unterminated), or a bracket.
+_STRING_OR_BRACKET = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[][{}]')
 
 Pair = tuple[str, str]
 HopSequence = tuple[str, ...]
@@ -81,7 +89,27 @@ def parse_trace_line(line: str, *, path: str | None = None, line_number: int | N
     return _parse_line(line, set(), path, line_number)
 
 
+def _too_deep(line: str) -> bool:
+    """Whether ``line`` opens more than ``_MAX_NESTING`` arrays and objects
+    at once outside strings, counted without recursion. The decoder nests
+    no deeper than this count on any line, valid or not, and only a line
+    longer than the bound, with more brackets than it, can exceed it."""
+    if line.count("[") + line.count("{") <= _MAX_NESTING:
+        return False
+    depth = 0
+    for token in _STRING_OR_BRACKET.findall(line):
+        if token in ("[", "{"):
+            depth += 1
+            if depth > _MAX_NESTING:
+                return True
+        elif token in ("]", "}"):
+            depth -= 1
+    return False
+
+
 def _parse_line(line: str, valid: set[str], path: str | None, line_number: int | None) -> TraceRecord:
+    if len(line) > _MAX_NESTING and _too_deep(line):
+        raise ParseError("invalid JSON: nested too deeply", path=path, line=line_number)
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:

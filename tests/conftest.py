@@ -6,7 +6,6 @@ which the tests use for every corpus with planted truth."""
 from __future__ import annotations
 
 import json
-import logging
 import math
 import sys
 from pathlib import Path
@@ -25,13 +24,6 @@ settings.load_profile("suite")
 
 GRID_CELL_KM = 84.0
 KM_PER_DEG = math.pi * 6371.0 / 180.0
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _quiet_pipeline_warnings():
-    # Synthetic corpora routinely trip the GDI-over-ceiling flag; keep the
-    # suite output readable. Tests that check the flag re-enable capture.
-    logging.getLogger("geodiv.pipeline").setLevel(logging.ERROR)
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import geodiv
 from geodiv import pipeline
 from geodiv.cli import main
+from geodiv.traces import _MAX_NESTING
 
 REPORT_FILES = ("report.json", "pairs.csv", "compression_ecdf.csv", "gdi_ratio_ecdf.csv")
 
@@ -254,6 +255,25 @@ def test_bad_setting_is_input_error(seven_route_corpus, tmp_path, capsys, comman
     assert named in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pipeline", "--jobs", "abc"], "argument --jobs: invalid int value: 'abc'"),
+        (["gdi", "--mgdi-grid-steps", "1.5"], "argument --mgdi-grid-steps: invalid int value: '1.5'"),
+        (["pipeline", "--geodb", "geodb.csv", "--out", "out"], "the following arguments are required: --traces"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["jobs-not-int", "grid-steps-not-int", "missing-traces", "missing-subcommand"],
+)
+def test_usage_error_is_input_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: geodiv")
+    assert err.endswith(f"error: {message}\n")
+
+
 _GOOD_TRACE = '{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.1"]}\n'
 
 
@@ -417,6 +437,24 @@ def test_input_past_parser_limits_is_a_located_input_error(seven_route_corpus, t
     serial, parallel = _run_both_ways(capsys, [*argv, "--out", str(tmp_path / "out")])
     assert serial == parallel
     assert serial.startswith(f"error: {located}{reason}")
+
+
+@pytest.mark.parametrize("depth", [_MAX_NESTING, _MAX_NESTING + 1, 975])
+def test_trace_nesting_bound_is_the_same_for_any_jobs(tmp_path, depth):
+    # The record object is one level; its ignored key holds the rest. The
+    # decoder's own limit once let 975 levels through at --jobs 1 only, so
+    # the CLI runs as a process of its own, with its own stack depth.
+    traces, geodb = tmp_path / "traces.jsonl", tmp_path / "geodb.csv"
+    nested = "[" * (depth - 1) + "]" * (depth - 1)
+    traces.write_text(_GOOD_TRACE + _GOOD_TRACE[:-2] + f',"x":{nested}}}\n', encoding="utf-8")
+    geodb.write_text("10.0.0.0/8,0,0\n", encoding="utf-8")
+    argv = ["pipeline", "--traces", str(traces), "--geodb", str(geodb), "--out", str(tmp_path / "out")]
+    runs = [_cli([*argv, "--jobs", jobs]) for jobs in ("1", "2")]
+    outcomes = [(run.returncode, run.stderr.decode()) for run in runs]
+    if depth <= _MAX_NESTING:
+        assert outcomes == [(0, ""), (0, "")]
+    else:
+        assert outcomes == [(1, f"error: {traces}:2: invalid JSON: nested too deeply\n")] * 2
 
 
 def test_bad_geodb_next_to_a_large_trace_file_fails_promptly(tmp_path, capsys):

@@ -323,6 +323,8 @@ def test_duplicate_cidr_message_is_located(tmp_path):
     with pytest.raises(DuplicateCidr) as excinfo:
         load_geodb(path)
     assert str(excinfo.value) == f"{path}:4: duplicate CIDR 10.0.0.0/8"
+    assert isinstance(excinfo.value, ParseError)
+    assert (excinfo.value.path, excinfo.value.line) == (str(path), 4)
     with pytest.raises(DuplicateCidr, match=r"^duplicate CIDR 10\.0\.0\.0/8$"):
         _db(("10.0.0.0/8", 0.0, 0.0), ("10.0.0.0/8", 1.0, 1.0))
 

@@ -11,9 +11,10 @@ import pytest
 from corpus import CorpusSpec, build_corpus
 
 from geodiv import (
+    EARTH_RADIUS_KM,
     Coordinate,
     DiversityConfig,
-    EmptyInput,
+    FilterStats,
     GeoDb,
     GeoPath,
     ecdf,
@@ -22,6 +23,7 @@ from geodiv import (
     score_pair,
 )
 from geodiv import pipeline
+from geodiv.cli import main
 from geodiv.pipeline import (
     PAIRS_CSV_HEADER,
     cluster_corpus,
@@ -34,24 +36,23 @@ from test_cli import _deadline
 
 
 def test_ecdf_counts_duplicates():
-    table = ecdf([1.0, 1.0, 2.0])
-    assert table.points == ((1.0, pytest.approx(2 / 3)), (2.0, 1.0))
+    assert ecdf([1.0, 1.0, 2.0]) == ((1.0, pytest.approx(2 / 3)), (2.0, 1.0))
 
 
 def test_ecdf_single_value():
-    assert ecdf([5.0]).points == ((5.0, 1.0),)
+    assert ecdf([5.0]) == ((5.0, 1.0),)
 
 
 def test_ecdf_rejects_empty_input():
-    with pytest.raises(EmptyInput):
-        ecdf([])
+    # No values give no points, which the reports write as a header alone.
+    assert ecdf([]) == ()
 
 
 def test_ecdf_invariants_on_random_samples():
     rng = random.Random(31)
     for _ in range(50):
         values = [rng.uniform(0, 10) for _ in range(rng.randint(1, 40))]
-        points = ecdf(values).points
+        points = ecdf(values)
         xs = [v for v, _ in points]
         fs = [f for _, f in points]
         assert xs == sorted(set(xs))
@@ -63,7 +64,7 @@ def test_ecdf_tracks_uniform_distribution():
     # Dvoretzky-Kiefer-Wolfowitz: for n = 1000 the 99% band is ~0.052.
     rng = random.Random(424242)
     values = [rng.random() for _ in range(1000)]
-    worst = max(abs(f - v) for v, f in ecdf(values).points)
+    worst = max(abs(f - v) for v, f in ecdf(values))
     assert worst < 0.06
 
 
@@ -168,9 +169,9 @@ def _parallel_paths():
     return p1, p2
 
 
-def test_gdi_over_mgdi_above_one_is_flagged(caplog):
-    # The flag is logged by the process that merges the results, in pair
-    # order, whichever process scored the pair.
+def test_gdi_over_mgdi_above_one_is_flagged(tmp_path, capfd, caplog):
+    # Scoring only returns reports. `geodiv gdi` writes the flag for each
+    # pair over the ceiling, in pair order, whichever process scored it.
     p1, p2 = _parallel_paths()
     flat = GeoPath(nodes=(Coordinate(0, 0), Coordinate(0, 9)))
     rows = [
@@ -178,17 +179,28 @@ def test_gdi_over_mgdi_above_one_is_flagged(caplog):
         (("10.0.0.2", "10.9.0.1"), (p1, flat), 2, 2),
         (("10.0.0.1", "10.9.0.1"), (p2, p1), 2, 2),
     ]
+    clusters = tmp_path / "clusters.json"
+    entries = [
+        {"src": src, "dst": dst, "ip_route_count": ip_routes, "geo_path_count": geo_paths,
+         "clusters": [{"representative": [[n.lat, n.lon] for n in rep.nodes]} for rep in reps]}
+        for (src, dst), reps, geo_paths, ip_routes in rows
+    ]
+    clusters.write_text(json.dumps({"pairs": entries}), encoding="utf-8")
     for jobs in (1, 2):
         caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="geodiv.pipeline"):
+        with caplog.at_level(logging.DEBUG):
             reports = score_cluster_rows(rows, DiversityConfig(), jobs=jobs)
+        assert caplog.records == []
+        assert capfd.readouterr() == ("", "")
         flagged = [r for r in reports if r.gdi_over_mgdi > 1.0]
         assert [r.src for r in flagged] == ["10.0.0.1", "10.0.0.3"]
-        assert caplog.messages == [
-            f"pair {r.src} -> {r.dst}: GDI {r.gdi_km:.3f} km exceeds MGDI {r.mgdi_km:.3f} km"
+        out = tmp_path / f"out{jobs}"
+        assert main(["gdi", "--clusters", str(clusters), "--out", str(out), "--jobs", str(jobs)]) == 0
+        assert capfd.readouterr().err.splitlines() == [
+            f"WARNING geodiv.pipeline: pair {r.src} -> {r.dst}: "
+            f"GDI {r.gdi_km:.3f} km exceeds MGDI {r.mgdi_km:.3f} km"
             for r in flagged
         ]
-        assert [r.name for r in caplog.records] == ["geodiv.pipeline"] * 2
 
 
 def _rows(count):
@@ -320,6 +332,13 @@ def test_clusters_file_round_trip(seven_route_corpus, tmp_path):
     rows, radius, read_stats = read_clusters_file(path)
     assert radius == cfg.earth_radius_km
     assert read_stats == stats
+    # A file that records neither gives the default radius, and counts
+    # every pair in it as scored.
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["earth_radius_km"], payload["filter_stats"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(payload), encoding="utf-8")
+    assert read_clusters_file(bare)[1:] == (EARTH_RADIUS_KM, FilterStats(1, 0, 0))
     assert len(rows) == 1
     pair, representatives, geo_path_count, ip_route_count = rows[0]
     assert ip_route_count == expected["ip_routes"]
