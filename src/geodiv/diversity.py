@@ -16,9 +16,10 @@ height and the rest are grid-searched for the largest GDI.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .cluster import delta_vector
 from .errors import InvalidConfig, InvalidCounts, InvalidGeometry
@@ -140,14 +141,15 @@ def _height_grid(h_max: float, steps: int) -> list[float]:
 
 def _triangle_pair_scores(
     endpoint_distance_km: float, heights: Sequence[float], pairs: Iterable[tuple[int, int]]
-) -> list[float]:
-    """``diversity_from_delta([0, a, 0, 0, b, 0])`` for each ``(i, j)`` in
-    ``pairs``, with ``a`` and ``b`` the planar point-to-path distances
-    (``tests/oracles.py``) from the apex of the triangle route of height
-    ``heights[i]`` to that of ``heights[j]`` and back. The same float
+) -> Iterator[tuple[int, int, float]]:
+    """Yields ``(i, j, diversity_from_delta([0, a, 0, 0, b, 0]))`` for each
+    ``(i, j)`` in ``pairs``, with ``a`` and ``b`` the planar point-to-path
+    distances (``tests/oracles.py``) from the apex of the triangle route of
+    height ``heights[i]`` to that of ``heights[j]`` and back. The same float
     operations run in the same order, on arc terms computed once per
     triangle; only the (exact) subtractions of a zero coordinate are left
-    out."""
+    out. Each pair is taken from ``pairs`` only once the previous score has
+    been taken."""
     x = endpoint_distance_km / 2.0
     run = endpoint_distance_km - x  # each second arc runs from (x, h) to (d, 0)
     arcs = [(h, x * x + h * h, 0.0 - h, run * run + (0.0 - h) * (0.0 - h)) for h in heights]
@@ -168,19 +170,17 @@ def _triangle_pair_scores(
             d2 = hypot(x - (x + t * run), hp - (hq + t * rise))
         return d2 if d2 < d1 else d1
 
-    scores = []
     for i, j in pairs:
         a, b = apex_to(arcs[i][0], *arcs[j]), apex_to(arcs[j][0], *arcs[i])
         peak = max(0.0, a, b)
         if peak <= 0.0:
-            scores.append(0.0)
+            yield i, j, 0.0
             continue
         na, nb = a / peak, b / peak
         mean = fsum((0.0, na, 0.0, 0.0, nb, 0.0)) / 6
         z = (0.0 - mean) ** 2
         variance = fsum((z, (na - mean) ** 2, z, z, (nb - mean) ** 2, z)) / 6
-        scores.append((1.0 - variance) * (fsum((0.0, a, 0.0, 0.0, b, 0.0)) / 6))
-    return scores
+        yield i, j, (1.0 - variance) * (fsum((0.0, a, 0.0, 0.0, b, 0.0)) / 6)
 
 
 # Relative slack on the branch-and-bound cut, so that rounding in the bound
@@ -269,6 +269,100 @@ def _best_greedy_set(
     return best
 
 
+# The pair score on (0, a, 0, 0, b, 0) at a = b, as a share of a: its peak
+# over every vector whose entries are at most a.
+_PEAK_SHARE = 7.0 / 27.0
+
+
+def _score_ceilings(endpoint_distance_km: float, heights: Sequence[float]) -> list[list[float]]:
+    """``ceilings[j][i]``, for ``i < j``, bounds the score of the triangle
+    routes of heights ``heights[i] < heights[j]`` from above without
+    evaluating it; ``heights`` are sorted, distinct and start at -h_max.
+
+    With ``D = h_j - h_i`` and an apex's reach ``r = hypot(d/2, h)`` to the
+    shared endpoints, each apex lies within ``D`` of the other triangle
+    (which holds the other apex) and within its reach (the endpoints).
+    When both apexes lie on one side of the baseline, the nearer one lies
+    inside the other triangle, ``d/2 * D / r`` from its side, with ``r``
+    the farther apex's reach. The score on ``(0, a, 0, 0, b, 0)`` grows
+    with ``a`` and with ``b`` and is ``M * g(k) / 216`` at ``(k * M, M)``,
+    ``k <= 1``, with ``g(k) = 31 + 33k - 3k^2 - 5k^3`` (``7/27 * M`` at
+    ``k = 1``). So it is at most ``D * g(d/2 / r) / 216`` for a one-sided
+    pair and ``7/27 * min(D, larger reach)`` otherwise.
+
+    The kernel rounds its distances by a few ulps of ``d/2 + h_max``;
+    each ceiling adds 1e-12 of that. When ``d/2`` is below 1e-100 km or
+    ``d/2 + h_max`` above 1e100 km, products of coordinates can leave the
+    normal float range, and every ceiling is infinite.
+    """
+    x = endpoint_distance_km / 2.0
+    scale = x - heights[0]
+    if not (1e-100 < x and scale < 1e100):
+        return [[math.inf] * j for j in range(len(heights))]
+    tolerance = 1e-12 * scale
+    reach = [math.hypot(x, h) for h in heights]
+    one_sided = [(31.0 + k * (33.0 + k * (-3.0 - 5.0 * k))) / 216.0 for k in (x / r for r in reach)]
+    above = bisect.bisect_left(heights, 0.0)  # first height at or above the baseline
+    ceilings = []
+    for j, h_j in enumerate(heights):
+        if h_j <= 0.0:
+            ceilings.append([share * (h_j - h) + tolerance for h, share in zip(heights[:j], one_sided)])
+            continue
+        r_j, share = reach[j], one_sided[j]
+        row = [
+            _PEAK_SHARE * min(h_j - h, r if r > r_j else r_j) + tolerance
+            for h, r in zip(heights[:above], reach)
+        ]
+        row += [share * (h_j - h) + tolerance for h in heights[above:j]]
+        ceilings.append(row)
+    return ceilings
+
+
+def _best_three_route_set(
+    endpoint_distance_km: float, grid: Sequence[float], pinned_scores: Sequence[float], best: float
+) -> float:
+    """Largest of ``best`` and the greedy GDI of every set ``{a, b, pinned}``
+    (``a < b < pinned``, the last grid index), scoring a pair ``(a, b)``
+    only while it can still win.
+
+    On three routes :func:`_greedy_accumulate` returns exactly the largest
+    plus the smallest of the three pair scores, whatever its tie-breaks
+    pick. With ``hi`` and ``lo`` the two pinned scores and ``u`` the pair's
+    ceiling (:func:`_score_ceilings`), that is at most
+    ``max(u, hi) + min(u, lo)``, which carries the search's relative slack.
+    """
+    bounds = _score_ceilings(endpoint_distance_km, grid[:-1])
+    for b, row in enumerate(bounds):
+        p_b = pinned_scores[b]
+        for a, (u, p_a) in enumerate(zip(row, pinned_scores)):
+            hi, lo = (p_a, p_b) if p_a > p_b else (p_b, p_a)
+            row[a] = ((u if u > hi else hi) + (u if u < lo else lo)) * _BOUND_SLACK
+
+    def ranked() -> Iterator[tuple[int, int]]:
+        # Highest bound first, while the bound beats the best value so far:
+        # the kernel takes each pair only after the previous value is in.
+        # Scoring the top pair first shortens the list that needs sorting.
+        tops = [max(row, default=-1.0) for row in bounds]
+        b = tops.index(max(tops))
+        if tops[b] <= best:
+            return
+        a = bounds[b].index(tops[b])
+        bounds[b][a] = -1.0
+        yield a, b
+        rest = [(bound, a, b) for b, row in enumerate(bounds) for a, bound in enumerate(row) if bound > best]
+        for bound, a, b in sorted(rest, reverse=True):
+            if bound <= best:
+                return
+            yield a, b
+
+    for a, b, score in _triangle_pair_scores(endpoint_distance_km, grid, ranked()):
+        p_a, p_b = pinned_scores[a], pinned_scores[b]
+        value = max(score, p_a, p_b) + min(score, p_a, p_b)
+        if value > best:
+            best = value
+    return best
+
+
 def mgdi(
     n_routes: int,
     endpoint_distance_km: float,
@@ -290,10 +384,21 @@ def mgdi(
     the distances from each apex to the other triangle. Only those two are
     computed, and the score is evaluated on the same vector as the planar
     pair score (``tests/oracles.py``) would build. Two-route sets need only
-    the pinned route's row, so the full table is built only for three or
-    more routes.
+    the pinned route's row, and three-route sets a few more entries, so
+    the full table is built only for four or more routes.
 
-    *Trajectory search.* Instead of running the greedy on every subset,
+    *Three routes.* The greedy GDI of ``{a, b, pinned}`` is exactly the
+    largest plus the smallest of its three pair scores. Each apex lies
+    within ``|h_a - h_b|`` of the other triangle, and the pair score on
+    ``(0, a, 0, 0, b, 0)`` is at most 7/27 of its larger entry, so
+    ``s_ab <= 7/27 * |h_a - h_b|``; :func:`_score_ceilings` tightens this
+    per pair. With ``hi`` and ``lo`` the pair's two pinned scores and
+    ``u`` its ceiling, ``max(u, hi) + min(u, lo)`` (with the slack below)
+    bounds the set, and the pairs are scored highest bound first, only
+    while the bound beats the best value found.
+
+    *Trajectory search* (four or more routes). Instead of running the
+    greedy on every subset,
     the search walks greedy trajectories: an opening pair, then one pick
     at a time. A pick is allowed only while it leaves every earlier
     greedy choice unchanged, including the strict-``>`` comparisons and
@@ -323,17 +428,20 @@ def mgdi(
     pinned = len(grid) - 1  # +h_max is always the last grid value
 
     m = len(grid)
-    pinned_scores = _triangle_pair_scores(endpoint_distance_km, grid, [(i, pinned) for i in range(pinned)])
+    pinned_pairs = [(i, pinned) for i in range(pinned)]
+    pinned_scores = [score for _, _, score in _triangle_pair_scores(endpoint_distance_km, grid, pinned_pairs)]
     best = max([0.0, *pinned_scores])
     max_routes = min(n_routes, m)
     if max_routes <= 2:
         return best
+    if max_routes == 3:
+        return _best_three_route_set(endpoint_distance_km, grid, pinned_scores, best)
 
     table = [[0.0] * m for _ in range(m)]
     for i, score in enumerate(pinned_scores):
         table[i][pinned] = table[pinned][i] = score
     pairs = [(i, j) for i in range(m) for j in range(i + 1, pinned)]
-    for (i, j), score in zip(pairs, _triangle_pair_scores(endpoint_distance_km, grid, pairs)):
+    for i, j, score in _triangle_pair_scores(endpoint_distance_km, grid, pairs):
         table[i][j] = table[j][i] = score
     return _best_greedy_set(table, pinned, max_routes, best)
 

@@ -147,31 +147,32 @@ class PreparedPath:
         """Minimum distance from ``p`` to the polyline, or the first arc
         distance found that is at most ``stop_at_km``.
 
-        An arc's distance is 0 when ``p`` equals an endpoint, the
-        cross-track distance when the perpendicular foot falls inside it,
-        and the distance to the nearer endpoint otherwise. Each node's
-        distance from ``p`` is computed at most once, and only when an arc
-        needs it.
+        A node of the path is 0 away, and no arc is scanned for it. An arc's
+        distance is otherwise the cross-track distance when the
+        perpendicular foot falls inside it, and the distance to the nearer
+        endpoint when not. Each node's distance from ``p`` is computed at
+        most once, and only when an arc needs it.
         """
+        # A prepared point follows from its (lat, lon), so this is float
+        # equality of (lat, lon), -0.0 == 0.0 included; every arc distance
+        # is at least 0.0.
+        if p in self.points:
+            return 0.0
         diameter_km = 2.0 * radius_km
         points = self.points
         a = points[0]
         if len(points) == 1:
             return _haversine(p, a, diameter_km)
-        plat, plon = p[0], p[1]
         best = math.inf
         d_a = None
         for b, normal in zip(points[1:], self.normals):
             d_b = None
-            if (plat == a[0] and plon == a[1]) or (plat == b[0] and plon == b[1]):
-                d = 0.0
-            else:
-                d = None if normal is None else _cross_track(p, a, b, normal, radius_km)
-                if d is None:
-                    if d_a is None:
-                        d_a = _haversine(p, a, diameter_km)
-                    d_b = _haversine(p, b, diameter_km)
-                    d = min(d_a, d_b)
+            d = None if normal is None else _cross_track(p, a, b, normal, radius_km)
+            if d is None:
+                if d_a is None:
+                    d_a = _haversine(p, a, diameter_km)
+                d_b = _haversine(p, b, diameter_km)
+                d = min(d_a, d_b)
             if d <= stop_at_km:
                 return d
             if d < best:

@@ -446,7 +446,10 @@ def _path_from_json(nodes: object, *, path: str, what: str) -> GeoPath:
 def _count(value: object) -> int:
     """A whole count from a clusters file. Past the float range it could
     not form a ratio, so ``float`` raises ``OverflowError`` there, as
-    ``int`` does for an infinite float."""
+    ``int`` does for an infinite float. A JSON ``true`` or ``false`` is no
+    count, though Python takes it for 1 or 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a count, got {json.dumps(value)}")
     count = int(value)
     float(count)
     return count
@@ -471,11 +474,17 @@ def read_clusters_file(
             raise invalid_json(exc, name, getattr(exc, "lineno", None)) from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
         raise ParseError("clusters file must be an object with a 'pairs' array", path=name)
-    # A missing, null or zero radius means "not recorded".
-    radius = payload.get("earth_radius_km") or EARTH_RADIUS_KM
-    if not isinstance(radius, (int, float)) or not 0.0 <= radius <= MAX_EARTH_RADIUS_KM:
+    # A missing, null or zero radius means "not recorded"; a JSON true or
+    # false is no number.
+    recorded = payload.get("earth_radius_km")
+    radius = recorded or EARTH_RADIUS_KM
+    if (
+        isinstance(recorded, bool)
+        or not isinstance(radius, (int, float))
+        or not 0.0 <= radius <= MAX_EARTH_RADIUS_KM
+    ):
         raise ParseError(
-            f"earth_radius_km must be a positive number of at most {MAX_EARTH_RADIUS_KM:g}, got {radius!r}",
+            f"earth_radius_km must be a positive number of at most {MAX_EARTH_RADIUS_KM:g}, got {recorded!r}",
             path=name,
         )
     radius = float(radius)

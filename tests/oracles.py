@@ -7,7 +7,8 @@ accumulation, and a linear scan for longest-prefix lookup. The
 exceptions are the original code that a fast path replaced, kept verbatim
 so that the fast path must match it bit for bit: the exhaustive MGDI
 subset search (on the package's planar score and greedy accumulation),
-the MGDI triangle-pair score on the generic planar distance,
+the trajectory search on the full apex table that three-route MGDI no
+longer builds, the MGDI triangle-pair score on the generic planar distance,
 the per-arc point-to-path distance, and the ``ipaddress``-based geodb row
 parser with its per-row ``Coordinate`` construction. The planar model that
 MGDI is defined on (triangle routes, the planar pair score and GDI) is the
@@ -24,7 +25,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from geodiv.diversity import DiversityConfig, _greedy_accumulate, _height_grid, diversity_from_delta
+from geodiv.diversity import (
+    DiversityConfig,
+    _best_greedy_set,
+    _greedy_accumulate,
+    _height_grid,
+    _triangle_pair_scores,
+    diversity_from_delta,
+)
 from geodiv.errors import EmptyPath, ParseError
 from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate
 from geodiv.geolocate import GeoDb
@@ -195,6 +203,26 @@ def mgdi_exhaustive(n_routes: int, endpoint_distance_km: float, longest_route_km
             table[i][j] = table[j][i] = score
 
     return best_greedy_set_exhaustive(table, pinned, n_routes)
+
+
+def mgdi_full_table(n_routes: int, endpoint_distance_km: float, longest_route_km: float, cfg=None) -> float:
+    """The trajectory search on the full apex table, as ``mgdi`` ran it for
+    every route count before the three-route search replaced it there."""
+    cfg = cfg or DiversityConfig()
+    if n_routes <= 1:
+        return 0.0
+    h_max = math.sqrt(max(0.0, (longest_route_km / 2.0) ** 2 - (endpoint_distance_km / 2.0) ** 2))
+    grid = sorted(set(_height_grid(h_max, cfg.mgdi_grid_steps)))
+    pinned = len(grid) - 1
+    m = len(grid)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    table = [[0.0] * m for _ in range(m)]
+    for i, j, score in _triangle_pair_scores(endpoint_distance_km, grid, pairs):
+        table[i][j] = table[j][i] = score
+    best = max([0.0] + [table[i][pinned] for i in range(pinned)])
+    if min(n_routes, m) <= 2:
+        return best
+    return _best_greedy_set(table, pinned, min(n_routes, m), best)
 
 
 def mgdi_pair_score(endpoint_distance_km: float, h_i: float, h_j: float) -> float:

@@ -228,11 +228,13 @@ def test_unexpected_failure_is_internal_error(seven_route_corpus, tmp_path, monk
         ("pipeline", ["--jobs", "0"], None, "error: --jobs must be a positive integer, got 0\n"),
         ("cluster", ["--jobs", "-2"], None, "error: --jobs must be a positive integer, got -2\n"),
         ("gdi", ["--jobs", "0"], None, "error: --jobs must be a positive integer, got 0\n"),
+        ("gdi", [], lambda payload: payload.update(earth_radius_km=True), "clusters.json"),
+        ("gdi", [], lambda payload: payload.update(earth_radius_km=False), "clusters.json"),
     ],
     ids=[
         "threshold", "grid-steps", "radius", "gdi-grid-steps", "file-radius", "file-route-count",
         "threshold-nan", "radius-nan", "radius-huge", "file-radius-huge",
-        "jobs-zero", "cluster-jobs-negative", "gdi-jobs-zero",
+        "jobs-zero", "cluster-jobs-negative", "gdi-jobs-zero", "file-radius-true", "file-radius-false",
     ],
 )
 def test_bad_setting_is_input_error(seven_route_corpus, tmp_path, capsys, command, flags, edit, named):
@@ -399,12 +401,16 @@ _CSV_LIMIT_REASON = "malformed CSV: field larger than field limit"
         ("clusters.json", ("removed_single_geo_path", "1e400"), "malformed filter_stats"),
         ("clusters.json", ("ip_route_count", "1" + "0" * 400), "malformed pair entry"),
         ("clusters.json", ("ip_route_count", "1" * 5000), "invalid JSON"),
+        ("clusters.json", ("ip_route_count", "true"), "malformed pair entry: expected a count, got true"),
+        ("clusters.json", ("geo_path_count", "false"), "malformed pair entry: expected a count, got false"),
+        ("clusters.json", ("input_pairs", "true"), "malformed filter_stats: expected a count, got true"),
     ],
     ids=[
         "trace-too-deep", "trace-long-integer", "geodb-long-field", "geodb-long-quoted-field",
         "clusters-too-deep", "clusters-infinite-route-count", "clusters-infinite-geo-path-count",
         "clusters-infinite-input-pairs", "clusters-infinite-removed", "clusters-route-count-past-float",
-        "clusters-long-integer",
+        "clusters-long-integer", "clusters-true-route-count", "clusters-false-geo-path-count",
+        "clusters-true-input-pairs",
     ],
 )
 def test_input_past_parser_limits_is_a_located_input_error(seven_route_corpus, tmp_path, capsys, bad_file, bad, reason):

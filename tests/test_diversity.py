@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geodiv import (
@@ -18,12 +18,21 @@ from geodiv import (
     mgdi,
     pair_diversity,
 )
-from geodiv.diversity import _best_greedy_set, _height_grid, _triangle_pair_scores
+import geodiv.diversity as diversity
+from geodiv.diversity import (
+    _BOUND_SLACK,
+    _PEAK_SHARE,
+    _best_greedy_set,
+    _height_grid,
+    _score_ceilings,
+    _triangle_pair_scores,
+)
 from oracles import (
     best_greedy_set_exhaustive,
     delta_score,
     greedy_replay,
     mgdi_exhaustive,
+    mgdi_full_table,
     mgdi_pair_score,
     planar_gdi,
     planar_pair_diversity,
@@ -219,6 +228,7 @@ def test_mgdi_equals_exhaustive_search(steps):
         for endpoint, longest in geometries:
             want = mgdi_exhaustive(n, endpoint, longest, cfg)
             assert mgdi(n, endpoint, longest, cfg) == want, (n, endpoint, longest)
+            assert mgdi_full_table(n, endpoint, longest, cfg) == want, (n, endpoint, longest)
 
 
 def test_mgdi_equals_exhaustive_search_for_eight_tied_routes():
@@ -254,8 +264,8 @@ def test_trajectory_search_matches_subset_search_on_tied_tables():
 
 
 def _assert_kernel_matches_oracle(d, h_i, h_j):
-    got = _triangle_pair_scores(d, [h_i, h_j], [(0, 1)])
-    assert got == [mgdi_pair_score(d, h_i, h_j)], (d, h_i, h_j)
+    got = list(_triangle_pair_scores(d, [h_i, h_j], [(0, 1)]))
+    assert got == [(0, 1, mgdi_pair_score(d, h_i, h_j))], (d, h_i, h_j)
 
 
 @pytest.mark.parametrize("d", [5e-324, 1e-300, 1e-9, 1.0, 1000.0, 2e4])
@@ -289,6 +299,78 @@ def test_triangle_kernel_equals_generic_distance_on_mgdi_grids(d, ratio, steps, 
 )
 def test_triangle_kernel_equals_generic_distance_on_any_heights(d, h_i, h_j):
     _assert_kernel_matches_oracle(d, h_i, h_j)
+
+
+# Endpoint distances from 5e-324 up, L/d ratios from exactly 1 (h_max = 0)
+# and barely above it (the flattest triangles) to 10.
+endpoint_distances = st.one_of(
+    st.just(5e-324), st.floats(min_value=5e-324, max_value=2e4), st.floats(min_value=1.0, max_value=2e4)
+)
+ratios = st.one_of(
+    st.just(1.0), st.just(1.0 + 2.0**-52), st.just(1.0 + 1e-12), st.floats(min_value=1.0, max_value=10.0)
+)
+
+
+@settings(max_examples=60)
+@given(d=endpoint_distances, ratio=ratios, steps=st.one_of(st.integers(1, 41), st.integers(1, 201)))
+def test_three_route_mgdi_equals_the_full_table_search(d, ratio, steps):
+    cfg = DiversityConfig(mgdi_grid_steps=steps)
+    got = mgdi(3, d, d * ratio, cfg)
+    assert got == mgdi_full_table(3, d, d * ratio, cfg)
+    if steps <= 41:
+        assert got == mgdi_exhaustive(3, d, d * ratio, cfg)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 21, 41])
+@pytest.mark.parametrize(
+    "endpoint, longest", [*_TIED_GEOMETRIES, (1000.0, 1000.0), (1000.0, 1000.0 * (1.0 + 1e-12)), (5e-324, 1.0)]
+)
+def test_three_route_mgdi_on_tied_and_degenerate_grids(endpoint, longest, steps):
+    # Tied integer grids, h_max == 0, the flattest triangles and a
+    # distance whose half underflows; at three grid steps every route
+    # count from 3 up takes the three-route search.
+    cfg = DiversityConfig(mgdi_grid_steps=steps)
+    for n in (3, 4) if steps == 3 else (3,):
+        want = mgdi_exhaustive(n, endpoint, longest, cfg)
+        assert mgdi(n, endpoint, longest, cfg) == want
+        assert mgdi_full_table(n, endpoint, longest, cfg) == want
+
+
+@given(d=endpoint_distances, ratio=ratios, steps=st.integers(1, 201))
+def test_score_ceilings_bound_every_pair_score(d, ratio, steps):
+    h_max = math.sqrt(max(0.0, (d * ratio / 2.0) ** 2 - (d / 2.0) ** 2))
+    grid = sorted(set(_height_grid(h_max, steps)))
+    # Every pair among at most 25 spread-out grid routes, the extremes
+    # included, and each of them with its upper neighbour, the closest pair.
+    picked = sorted({round(k * (len(grid) - 1) / 24) for k in range(25)})
+    pairs = [(i, j) for i in picked for j in picked if i < j]
+    pairs += [(i, i + 1) for i in picked if i + 1 < len(grid)]
+    ceilings = _score_ceilings(d, grid)
+    for i, j, score in _triangle_pair_scores(d, grid, pairs):
+        assert score <= ceilings[j][i] * _BOUND_SLACK, (i, j)
+        if d >= 1e-100:
+            assert score <= _PEAK_SHARE * (grid[j] - grid[i]) * _BOUND_SLACK, (i, j)
+
+
+def test_three_route_mgdi_scores_few_pairs_at_a_fine_grid(monkeypatch):
+    # At 1001 steps the full table has 499,500 pairs off the pinned route;
+    # the three-route search must score under 1% of them.
+    kernel = diversity._triangle_pair_scores
+    off_pinned = []
+
+    def counting(endpoint_distance_km, heights, pairs):
+        def counted():
+            for i, j in pairs:
+                if j != len(heights) - 1:
+                    off_pinned.append((i, j))
+                yield i, j
+
+        return kernel(endpoint_distance_km, heights, counted())
+
+    monkeypatch.setattr(diversity, "_triangle_pair_scores", counting)
+    cfg = DiversityConfig(mgdi_grid_steps=1001)
+    assert mgdi(3, 1000.0, 1400.0, cfg) > mgdi(2, 1000.0, 1400.0, cfg)
+    assert 0 < len(off_pinned) < 5_005
 
 
 def test_mgdi_grows_with_route_count_until_the_grid_is_used_up():

@@ -8,10 +8,14 @@ from hypothesis import strategies as st
 from geodiv import (
     Coordinate,
     EmptyPath,
+    GeoPath,
+    delta_vector,
+    geo_equal,
     great_circle_distance,
     path_length,
     point_to_path_distance,
 )
+from geodiv import geodesy
 from geodiv.geodesy import PreparedPath, _prepare_point
 from oracles import great_circle_distance_direct, point_to_path_distance_per_arc, sampled_point_to_polyline
 
@@ -222,9 +226,47 @@ def test_path_distance_equals_per_arc_oracle_on_edge_cases():
             assert point_to_path_distance(p, nodes, radius) == point_to_path_distance_per_arc(p, nodes, radius)
 
 
-@given(coordinates, st.lists(coordinates, min_size=1, max_size=6))
-def test_path_distance_equals_per_arc_oracle(p, nodes):
+def _geo_path(nodes: list[Coordinate]) -> GeoPath | None:
+    kept = [c for k, c in enumerate(nodes) if k == 0 or c.key != nodes[k - 1].key]
+    return GeoPath(nodes=tuple(kept)) if len(kept) >= 2 else None
+
+
+@given(
+    coordinates,
+    st.lists(coordinates, min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=5), max_size=4),
+    st.floats(min_value=1e-3, max_value=25000.0),
+)
+def test_path_distance_equals_per_arc_oracle(p, nodes, shared, threshold):
     assert point_to_path_distance(p, nodes) == point_to_path_distance_per_arc(p, nodes)
+    # Two geo-paths that share nodes: the shared ones are 0 away from the
+    # other path without an arc scan, and must still match the oracle.
+    first = _geo_path([*nodes, p])
+    second = _geo_path([p, *(nodes[k % len(nodes)] for k in shared)])
+    if first is None or second is None:
+        return
+    want = [point_to_path_distance_per_arc(u, second.nodes) for u in first.nodes]
+    want += [point_to_path_distance_per_arc(u, first.nodes) for u in second.nodes]
+    assert list(delta_vector(first, second)) == want
+    assert geo_equal(first, second, threshold) == (max(want) <= threshold)
+
+
+def test_a_node_of_the_path_is_zero_away_without_an_arc_scan(monkeypatch):
+    nodes = [Coordinate(10.0, 20.0), Coordinate(-0.0, 30.0), Coordinate(5.0, 180.0), Coordinate(-20.0, 40.0)]
+    path = PreparedPath(nodes)
+
+    def no_arc(*args):
+        raise AssertionError("an arc was scanned")
+
+    monkeypatch.setattr(geodesy, "_cross_track", no_arc)
+    monkeypatch.setattr(geodesy, "_haversine", no_arc)
+    # First, middle (queried at +0.0 for a -0.0 node), the node given at
+    # longitude 180 (stored at -180) queried either way, and last.
+    for lat, lon in [(10.0, 20.0), (0.0, 30.0), (5.0, -180.0), (5.0, 180.0), (-20.0, 40.0)]:
+        point = _prepare_point(Coordinate(lat, lon))
+        for stop_at_km in (-1.0, 0.0, 50.0):
+            d = path.distance(point, 6371.0, stop_at_km)
+            assert d == 0.0 and math.copysign(1.0, d) == 1.0, (lat, lon, stop_at_km)
 
 
 @given(coordinates, st.lists(coordinates, min_size=1, max_size=6), st.floats(min_value=0.0, max_value=25000.0))
