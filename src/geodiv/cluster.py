@@ -9,15 +9,13 @@ cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .geodesy import EARTH_RADIUS_KM
 from .geolocate import GeoPath
 
 
-@dataclass(frozen=True)
-class Cluster:
+class Cluster(NamedTuple):
     """Set of pairwise geographically equal geo-paths; ids follow creation order."""
 
     id: int

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cluster import delta_vector
 from .errors import InvalidConfig, InvalidCounts, InvalidGeometry
@@ -30,15 +29,19 @@ from .geolocate import GeoPath
 MAX_EARTH_RADIUS_KM = 1e12
 
 
-@dataclass(frozen=True)
-class DiversityConfig:
-    """Knobs shared across the scoring pipeline."""
-
+class _Settings(NamedTuple):
     threshold_km: float = 50.0
     earth_radius_km: float = EARTH_RADIUS_KM
     mgdi_grid_steps: int = 21
 
-    def __post_init__(self) -> None:
+
+class DiversityConfig(_Settings):
+    """Knobs shared across the scoring pipeline."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: float, **kwargs: float) -> DiversityConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.threshold_km > 0:
             raise InvalidConfig("threshold_km", f"must be positive, got {self.threshold_km}")
         if not 0 < self.earth_radius_km <= MAX_EARTH_RADIUS_KM:
@@ -50,10 +53,10 @@ class DiversityConfig:
             raise InvalidConfig(
                 "mgdi_grid_steps", f"must be a positive integer, got {self.mgdi_grid_steps}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class DiversityReport:
+class DiversityReport(NamedTuple):
     """Per-endpoint-pair scoring result."""
 
     src: str

@@ -10,7 +10,7 @@ nearer endpoint otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import total_ordering
 from typing import Sequence
 
 from .errors import EmptyPath
@@ -32,7 +32,7 @@ def _normalize_lon(lon: float) -> float:
     return ((lon + 180.0) % 360.0) - 180.0
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class Coordinate:
     """Geographic position in decimal degrees, lon normalized to [-180, 180).
 
@@ -43,21 +43,38 @@ class Coordinate:
     equal.
     """
 
-    lat: float
-    lon: float
-    key: tuple[float, float] = field(init=False, repr=False, compare=False)
+    __slots__ = ("lat", "lon", "key")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.lat) or not (-90.0 <= self.lat <= 90.0):
-            raise ValueError(f"latitude must be in [-90, 90], got {self.lat}")
-        if not math.isfinite(self.lon):
-            raise ValueError(f"longitude must be finite, got {self.lon}")
-        lon = _normalize_lon(self.lon)
-        object.__setattr__(self, "lon", lon)
+    def __init__(self, lat: float, lon: float) -> None:
+        if not math.isfinite(lat) or not (-90.0 <= lat <= 90.0):
+            raise ValueError(f"latitude must be in [-90, 90], got {lat}")
+        if not math.isfinite(lon):
+            raise ValueError(f"longitude must be finite, got {lon}")
+        lon = _normalize_lon(lon)
         key_lon = round(lon, _KEY_DECIMALS)
-        object.__setattr__(
-            self, "key", (round(self.lat, _KEY_DECIMALS), -180.0 if key_lon == 180.0 else key_lon)
-        )
+        object.__setattr__(self, "lat", lat)
+        object.__setattr__(self, "lon", lon)
+        object.__setattr__(self, "key", (round(lat, _KEY_DECIMALS), -180.0 if key_lon == 180.0 else key_lon))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and (self.lat, self.lon) == (other.lat, other.lon)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lat, self.lon) < (other.lat, other.lon)
+
+    def __hash__(self) -> int:
+        return hash((self.lat, self.lon))
+
+    def __repr__(self) -> str:
+        return f"Coordinate(lat={self.lat!r}, lon={self.lon!r})"
+
+    def __reduce__(self) -> tuple[type[Coordinate], tuple[float, float]]:
+        return Coordinate, (self.lat, self.lon)
 
 
 # One node as the distance kernels need it: (lat, lon, cos(lat), x, y, z),

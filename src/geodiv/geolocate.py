@@ -8,11 +8,10 @@ Lookups resolve overlapping prefixes longest-prefix-first.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from functools import cached_property
 from ipaddress import AddressValueError, IPv4Address, IPv4Network, ip_network
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DuplicateCidr, ParseError, not_utf8
 from .geodesy import Coordinate, PreparedPath
@@ -131,23 +130,25 @@ def load_geodb(path: str | Path) -> GeoDb:
     return db
 
 
-@dataclass(frozen=True)
-class GeoPath:
+class _GeoPathFields(NamedTuple):
+    nodes: tuple[Coordinate, ...]
+    origin_routes: tuple[HopSequence, ...] = ()
+
+
+class GeoPath(_GeoPathFields):
     """Localized route: coordinate sequence with no consecutive duplicates.
 
     ``origin_routes`` records the IP-level hop sequences that mapped onto
     this coordinate sequence.
     """
 
-    nodes: tuple[Coordinate, ...]
-    origin_routes: tuple[HopSequence, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.nodes) < 2:
+    def __new__(cls, nodes: tuple[Coordinate, ...], origin_routes: tuple[HopSequence, ...] = ()) -> GeoPath:
+        if len(nodes) < 2:
             raise ValueError("a geo-path needs at least 2 nodes")
-        for a, b in zip(self.nodes, self.nodes[1:]):
+        for a, b in zip(nodes, nodes[1:]):
             if a.key == b.key:
                 raise ValueError("consecutive duplicate coordinates in geo-path")
+        return super().__new__(cls, nodes, origin_routes)
 
     def sort_key(self) -> tuple[tuple[float, float], ...]:
         return tuple((n.lat, n.lon) for n in self.nodes)
@@ -157,10 +158,10 @@ class GeoPath:
         """The nodes' and arcs' trigonometry, built on first use."""
         return PreparedPath(self.nodes)
 
-    def __getstate__(self) -> dict[str, object]:
+    def __getstate__(self) -> None:
         # Pickles between processes carry the nodes; the prepared
         # trigonometry is rebuilt where it is used.
-        return {"nodes": self.nodes, "origin_routes": self.origin_routes}
+        return None
 
 
 def route_to_geopath(route: HopSequence, db: GeoDb) -> GeoPath | None:
@@ -187,8 +188,7 @@ def route_to_geopath(route: HopSequence, db: GeoDb) -> GeoPath | None:
     return GeoPath(nodes=tuple(nodes), origin_routes=(tuple(route),))
 
 
-@dataclass(frozen=True)
-class FilterStats:
+class FilterStats(NamedTuple):
     """Per-stage accounting for the endpoint-pair filter."""
 
     input_pairs: int

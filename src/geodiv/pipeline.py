@@ -12,14 +12,11 @@ trace file while the main process loads the geolocation snapshot.
 from __future__ import annotations
 
 import json
-import multiprocessing
-from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain
-from multiprocessing.connection import Connection
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .cluster import Cluster, cluster_pair_routes
 from .diversity import MAX_EARTH_RADIUS_KM, DiversityConfig, DiversityReport, compression_ratio, gdi, mgdi
@@ -28,17 +25,17 @@ from .geodesy import EARTH_RADIUS_KM, Coordinate, great_circle_distance, path_le
 from .geolocate import FilterStats, GeoPath, filter_pairs, load_geodb
 from .traces import Pair, group_by_pair, parse_trace_file
 
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+
 PAIRS_CSV_HEADER = "src,dst,ip_routes,geo_paths,clusters,compression,gdi_km,mgdi_km,gdi_over_mgdi"
 ECDF_CSV_HEADER = "value,cum_fraction"
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
 
-_FORK = multiprocessing.get_context("fork")
 
-
-@dataclass(frozen=True)
-class PipelineSummary:
+class PipelineSummary(NamedTuple):
     """Corpus-level accounting plus the per-pair scoring reports."""
 
     total_pairs: int
@@ -48,8 +45,7 @@ class PipelineSummary:
     per_pair: tuple[DiversityReport, ...]
 
 
-@dataclass(frozen=True)
-class ClusteredPair:
+class ClusteredPair(NamedTuple):
     """Clustering result for one endpoint pair, ready for scoring."""
 
     pair: Pair
@@ -79,14 +75,20 @@ def _run_forked(calls: Sequence[Callable[[], object]]) -> list[object]:
     child, which inherits this process's memory (nothing is pickled into
     it) and sends its outcome back through a pipe. Every pipe is read, so
     no child blocks on a full one, and every child has exited on return.
-    Call it only while no other thread runs.
+    Call it only while no other thread runs. ``multiprocessing`` is
+    imported only when there is a child to start.
     """
+    if len(calls) == 1:
+        return [_outcome(calls[0])]
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
     children: list[tuple[multiprocessing.process.BaseProcess, Connection]] = []
     try:
         for call in calls[1:]:
-            receiver, sender = _FORK.Pipe(duplex=False)
+            receiver, sender = fork.Pipe(duplex=False)
             receivers = [r for _, r in children] + [receiver]
-            child = _FORK.Process(target=_send_outcome, args=(call, sender, receivers))
+            child = fork.Process(target=_send_outcome, args=(call, sender, receivers))
             child.start()
             sender.close()
             children.append((child, receiver))
@@ -344,7 +346,7 @@ def emit_report(summary: PipelineSummary, out_dir: str | Path) -> list[Path]:
             "pairs_removed_stage2": summary.pairs_removed_stage2,
             "pairs_scored": summary.pairs_scored,
         },
-        "pairs": [asdict(report) for report in summary.per_pair],
+        "pairs": [report._asdict() for report in summary.per_pair],
     }
     report_json = out / "report.json"
     _write_text(report_json, json.dumps(payload, indent=2) + "\n")
@@ -396,7 +398,7 @@ def write_clusters_file(
     payload = {
         "threshold_km": cfg.threshold_km,
         "earth_radius_km": cfg.earth_radius_km,
-        "filter_stats": asdict(stats),
+        "filter_stats": stats._asdict(),
         "pairs": [
             {
                 "src": cp.pair[0],
@@ -444,15 +446,15 @@ def _path_from_json(nodes: object, *, path: str, what: str) -> GeoPath:
 
 
 def _count(value: object) -> int:
-    """A whole count from a clusters file. Past the float range it could
-    not form a ratio, so ``float`` raises ``OverflowError`` there, as
-    ``int`` does for an infinite float. A JSON ``true`` or ``false`` is no
-    count, though Python takes it for 1 or 0."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected a count, got {json.dumps(value)}")
-    count = int(value)
-    float(count)
-    return count
+    """A whole count from a clusters file: a JSON integer, so neither a
+    fraction, a string nor ``true`` or ``false``, which Python would take
+    for 1 or 0. Past the float range it could not form a ratio, so
+    ``float`` raises ``OverflowError`` there."""
+    if type(value) is not int:
+        shown = "an array or object" if isinstance(value, (list, dict)) else json.dumps(value)
+        raise TypeError(f"expected a count, got {shown}")
+    float(value)
+    return value
 
 
 def read_clusters_file(
@@ -477,17 +479,16 @@ def read_clusters_file(
     # A missing, null or zero radius means "not recorded"; a JSON true or
     # false is no number.
     recorded = payload.get("earth_radius_km")
-    radius = recorded or EARTH_RADIUS_KM
-    if (
+    if recorded is not None and (
         isinstance(recorded, bool)
-        or not isinstance(radius, (int, float))
-        or not 0.0 <= radius <= MAX_EARTH_RADIUS_KM
+        or not isinstance(recorded, (int, float))
+        or not 0.0 <= recorded <= MAX_EARTH_RADIUS_KM
     ):
         raise ParseError(
             f"earth_radius_km must be a positive number of at most {MAX_EARTH_RADIUS_KM:g}, got {recorded!r}",
             path=name,
         )
-    radius = float(radius)
+    radius = float(recorded or EARTH_RADIUS_KM)
     stats = None
     raw_stats = payload.get("filter_stats")
     if isinstance(raw_stats, dict):
@@ -512,10 +513,10 @@ def read_clusters_file(
             raise ParseError(f"malformed pair entry: {exc}", path=name) from exc
         if not isinstance(clusters, list) or not clusters:
             raise ParseError(f"pair {pair}: 'clusters' must be a non-empty array", path=name)
-        if ip_route_count < len(clusters):
+        if not len(clusters) <= geo_path_count <= ip_route_count:
             raise ParseError(
-                f"pair {pair}: ip_route_count {ip_route_count} is below its "
-                f"{len(clusters)} clusters",
+                f"pair {pair}: expected {len(clusters)} clusters <= geo_path_count "
+                f"{geo_path_count} <= ip_route_count {ip_route_count}",
                 path=name,
             )
         representatives = []

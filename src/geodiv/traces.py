@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from _socket import AF_INET, inet_pton  # socket re-exports these, at several times the import cost
 from ipaddress import AddressValueError, IPv4Address
 from pathlib import Path
-from socket import AF_INET, inet_pton
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidAddress, ParseError, invalid_json, not_utf8
 
@@ -30,8 +29,7 @@ Pair = tuple[str, str]
 HopSequence = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One traceroute output: endpoints plus the ordered hop list as measured."""
 
     src: str
@@ -39,17 +37,35 @@ class TraceRecord:
     hops: HopSequence
 
 
-@dataclass(frozen=True)
 class RouteSet:
     """Distinct IP-level routes observed for one (src, dst) pair.
 
     Unresponsive markers are stripped before deduplication, so two
     measurements differing only in where responses were lost count as the
-    same IP-level route.
+    same IP-level route. A route set can be weakly referenced, which a
+    tuple cannot.
     """
 
-    pair: Pair
-    ip_routes: tuple[HopSequence, ...]
+    __slots__ = ("pair", "ip_routes", "__weakref__")
+
+    def __init__(self, pair: Pair, ip_routes: tuple[HopSequence, ...]) -> None:
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "ip_routes", ip_routes)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and (self.pair, self.ip_routes) == (other.pair, other.ip_routes)
+
+    def __hash__(self) -> int:
+        return hash((self.pair, self.ip_routes))
+
+    def __repr__(self) -> str:
+        return f"RouteSet(pair={self.pair!r}, ip_routes={self.ip_routes!r})"
+
+    def __reduce__(self) -> tuple[type[RouteSet], tuple[Pair, tuple[HopSequence, ...]]]:
+        return RouteSet, (self.pair, self.ip_routes)
 
 
 def parse_ipv4(text: str) -> int:

@@ -82,12 +82,12 @@ def test_cluster_then_gdi_matches_pipeline(seven_route_corpus, small_pool, tmp_p
     # scored in this process.
     started = []
 
-    class CountingProcess(pipeline._FORK.Process):
+    class CountingProcess(multiprocessing.get_context("fork").Process):
         def start(self):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(pipeline._FORK, "Process", CountingProcess)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", CountingProcess)
     wide = tmp_path / "wide"
     assert main(
         ["pipeline", "--traces", str(traces), "--geodb", str(geodb), "--out", str(wide), "--jobs", "5"]
@@ -133,6 +133,44 @@ def _cli(argv):
     return subprocess.run(
         [sys.executable, "-m", "geodiv.cli", *argv], capture_output=True, env=env, timeout=120
     )
+
+
+# Which of the heavy modules importing the CLI loads beyond a bare
+# interpreter, then which ones are loaded after a --jobs 1 run of each
+# command, as one JSON list per line. The script's arguments are the trace
+# file, the snapshot and an output directory.
+_IMPORT_DIET = """
+import json, sys
+before = set(sys.modules)
+from geodiv.cli import main
+heavy = {"dataclasses", "inspect", "multiprocessing", "socket"}
+print(json.dumps(sorted(heavy & (set(sys.modules) - before))))
+traces, geodb, out = sys.argv[1:]
+inputs = ["--traces", traces, "--geodb", geodb, "--jobs", "1"]
+assert main(["pipeline", *inputs, "--out", out + "/direct"]) == 0
+assert main(["cluster", *inputs, "--out", out + "/staged"]) == 0
+assert main(["gdi", "--clusters", out + "/staged/clusters.json", "--out", out + "/scored", "--jobs", "1"]) == 0
+print(json.dumps(sorted(heavy & (set(sys.modules) - before))))
+"""
+
+
+def test_a_launch_imports_only_what_a_run_uses(seven_route_corpus, tmp_path):
+    # Module sets only, no timing: importing the CLI loads neither
+    # dataclasses (nor the inspect it pulls in), nor multiprocessing, nor
+    # socket, and a --jobs 1 run of each command forks nothing, so it never
+    # loads multiprocessing either.
+    traces, geodb, _ = seven_route_corpus
+    src = str(Path(geodiv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_DIET, str(traces), str(geodb), str(tmp_path)],
+        capture_output=True, env=env, timeout=120, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert json.loads(lines[0]) == []
+    assert json.loads(lines[-1]) == []
+    assert (tmp_path / "scored" / "report.json").read_bytes() == (tmp_path / "direct" / "report.json").read_bytes()
 
 
 def test_warnings_are_identical_for_any_jobs(small_pool, tmp_path):
@@ -230,11 +268,16 @@ def test_unexpected_failure_is_internal_error(seven_route_corpus, tmp_path, monk
         ("gdi", ["--jobs", "0"], None, "error: --jobs must be a positive integer, got 0\n"),
         ("gdi", [], lambda payload: payload.update(earth_radius_km=True), "clusters.json"),
         ("gdi", [], lambda payload: payload.update(earth_radius_km=False), "clusters.json"),
+        ("gdi", [], lambda payload: payload.update(earth_radius_km=""), "clusters.json"),
+        ("gdi", [], lambda payload: payload.update(earth_radius_km=[]), "clusters.json"),
+        ("gdi", [], lambda payload: payload.update(earth_radius_km={}), "clusters.json"),
+        ("gdi", [], lambda payload: payload.update(earth_radius_km="6371"), "clusters.json"),
     ],
     ids=[
         "threshold", "grid-steps", "radius", "gdi-grid-steps", "file-radius", "file-route-count",
         "threshold-nan", "radius-nan", "radius-huge", "file-radius-huge",
         "jobs-zero", "cluster-jobs-negative", "gdi-jobs-zero", "file-radius-true", "file-radius-false",
+        "file-radius-empty-string", "file-radius-empty-array", "file-radius-empty-object", "file-radius-string",
     ],
 )
 def test_bad_setting_is_input_error(seven_route_corpus, tmp_path, capsys, command, flags, edit, named):
@@ -404,13 +447,25 @@ _CSV_LIMIT_REASON = "malformed CSV: field larger than field limit"
         ("clusters.json", ("ip_route_count", "true"), "malformed pair entry: expected a count, got true"),
         ("clusters.json", ("geo_path_count", "false"), "malformed pair entry: expected a count, got false"),
         ("clusters.json", ("input_pairs", "true"), "malformed filter_stats: expected a count, got true"),
+        ("clusters.json", ("ip_route_count", "7.9"), "malformed pair entry: expected a count, got 7.9"),
+        ("clusters.json", ("ip_route_count", "7.0"), "malformed pair entry: expected a count, got 7.0"),
+        ("clusters.json", ("geo_path_count", '"5"'), 'malformed pair entry: expected a count, got "5"'),
+        ("clusters.json", ("geo_path_count", "[5]"), "malformed pair entry: expected a count, got an array"),
+        ("clusters.json", ("input_pairs", "3.5"), "malformed filter_stats: expected a count, got 3.5"),
+        ("clusters.json", ("removed_single_ip_route", '"0"'), 'malformed filter_stats: expected a count, got "0"'),
+        ("clusters.json", ("ip_route_count", "4"),
+         "pair ('172.20.0.1', '172.20.0.2'): expected 3 clusters <= geo_path_count 5 <= ip_route_count 4"),
+        ("clusters.json", ("geo_path_count", "2"),
+         "pair ('172.20.0.1', '172.20.0.2'): expected 3 clusters <= geo_path_count 2 <= ip_route_count 7"),
     ],
     ids=[
         "trace-too-deep", "trace-long-integer", "geodb-long-field", "geodb-long-quoted-field",
         "clusters-too-deep", "clusters-infinite-route-count", "clusters-infinite-geo-path-count",
         "clusters-infinite-input-pairs", "clusters-infinite-removed", "clusters-route-count-past-float",
         "clusters-long-integer", "clusters-true-route-count", "clusters-false-geo-path-count",
-        "clusters-true-input-pairs",
+        "clusters-true-input-pairs", "clusters-fractional-route-count", "clusters-float-route-count",
+        "clusters-string-geo-path-count", "clusters-array-geo-path-count", "clusters-fractional-input-pairs",
+        "clusters-string-removed", "clusters-fewer-routes-than-geo-paths", "clusters-fewer-geo-paths-than-clusters",
     ],
 )
 def test_input_past_parser_limits_is_a_located_input_error(seven_route_corpus, tmp_path, capsys, bad_file, bad, reason):

@@ -211,12 +211,12 @@ def _rows(count):
 def test_stripes_start_one_child_fewer_than_their_count(monkeypatch):
     started = []
 
-    class CountingProcess(pipeline._FORK.Process):
+    class CountingProcess(multiprocessing.get_context("fork").Process):
         def start(self):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(pipeline._FORK, "Process", CountingProcess)
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", CountingProcess)
     want = score_cluster_rows(_rows(3), DiversityConfig(), jobs=1)
     counts = []
     for count, jobs in ((3, 64), (3, 2), (1, 64), (3, 1)):
@@ -339,6 +339,10 @@ def test_clusters_file_round_trip(seven_route_corpus, tmp_path):
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps(payload), encoding="utf-8")
     assert read_clusters_file(bare)[1:] == (EARTH_RADIUS_KM, FilterStats(1, 0, 0))
+    # Only a missing, null or zero radius means "not recorded".
+    for recorded in (None, 0, 0.0, -0.0):
+        bare.write_text(json.dumps({**payload, "earth_radius_km": recorded}), encoding="utf-8")
+        assert read_clusters_file(bare)[1] == EARTH_RADIUS_KM
     assert len(rows) == 1
     pair, representatives, geo_path_count, ip_route_count = rows[0]
     assert ip_route_count == expected["ip_routes"]
