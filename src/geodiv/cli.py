@@ -52,8 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("gdi", "score a clusters.json file and emit reports"),
     ):
         p = sub.add_parser(command, help=summary)
-        gdi = command == "gdi"
-        if gdi:
+        if command == "gdi":
             p.add_argument("--clusters", required=True, metavar="PATH", help="clusters.json input")
         else:
             p.add_argument("--traces", required=True, metavar="PATH", help="JSONL trace file")
@@ -62,11 +61,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "--threshold-km", type=float, default=_DEFAULTS.threshold_km, metavar="KM",
                 help="geographic-equality threshold (default: %(default)g)",
             )
-        stored = "the clusters file's, else " if gdi else ""
-        p.add_argument(
-            "--earth-radius-km", type=float, default=None if gdi else _DEFAULTS.earth_radius_km, metavar="KM",
-            help=f"spherical Earth radius (default: {stored}{_DEFAULTS.earth_radius_km:g})",
-        )
+            p.add_argument(
+                "--earth-radius-km", type=float, default=_DEFAULTS.earth_radius_km, metavar="KM",
+                help="spherical Earth radius (default: %(default)g)",
+            )
         if command != "cluster":
             p.add_argument(
                 "--mgdi-grid-steps", type=int, default=_DEFAULTS.mgdi_grid_steps, metavar="N",
@@ -128,11 +126,9 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_gdi(args: argparse.Namespace) -> int:
-    rows, radius, stats = read_clusters_file(args.clusters)
-    if args.earth_radius_km is not None:
-        radius = args.earth_radius_km
+    clustered, radius, stats = read_clusters_file(args.clusters)
     cfg = DiversityConfig(earth_radius_km=radius, mgdi_grid_steps=args.mgdi_grid_steps)
-    return _report(summarize(stats, score_cluster_rows(rows, cfg, jobs=args.jobs)), args.out)
+    return _report(summarize(stats, score_cluster_rows(clustered, cfg, jobs=args.jobs)), args.out)
 
 
 _COMMANDS = {

@@ -191,6 +191,21 @@ def _triangle_pair_scores(
 _BOUND_SLACK = 1.0 + 1e-9
 
 
+def _admit(
+    row: Sequence[float], v: int, opening: tuple[float, int, int], candidates: Iterable[tuple[float, int]]
+) -> list[tuple[float, int]]:
+    """The candidates that may still join once route ``v`` (table row
+    ``row``) is selected, each scored no higher than its pair with ``v``;
+    one whose pair with ``v`` beats the opening pair ``(i, j)``, by a
+    higher score or the same score at an earlier index pair, is dropped."""
+    top, i, j = opening
+    return [
+        (min(s, row[k]), k)
+        for s, k in candidates
+        if row[k] < top or (row[k] == top and (min(k, v), max(k, v)) > (i, j))
+    ]
+
+
 def _extend_trajectory(
     table: Sequence[Sequence[float]],
     opening: tuple[float, int, int],
@@ -207,7 +222,6 @@ def _extend_trajectory(
     route that may still join without changing an earlier greedy choice;
     ``slots`` is how many more routes may join.
     """
-    top, i, j = opening
     candidates.sort(key=lambda c: (-c[0], c[1]))
     scores = [score for score, _ in candidates]
     for pos, (score, v) in enumerate(candidates):
@@ -220,15 +234,9 @@ def _extend_trajectory(
         if holds_pinned and value > best:
             best = value
         if slots > 1:
-            row = table[v]
             # Routes sorted after this pick leave the greedy's choice of it
-            # unchanged (lower score, or a tie with a later index); drop
-            # those that would form a pair beating the opening pair.
-            rest = [
-                (min(s, row[k]), k)
-                for s, k in candidates[pos + 1 :]
-                if row[k] < top or (row[k] == top and (min(k, v), max(k, v)) > (i, j))
-            ]
+            # unchanged (lower score, or a tie with a later index).
+            rest = _admit(table[v], v, opening, candidates[pos + 1 :])
             if holds_pinned or any(k == pinned for _, k in rest):
                 best = _extend_trajectory(
                     table, opening, pinned, slots - 1, value, rest, holds_pinned, best
@@ -249,25 +257,16 @@ def _best_greedy_set(
     openings = sorted(
         ((table[i][j], i, j) for i in range(m) for j in range(i + 1, m)), key=lambda o: -o[0]
     )
-    for top, i, j in openings:
+    for opening in openings:
+        top, i, j = opening
         if (max_routes - 1) * top * _BOUND_SLACK <= best:
             break
-        row_i, row_j = table[i], table[j]
-        # A route may join only if neither of its pairs with the opening
-        # routes beats the opening pair (i, j): a lower score, or a tie
-        # with a later pair, which for i < j means k > j and k > i.
-        candidates = [
-            (min(row_i[k], row_j[k]), k)
-            for k in range(m)
-            if k != i
-            and k != j
-            and (row_i[k] < top or (row_i[k] == top and k > j))
-            and (row_j[k] < top or (row_j[k] == top and k > i))
-        ]
+        candidates = [(math.inf, k) for k in range(m) if k != i and k != j]
+        candidates = _admit(table[j], j, opening, _admit(table[i], i, opening, candidates))
         has_pinned = pinned in (i, j)
         if has_pinned or any(k == pinned for _, k in candidates):
             best = _extend_trajectory(
-                table, (top, i, j), pinned, max_routes - 2, top, candidates, has_pinned, best
+                table, opening, pinned, max_routes - 2, top, candidates, has_pinned, best
             )
     return best
 

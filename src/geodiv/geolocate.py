@@ -164,12 +164,10 @@ class GeoPath(_GeoPathFields):
         return None
 
 
-def route_to_geopath(route: HopSequence, db: GeoDb) -> GeoPath | None:
-    """Localize one IP route; returns None when fewer than 2 nodes survive.
-
-    Unresponsive and unlocatable hops are dropped; consecutive hops at the
-    same location collapse to a single node.
-    """
+def _localize(route: HopSequence, db: GeoDb) -> tuple[Coordinate, ...]:
+    """The located nodes of one IP route: unresponsive and unlocatable hops
+    are dropped, and consecutive hops at the same location collapse to a
+    single node."""
     nodes: list[Coordinate] = []
     last_key: tuple[float, float] | None = None
     for hop in route:
@@ -183,9 +181,14 @@ def route_to_geopath(route: HopSequence, db: GeoDb) -> GeoPath | None:
             continue
         nodes.append(location)
         last_key = key
-    if len(nodes) < 2:
-        return None
-    return GeoPath(nodes=tuple(nodes), origin_routes=(tuple(route),))
+    return tuple(nodes)
+
+
+def route_to_geopath(route: HopSequence, db: GeoDb) -> GeoPath | None:
+    """Localize one IP route (see :func:`_localize`); returns None when
+    fewer than 2 nodes survive."""
+    nodes = _localize(route, db)
+    return GeoPath(nodes=nodes, origin_routes=(tuple(route),)) if len(nodes) >= 2 else None
 
 
 class FilterStats(NamedTuple):
@@ -220,14 +223,14 @@ def filter_pairs(
             continue
         by_key: dict[tuple[tuple[float, float], ...], tuple[tuple[Coordinate, ...], list[HopSequence]]] = {}
         for route in route_set.ip_routes:
-            geopath = route_to_geopath(route, db)
-            if geopath is None:
+            nodes = _localize(route, db)
+            if len(nodes) < 2:
                 continue
-            key = tuple(n.key for n in geopath.nodes)
+            key = tuple(n.key for n in nodes)
             if key in by_key:
-                by_key[key][1].extend(geopath.origin_routes)
+                by_key[key][1].append(route)
             else:
-                by_key[key] = (geopath.nodes, list(geopath.origin_routes))
+                by_key[key] = (nodes, [route])
         distinct = [
             GeoPath(nodes=nodes, origin_routes=tuple(sorted(origins)))
             for nodes, origins in by_key.values()

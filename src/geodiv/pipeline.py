@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from functools import partial
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
 
@@ -225,19 +225,14 @@ def cluster_corpus(
     return _over_corpus(traces_path, geodb_path, cfg, jobs, cluster_pair)
 
 
-def score_clustered_pair(
-    pair: Pair,
-    representatives: Sequence[GeoPath],
-    geo_path_count: int,
-    ip_route_count: int,
-    cfg: DiversityConfig,
-) -> DiversityReport:
-    """Compute the diversity report for one pair's cluster representatives.
+def score_clustered_pair(clustered: ClusteredPair, cfg: DiversityConfig) -> DiversityReport:
+    """The diversity report of one clustered pair, from its clusters' representatives.
 
     MGDI inputs come from the longest representative: its polyline length,
     and the distance between its first and last nodes. A loop route
     (coincident first/last node) has no triangle construction; its MGDI is 0.
     """
+    representatives = [c.representative for c in clustered.clusters]
     radius = cfg.earth_radius_km
     gdi_km = gdi(representatives, radius)
 
@@ -261,12 +256,12 @@ def score_clustered_pair(
         ratio = 0.0 if gdi_km == 0.0 else float("inf")
 
     return DiversityReport(
-        src=pair[0],
-        dst=pair[1],
-        ip_route_count=ip_route_count,
-        geo_path_count=geo_path_count,
+        src=clustered.pair[0],
+        dst=clustered.pair[1],
+        ip_route_count=clustered.ip_route_count,
+        geo_path_count=clustered.geo_path_count,
         cluster_count=len(representatives),
-        compression_ratio=compression_ratio(ip_route_count, len(representatives)),
+        compression_ratio=compression_ratio(clustered.ip_route_count, len(representatives)),
         gdi_km=gdi_km,
         mgdi_km=mgdi_km,
         gdi_over_mgdi=ratio,
@@ -277,20 +272,17 @@ def score_pair(
     pair: Pair, geopaths: Sequence[GeoPath], ip_route_count: int, cfg: DiversityConfig
 ) -> DiversityReport:
     """Cluster one pair's geo-paths and compute its diversity report."""
-    clusters = cluster_pair(pair, geopaths, ip_route_count, cfg).clusters
-    representatives = [c.representative for c in clusters]
-    return score_clustered_pair(pair, representatives, len(geopaths), ip_route_count, cfg)
+    return score_clustered_pair(cluster_pair(pair, geopaths, ip_route_count, cfg), cfg)
 
 
 def score_cluster_rows(
-    rows: Iterable[tuple[Pair, Sequence[GeoPath], int, int]], cfg: DiversityConfig, jobs: int = 1
+    rows: Iterable[ClusteredPair], cfg: DiversityConfig, jobs: int = 1
 ) -> tuple[DiversityReport, ...]:
-    """Score :func:`read_clusters_file` rows in pair order, in up to
-    ``jobs`` processes."""
-    ordered = sorted(rows, key=lambda row: row[0])
+    """Score clustered pairs in pair order, in up to ``jobs`` processes."""
+    ordered = sorted(rows, key=attrgetter("pair"))
 
     def stripe(k: int, w: int) -> tuple[list[tuple[int, DiversityReport | Exception]], None]:
-        tasks = ((p, (*ordered[p], cfg)) for p in range(k, len(ordered), w))
+        tasks = ((p, (ordered[p], cfg)) for p in range(k, len(ordered), w))
         return _each(score_clustered_pair, tasks), None
 
     return tuple(_in_stripes(stripe, len(ordered), jobs)[0])
@@ -446,25 +438,23 @@ def _path_from_json(nodes: object, *, path: str, what: str) -> GeoPath:
 
 
 def _count(value: object) -> int:
-    """A whole count from a clusters file: a JSON integer, so neither a
-    fraction, a string nor ``true`` or ``false``, which Python would take
-    for 1 or 0. Past the float range it could not form a ratio, so
-    ``float`` raises ``OverflowError`` there."""
-    if type(value) is not int:
+    """A whole count from a clusters file: a non-negative JSON integer, so
+    neither a fraction, a string nor ``true`` or ``false``, which Python
+    would take for 1 or 0. Past the float range it could not form a ratio,
+    so ``float`` raises ``OverflowError`` there."""
+    if type(value) is not int or value < 0:
         shown = "an array or object" if isinstance(value, (list, dict)) else json.dumps(value)
         raise TypeError(f"expected a count, got {shown}")
     float(value)
     return value
 
 
-def read_clusters_file(
-    path: str | Path,
-) -> tuple[list[tuple[Pair, list[GeoPath], int, int]], float, FilterStats]:
-    """Load a clusters file; returns (pair, representatives, geo_path_count,
-    ip_route_count) rows in file order, the earth radius and the filter
-    stats recorded by the clustering run. A file that records no radius
-    gives ``EARTH_RADIUS_KM``, and one without stats counts every pair in
-    it as scored."""
+def read_clusters_file(path: str | Path) -> tuple[list[ClusteredPair], float, FilterStats]:
+    """Load a clusters file; returns its clustered pairs in file order, the
+    earth radius and the filter stats recorded by the clustering run. Each
+    cluster is ``Cluster(k, (representative,))``, as scoring reads no
+    ``members``. A file that records no radius gives ``EARTH_RADIUS_KM``,
+    and one without stats counts every pair in it as scored."""
     name = str(path)
     with open(path, encoding="utf-8") as fh:
         try:
@@ -500,7 +490,7 @@ def read_clusters_file(
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed filter_stats: {exc}", path=name) from exc
-    rows = []
+    clustered: dict[Pair, ClusteredPair] = {}
     for entry in payload["pairs"]:
         if not isinstance(entry, dict):
             raise ParseError("each pair entry must be an object", path=name)
@@ -511,6 +501,8 @@ def read_clusters_file(
             clusters = entry["clusters"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed pair entry: {exc}", path=name) from exc
+        if pair in clustered:
+            raise ParseError(f"pair {pair} is listed twice", path=name)
         if not isinstance(clusters, list) or not clusters:
             raise ParseError(f"pair {pair}: 'clusters' must be a non-empty array", path=name)
         if not len(clusters) <= geo_path_count <= ip_route_count:
@@ -519,12 +511,15 @@ def read_clusters_file(
                 f"{geo_path_count} <= ip_route_count {ip_route_count}",
                 path=name,
             )
-        representatives = []
-        for cluster in clusters:
+        parsed = []
+        for k, cluster in enumerate(clusters):
             if not isinstance(cluster, dict) or "representative" not in cluster:
                 raise ParseError(f"pair {pair}: cluster without representative", path=name)
-            representatives.append(
-                _path_from_json(cluster["representative"], path=name, what=f"pair {pair}")
-            )
-        rows.append((pair, representatives, geo_path_count, ip_route_count))
-    return rows, radius, stats or FilterStats(len(rows), 0, 0)
+            representative = _path_from_json(cluster["representative"], path=name, what=f"pair {pair}")
+            parsed.append(Cluster(k, (representative,)))
+        clustered[pair] = ClusteredPair(pair, ip_route_count, geo_path_count, tuple(parsed))
+    stats = stats or FilterStats(len(clustered), 0, 0)
+    if stats.surviving_pairs != len(clustered):
+        message = f"filter_stats leave {stats.surviving_pairs} of {stats.input_pairs} input pairs"
+        raise ParseError(f"{message}, but the file lists {len(clustered)}", path=name)
+    return list(clustered.values()), radius, stats

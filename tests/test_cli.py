@@ -127,6 +127,23 @@ def test_cluster_then_gdi_matches_pipeline(seven_route_corpus, small_pool, tmp_p
     assert runs[2] == runs[0]
 
 
+def test_gdi_scores_at_the_radius_its_file_records(seven_route_corpus, tmp_path):
+    # Clustering at 7000 km records that radius, and gdi scores at it, so
+    # the staged run still matches the one-pass pipeline.
+    traces, geodb, _ = seven_route_corpus
+    inputs = ["--traces", str(traces), "--geodb", str(geodb), "--jobs", "1"]
+    at_7000 = [*inputs, "--earth-radius-km", "7000"]
+    assert main(["pipeline", *at_7000, "--out", str(tmp_path / "direct")]) == 0
+    assert main(["cluster", *at_7000, "--out", str(tmp_path / "staged")]) == 0
+    clusters = tmp_path / "staged" / "clusters.json"
+    assert json.loads(clusters.read_text())["earth_radius_km"] == 7000.0
+    assert main(["gdi", "--clusters", str(clusters), "--out", str(tmp_path / "scored"), "--jobs", "1"]) == 0
+    assert main(["pipeline", *inputs, "--out", str(tmp_path / "default")]) == 0
+    for name in REPORT_FILES:
+        assert (tmp_path / "direct" / name).read_bytes() == (tmp_path / "scored" / name).read_bytes()
+    assert (tmp_path / "direct" / "pairs.csv").read_bytes() != (tmp_path / "default" / "pairs.csv").read_bytes()
+
+
 def _cli(argv):
     src = str(Path(geodiv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -307,8 +324,11 @@ def test_bad_setting_is_input_error(seven_route_corpus, tmp_path, capsys, comman
         (["gdi", "--mgdi-grid-steps", "1.5"], "argument --mgdi-grid-steps: invalid int value: '1.5'"),
         (["pipeline", "--geodb", "geodb.csv", "--out", "out"], "the following arguments are required: --traces"),
         ([], "the following arguments are required: command"),
+        # gdi scores at the radius its clusters file records.
+        (["gdi", "--clusters", "clusters.json", "--out", "out", "--earth-radius-km", "7000"],
+         "unrecognized arguments: --earth-radius-km 7000"),
     ],
-    ids=["jobs-not-int", "grid-steps-not-int", "missing-traces", "missing-subcommand"],
+    ids=["jobs-not-int", "grid-steps-not-int", "missing-traces", "missing-subcommand", "gdi-radius"],
 )
 def test_usage_error_is_input_error(capsys, argv, message):
     with pytest.raises(SystemExit) as exit_info:
@@ -457,6 +477,12 @@ _CSV_LIMIT_REASON = "malformed CSV: field larger than field limit"
          "pair ('172.20.0.1', '172.20.0.2'): expected 3 clusters <= geo_path_count 5 <= ip_route_count 4"),
         ("clusters.json", ("geo_path_count", "2"),
          "pair ('172.20.0.1', '172.20.0.2'): expected 3 clusters <= geo_path_count 2 <= ip_route_count 7"),
+        ("clusters.json", ("ip_route_count", "-7"), "malformed pair entry: expected a count, got -7"),
+        ("clusters.json", ("input_pairs", "-5"), "malformed filter_stats: expected a count, got -5"),
+        ("clusters.json", ("removed_single_geo_path", "-1"), "malformed filter_stats: expected a count, got -1"),
+        ("clusters.json", ("input_pairs", "2"), "filter_stats leave 2 of 2 input pairs, but the file lists 1\n"),
+        ("clusters.json", ("removed_single_ip_route", "1"),
+         "filter_stats leave 0 of 1 input pairs, but the file lists 1\n"),
     ],
     ids=[
         "trace-too-deep", "trace-long-integer", "geodb-long-field", "geodb-long-quoted-field",
@@ -466,6 +492,8 @@ _CSV_LIMIT_REASON = "malformed CSV: field larger than field limit"
         "clusters-true-input-pairs", "clusters-fractional-route-count", "clusters-float-route-count",
         "clusters-string-geo-path-count", "clusters-array-geo-path-count", "clusters-fractional-input-pairs",
         "clusters-string-removed", "clusters-fewer-routes-than-geo-paths", "clusters-fewer-geo-paths-than-clusters",
+        "clusters-negative-route-count", "clusters-negative-input-pairs", "clusters-negative-removed",
+        "clusters-stats-leave-more-pairs", "clusters-stats-leave-fewer-pairs",
     ],
 )
 def test_input_past_parser_limits_is_a_located_input_error(seven_route_corpus, tmp_path, capsys, bad_file, bad, reason):
@@ -498,6 +526,22 @@ def test_input_past_parser_limits_is_a_located_input_error(seven_route_corpus, t
     serial, parallel = _run_both_ways(capsys, [*argv, "--out", str(tmp_path / "out")])
     assert serial == parallel
     assert serial.startswith(f"error: {located}{reason}")
+
+
+def test_a_pair_listed_twice_is_a_located_input_error(seven_route_corpus, tmp_path, capsys):
+    # The stats agree with two pairs, so only the repeat is wrong; scoring
+    # it would write the pair's row twice.
+    traces, geodb, _ = seven_route_corpus
+    assert main(["cluster", "--traces", str(traces), "--geodb", str(geodb),
+                 "--out", str(tmp_path), "--jobs", "1"]) == 0
+    clusters = tmp_path / "clusters.json"
+    payload = json.loads(clusters.read_text(encoding="utf-8"))
+    payload["pairs"].append(payload["pairs"][0])
+    payload["filter_stats"]["input_pairs"] += 1
+    clusters.write_text(json.dumps(payload), encoding="utf-8")
+    serial, parallel = _run_both_ways(capsys, ["gdi", "--clusters", str(clusters), "--out", str(tmp_path / "out")])
+    assert serial == parallel == f"error: {clusters}: pair ('172.20.0.1', '172.20.0.2') is listed twice\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("depth", [_MAX_NESTING, _MAX_NESTING + 1, 975])

@@ -12,6 +12,7 @@ from corpus import CorpusSpec, build_corpus
 
 from geodiv import (
     EARTH_RADIUS_KM,
+    Cluster,
     Coordinate,
     DiversityConfig,
     FilterStats,
@@ -26,6 +27,7 @@ from geodiv import pipeline
 from geodiv.cli import main
 from geodiv.pipeline import (
     PAIRS_CSV_HEADER,
+    ClusteredPair,
     cluster_corpus,
     read_clusters_file,
     score_cluster_rows,
@@ -175,15 +177,17 @@ def test_gdi_over_mgdi_above_one_is_flagged(tmp_path, capfd, caplog):
     p1, p2 = _parallel_paths()
     flat = GeoPath(nodes=(Coordinate(0, 0), Coordinate(0, 9)))
     rows = [
-        (("10.0.0.3", "10.9.0.1"), (p1, p2), 2, 2),
-        (("10.0.0.2", "10.9.0.1"), (p1, flat), 2, 2),
-        (("10.0.0.1", "10.9.0.1"), (p2, p1), 2, 2),
+        _clustered(("10.0.0.3", "10.9.0.1"), (p1, p2)),
+        _clustered(("10.0.0.2", "10.9.0.1"), (p1, flat)),
+        _clustered(("10.0.0.1", "10.9.0.1"), (p2, p1)),
     ]
     clusters = tmp_path / "clusters.json"
     entries = [
-        {"src": src, "dst": dst, "ip_route_count": ip_routes, "geo_path_count": geo_paths,
-         "clusters": [{"representative": [[n.lat, n.lon] for n in rep.nodes]} for rep in reps]}
-        for (src, dst), reps, geo_paths, ip_routes in rows
+        {"src": row.pair[0], "dst": row.pair[1], "ip_route_count": row.ip_route_count,
+         "geo_path_count": row.geo_path_count,
+         "clusters": [{"representative": [[n.lat, n.lon] for n in c.representative.nodes]}
+                      for c in row.clusters]}
+        for row in rows
     ]
     clusters.write_text(json.dumps({"pairs": entries}), encoding="utf-8")
     for jobs in (1, 2):
@@ -203,9 +207,15 @@ def test_gdi_over_mgdi_above_one_is_flagged(tmp_path, capfd, caplog):
         ]
 
 
+def _clustered(pair, representatives):
+    """A two-route pair clustered into one cluster per representative."""
+    clusters = tuple(Cluster(k, (rep,)) for k, rep in enumerate(representatives))
+    return ClusteredPair(pair, 2, 2, clusters)
+
+
 def _rows(count):
     p1, p2 = _parallel_paths()
-    return [((f"10.0.0.{i}", "10.9.0.1"), (p1, p2), 2, 2) for i in range(count)]
+    return [_clustered((f"10.0.0.{i}", "10.9.0.1"), (p1, p2)) for i in range(count)]
 
 
 def test_stripes_start_one_child_fewer_than_their_count(monkeypatch):
@@ -230,10 +240,10 @@ def test_stripes_start_one_child_fewer_than_their_count(monkeypatch):
 
 
 def test_first_failing_pair_in_pair_order_wins(monkeypatch):
-    def fails_on_some(pair, *args):
-        if pair[0] in ("10.0.0.2", "10.0.0.3", "10.0.0.5"):
-            raise ValueError(f"cannot score {pair[0]}")
-        return score_clustered(pair, *args)
+    def fails_on_some(clustered, cfg):
+        if clustered.pair[0] in ("10.0.0.2", "10.0.0.3", "10.0.0.5"):
+            raise ValueError(f"cannot score {clustered.pair[0]}")
+        return score_clustered(clustered, cfg)
 
     score_clustered = pipeline.score_clustered_pair
     monkeypatch.setattr(pipeline, "score_clustered_pair", fails_on_some)
@@ -250,8 +260,8 @@ def test_first_failing_pair_in_pair_order_wins(monkeypatch):
 def test_failing_main_stripe_next_to_a_large_child_result_fails_promptly(monkeypatch):
     # The child's stripe result is far larger than a pipe buffer, so it is
     # still sending when the main process's own stripe has failed.
-    def fails_first(pair, *args):
-        if pair[0] == "10.0.0.0":
+    def fails_first(clustered, cfg):
+        if clustered.pair[0] == "10.0.0.0":
             raise ValueError("the main stripe fails")
         return "x" * 1_000_000
 
@@ -332,6 +342,13 @@ def test_clusters_file_round_trip(seven_route_corpus, tmp_path):
     rows, radius, read_stats = read_clusters_file(path)
     assert radius == cfg.earth_radius_km
     assert read_stats == stats
+    # Each cluster comes back cut down to its representative's nodes, and
+    # scoring the rows gives the pipeline's reports.
+    assert rows == [
+        cp._replace(clusters=tuple(Cluster(c.id, (GeoPath(c.representative.nodes),)) for c in cp.clusters))
+        for cp in clustered
+    ]
+    assert score_cluster_rows(rows, cfg) == run_pipeline(traces, geodb, cfg).per_pair
     # A file that records neither gives the default radius, and counts
     # every pair in it as scored.
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -344,9 +361,8 @@ def test_clusters_file_round_trip(seven_route_corpus, tmp_path):
         bare.write_text(json.dumps({**payload, "earth_radius_km": recorded}), encoding="utf-8")
         assert read_clusters_file(bare)[1] == EARTH_RADIUS_KM
     assert len(rows) == 1
-    pair, representatives, geo_path_count, ip_route_count = rows[0]
-    assert ip_route_count == expected["ip_routes"]
-    assert geo_path_count == expected["geo_paths"]
-    assert len(representatives) == expected["clusters"]
+    assert rows[0].ip_route_count == expected["ip_routes"]
+    assert rows[0].geo_path_count == expected["geo_paths"]
+    assert len(rows[0].clusters) == expected["clusters"]
     want = [c.representative.nodes for c in clustered[0].clusters]
-    assert [r.nodes for r in representatives] == want
+    assert [c.representative.nodes for c in rows[0].clusters] == want
