@@ -34,15 +34,15 @@ def main() -> int:
     traces, geodb = corpus.write(out)
 
     cfg = DiversityConfig(threshold_km=args.threshold_km)
-    summary = run_pipeline(traces, geodb, cfg, jobs=args.jobs)
-    emit_report(summary, out)
+    reports, stats = run_pipeline(traces, geodb, cfg, jobs=args.jobs)
+    emit_report(reports, stats, out)
 
     print(
-        f"pairs: {summary.total_pairs} total / {summary.pairs_scored} scored "
-        f"(removed: {summary.pairs_removed_stage1} single-route, "
-        f"{summary.pairs_removed_stage2} single-geo-path)"
+        f"pairs: {stats.input_pairs} total / {len(reports)} scored "
+        f"(removed: {stats.removed_single_ip_route} single-route, "
+        f"{stats.removed_single_geo_path} single-geo-path)"
     )
-    ranked = sorted(summary.per_pair, key=lambda r: r.gdi_km, reverse=True)[:5]
+    ranked = sorted(reports, key=lambda r: r.gdi_km, reverse=True)[:5]
     print("top pairs by GDI:")
     for r in ranked:
         print(

@@ -16,20 +16,22 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .diversity import DiversityConfig
+from .diversity import DiversityConfig, DiversityReport
 from .errors import InvalidConfig, ParseError
+from .geolocate import FilterStats
 from .pipeline import (
-    PipelineSummary,
     cluster_corpus,
     emit_report,
     read_clusters_file,
     run_pipeline,
     score_cluster_rows,
-    summarize,
     write_clusters_file,
 )
 
 _DEFAULTS = DiversityConfig()
+# The most processes a run may keep busy, so that a typo cannot fork a
+# thousand at once.
+MAX_JOBS = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,34 +74,31 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--out", required=True, metavar="DIR", help="output directory")
         p.add_argument(
-            "--jobs", type=int, default=os.cpu_count() or 1, metavar="N",
-            help="worker processes (default: all cores)",
+            "--jobs", type=int, default=min(os.cpu_count() or 1, MAX_JOBS), metavar="N",
+            help=f"worker processes, at most {MAX_JOBS} (default: all cores)",
         )
     return parser
 
 
-def _print_counts(total: int, single_ip_route: int, single_geo_path: int, outcome: str) -> None:
+def _print_counts(stats: FilterStats, outcome: str) -> None:
     print(
-        f"pairs: {total} total, {single_ip_route} removed (single IP route), "
-        f"{single_geo_path} removed (single geo-path), {outcome}"
+        f"pairs: {stats.input_pairs} total, {stats.removed_single_ip_route} removed (single IP route), "
+        f"{stats.removed_single_geo_path} removed (single geo-path), {outcome}"
     )
 
 
-def _report(summary: PipelineSummary, out_dir: str) -> int:
+def _report(reports: list[DiversityReport], stats: FilterStats, out_dir: str) -> int:
     """Warn, in pair order, of each pair whose GDI exceeds its MGDI, then
     write the reports and print the counts."""
     sys.stderr.write("".join(
         f"WARNING geodiv.pipeline: pair {r.src} -> {r.dst}: "
         f"GDI {r.gdi_km:.3f} km exceeds MGDI {r.mgdi_km:.3f} km\n"
-        for r in summary.per_pair
+        for r in reports
         if r.gdi_over_mgdi > 1.0
     ))
     out = Path(out_dir)
-    emit_report(summary, out)
-    _print_counts(
-        summary.total_pairs, summary.pairs_removed_stage1, summary.pairs_removed_stage2,
-        f"{summary.pairs_scored} scored; reports in {out}",
-    )
+    emit_report(reports, stats, out)
+    _print_counts(stats, f"{len(reports)} scored; reports in {out}")
     return 0
 
 
@@ -109,7 +108,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         earth_radius_km=args.earth_radius_km,
         mgdi_grid_steps=args.mgdi_grid_steps,
     )
-    return _report(run_pipeline(args.traces, args.geodb, cfg, jobs=args.jobs), args.out)
+    return _report(*run_pipeline(args.traces, args.geodb, cfg, jobs=args.jobs), args.out)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
@@ -118,17 +117,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = write_clusters_file(clustered, cfg, out / "clusters.json", stats=stats)
-    _print_counts(
-        stats.input_pairs, stats.removed_single_ip_route, stats.removed_single_geo_path,
-        f"{len(clustered)} clustered; wrote {path}",
-    )
+    _print_counts(stats, f"{len(clustered)} clustered; wrote {path}")
     return 0
 
 
 def _cmd_gdi(args: argparse.Namespace) -> int:
     clustered, radius, stats = read_clusters_file(args.clusters)
     cfg = DiversityConfig(earth_radius_km=radius, mgdi_grid_steps=args.mgdi_grid_steps)
-    return _report(summarize(stats, score_cluster_rows(clustered, cfg, jobs=args.jobs)), args.out)
+    return _report(score_cluster_rows(clustered, cfg, jobs=args.jobs), stats, args.out)
 
 
 _COMMANDS = {
@@ -143,6 +139,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.jobs < 1:
             raise InvalidConfig("jobs", f"must be a positive integer, got {args.jobs}")
+        if args.jobs > MAX_JOBS:
+            raise InvalidConfig("jobs", f"must be at most {MAX_JOBS}, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cluster import delta_vector
-from .errors import InvalidConfig, InvalidCounts, InvalidGeometry
+from .errors import InvalidConfig
 from .geodesy import EARTH_RADIUS_KM
 from .geolocate import GeoPath
 
@@ -419,9 +419,9 @@ def mgdi(
     if n_routes <= 1:
         return 0.0
     if endpoint_distance_km <= 0:
-        raise InvalidGeometry(f"endpoint distance must be positive, got {endpoint_distance_km}")
+        raise ValueError(f"endpoint distance must be positive, got {endpoint_distance_km}")
     if longest_route_km < endpoint_distance_km:
-        raise InvalidGeometry(
+        raise ValueError(
             f"longest route ({longest_route_km} km) shorter than the endpoint "
             f"distance ({endpoint_distance_km} km)"
         )
@@ -451,9 +451,9 @@ def mgdi(
 def compression_ratio(ip_route_count: int, cluster_count: int) -> float:
     """Distinct IP-level routes divided by resulting cluster count."""
     if ip_route_count < 1 or cluster_count < 1:
-        raise InvalidCounts("route and cluster counts must both be at least 1")
+        raise ValueError("route and cluster counts must both be at least 1")
     if cluster_count > ip_route_count:
-        raise InvalidCounts(
+        raise ValueError(
             f"cluster count ({cluster_count}) exceeds route count ({ip_route_count})"
         )
     return ip_route_count / cluster_count

@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit.
+
+``ParseError`` (a malformed input file) and ``InvalidConfig`` (an
+out-of-range setting) are bad input, which the CLI reports and exits 1
+on. A bad argument to a library call is a plain ``ValueError``.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from pathlib import Path
 
 
 class GeodivError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the two bad-input errors below."""
 
 
 class ParseError(GeodivError):
@@ -57,22 +62,6 @@ def invalid_json(exc: ValueError | RecursionError, path: str | None, line: int |
     return ParseError(f"invalid JSON: {str(exc).partition(';')[0]}", path=path, line=line)
 
 
-class InvalidAddress(ParseError):
-    """A field that should hold an IPv4 address does not parse as one."""
-
-
-class DuplicateCidr(ParseError):
-    """The same CIDR prefix appears twice in a geolocation snapshot."""
-
-
-class EmptyPath(GeodivError):
-    """A path with zero nodes was passed where at least one is required."""
-
-
-class InvalidGeometry(GeodivError):
-    """Route-length geometry is inconsistent (longest route shorter than the endpoint gap)."""
-
-
 class InvalidConfig(GeodivError, ValueError):
     """A scoring setting is out of range; ``field`` names the setting."""
 
@@ -80,7 +69,3 @@ class InvalidConfig(GeodivError, ValueError):
         self.field = field
         self.reason = reason
         super().__init__(f"{field} {reason}")
-
-
-class InvalidCounts(GeodivError):
-    """Route/cluster counts violate their mutual constraints."""

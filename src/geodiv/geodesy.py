@@ -13,8 +13,6 @@ import math
 from functools import total_ordering
 from typing import Sequence
 
-from .errors import EmptyPath
-
 EARTH_RADIUS_KM = 6371.0
 
 # Below this, the two segment endpoints are treated as coincident/antipodal
@@ -206,14 +204,14 @@ def point_to_path_distance(
     A single-node path degenerates to point-to-point distance.
     """
     if len(nodes) == 0:
-        raise EmptyPath("path has no nodes")
+        raise ValueError("path has no nodes")
     return PreparedPath(nodes).distance(_prepare_point(p), radius_km)
 
 
 def path_length(nodes: Sequence[Coordinate], radius_km: float = EARTH_RADIUS_KM) -> float:
     """Total great-circle length of the polyline through ``nodes``."""
     if len(nodes) == 0:
-        raise EmptyPath("path has no nodes")
+        raise ValueError("path has no nodes")
     return math.fsum(
         great_circle_distance(nodes[i], nodes[i + 1], radius_km) for i in range(len(nodes) - 1)
     )

@@ -13,7 +13,7 @@ from ipaddress import AddressValueError, IPv4Address, IPv4Network, ip_network
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import DuplicateCidr, ParseError, not_utf8
+from .errors import ParseError, not_utf8
 from .geodesy import Coordinate, PreparedPath
 from .traces import HopSequence, Pair, RouteSet, UNRESPONSIVE, parse_ipv4
 
@@ -33,7 +33,7 @@ class GeoDb:
 
     def _add(self, network: int, prefixlen: int, location: Coordinate,
              path: str | None = None, line: int | None = None) -> None:
-        """Add one prefix; a repeated one is a ``DuplicateCidr`` located at
+        """Add one prefix; a repeated one is a ``ParseError`` located at
         the snapshot's ``path`` and ``line`` when they are given."""
         shift = 32 - prefixlen
         table = self._by_shift.get(shift)
@@ -42,7 +42,7 @@ class GeoDb:
             self._tables = sorted(self._by_shift.items())
         key = network >> shift
         if key in table:
-            raise DuplicateCidr(f"duplicate CIDR {IPv4Network((network, prefixlen))}", path=path, line=line)
+            raise ParseError(f"duplicate CIDR {IPv4Network((network, prefixlen))}", path=path, line=line)
         table[key] = location
 
     def __len__(self) -> int:
@@ -182,13 +182,6 @@ def _localize(route: HopSequence, db: GeoDb) -> tuple[Coordinate, ...]:
         nodes.append(location)
         last_key = key
     return tuple(nodes)
-
-
-def route_to_geopath(route: HopSequence, db: GeoDb) -> GeoPath | None:
-    """Localize one IP route (see :func:`_localize`); returns None when
-    fewer than 2 nodes survive."""
-    nodes = _localize(route, db)
-    return GeoPath(nodes=nodes, origin_routes=(tuple(route),)) if len(nodes) >= 2 else None
 
 
 class FilterStats(NamedTuple):

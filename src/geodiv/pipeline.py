@@ -23,7 +23,7 @@ from .diversity import MAX_EARTH_RADIUS_KM, DiversityConfig, DiversityReport, co
 from .errors import ParseError, invalid_json, not_utf8
 from .geodesy import EARTH_RADIUS_KM, Coordinate, great_circle_distance, path_length
 from .geolocate import FilterStats, GeoPath, filter_pairs, load_geodb
-from .traces import Pair, group_by_pair, parse_trace_file
+from .traces import Pair, _check_address, group_by_pair, parse_trace_file
 
 if TYPE_CHECKING:
     from multiprocessing.connection import Connection
@@ -33,16 +33,6 @@ ECDF_CSV_HEADER = "value,cum_fraction"
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-
-class PipelineSummary(NamedTuple):
-    """Corpus-level accounting plus the per-pair scoring reports."""
-
-    total_pairs: int
-    pairs_removed_stage1: int
-    pairs_removed_stage2: int
-    pairs_scored: int
-    per_pair: tuple[DiversityReport, ...]
 
 
 class ClusteredPair(NamedTuple):
@@ -268,16 +258,17 @@ def score_clustered_pair(clustered: ClusteredPair, cfg: DiversityConfig) -> Dive
     )
 
 
-def score_pair(
+def _score_pair(
     pair: Pair, geopaths: Sequence[GeoPath], ip_route_count: int, cfg: DiversityConfig
 ) -> DiversityReport:
-    """Cluster one pair's geo-paths and compute its diversity report."""
+    """Cluster one pair's geo-paths and compute its diversity report, so
+    that a stripe holds one pair's clusters at a time."""
     return score_clustered_pair(cluster_pair(pair, geopaths, ip_route_count, cfg), cfg)
 
 
 def score_cluster_rows(
     rows: Iterable[ClusteredPair], cfg: DiversityConfig, jobs: int = 1
-) -> tuple[DiversityReport, ...]:
+) -> list[DiversityReport]:
     """Score clustered pairs in pair order, in up to ``jobs`` processes."""
     ordered = sorted(rows, key=attrgetter("pair"))
 
@@ -285,18 +276,7 @@ def score_cluster_rows(
         tasks = ((p, (ordered[p], cfg)) for p in range(k, len(ordered), w))
         return _each(score_clustered_pair, tasks), None
 
-    return tuple(_in_stripes(stripe, len(ordered), jobs)[0])
-
-
-def summarize(stats: FilterStats, reports: Iterable[DiversityReport]) -> PipelineSummary:
-    per_pair = tuple(reports)
-    return PipelineSummary(
-        total_pairs=stats.input_pairs,
-        pairs_removed_stage1=stats.removed_single_ip_route,
-        pairs_removed_stage2=stats.removed_single_geo_path,
-        pairs_scored=len(per_pair),
-        per_pair=per_pair,
-    )
+    return _in_stripes(stripe, len(ordered), jobs)[0]
 
 
 def run_pipeline(
@@ -304,12 +284,11 @@ def run_pipeline(
     geodb_path: str | Path,
     cfg: DiversityConfig | None = None,
     jobs: int = 1,
-) -> PipelineSummary:
+) -> tuple[list[DiversityReport], FilterStats]:
     """Run the whole pipeline over a trace file and a geolocation snapshot,
-    in up to ``jobs`` processes."""
-    cfg = cfg or DiversityConfig()
-    reports, stats = _over_corpus(traces_path, geodb_path, cfg, jobs, score_pair)
-    return summarize(stats, reports)
+    in up to ``jobs`` processes; returns the reports of the scored pairs,
+    in pair order, and the filter's accounting."""
+    return _over_corpus(traces_path, geodb_path, cfg or DiversityConfig(), jobs, _score_pair)
 
 
 def _fmt(value: float) -> str:
@@ -326,26 +305,26 @@ def _ecdf_csv(values: Sequence[float]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(summary: PipelineSummary, out_dir: str | Path) -> list[Path]:
+def emit_report(reports: Sequence[DiversityReport], stats: FilterStats, out_dir: str | Path) -> list[Path]:
     """Write report.json, pairs.csv and the two ECDF CSVs; byte-stable."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     payload = {
         "summary": {
-            "total_pairs": summary.total_pairs,
-            "pairs_removed_stage1": summary.pairs_removed_stage1,
-            "pairs_removed_stage2": summary.pairs_removed_stage2,
-            "pairs_scored": summary.pairs_scored,
+            "total_pairs": stats.input_pairs,
+            "pairs_removed_stage1": stats.removed_single_ip_route,
+            "pairs_removed_stage2": stats.removed_single_geo_path,
+            "pairs_scored": len(reports),
         },
-        "pairs": [report._asdict() for report in summary.per_pair],
+        "pairs": [report._asdict() for report in reports],
     }
     report_json = out / "report.json"
     _write_text(report_json, json.dumps(payload, indent=2) + "\n")
 
     pairs_csv = out / "pairs.csv"
     rows = [PAIRS_CSV_HEADER]
-    for r in summary.per_pair:
+    for r in reports:
         rows.append(
             ",".join(
                 (
@@ -364,12 +343,12 @@ def emit_report(summary: PipelineSummary, out_dir: str | Path) -> list[Path]:
     _write_text(pairs_csv, "\n".join(rows) + "\n")
 
     compression_csv = out / "compression_ecdf.csv"
-    _write_text(compression_csv, _ecdf_csv([r.compression_ratio for r in summary.per_pair]))
+    _write_text(compression_csv, _ecdf_csv([r.compression_ratio for r in reports]))
 
     # The GDI/MGDI distribution only makes sense where at least two
     # geographically different routes exist.
     ratio_csv = out / "gdi_ratio_ecdf.csv"
-    ratios = [r.gdi_over_mgdi for r in summary.per_pair if r.cluster_count >= 2]
+    ratios = [r.gdi_over_mgdi for r in reports if r.cluster_count >= 2]
     _write_text(ratio_csv, _ecdf_csv(ratios))
 
     return [report_json, pairs_csv, compression_csv, ratio_csv]
@@ -425,16 +404,22 @@ def _path_from_json(nodes: object, *, path: str, what: str) -> GeoPath:
         raise ParseError(f"{what}: expected a list of at least 2 [lat, lon] nodes", path=path)
     coords = []
     for node in nodes:
-        if not isinstance(node, list) or len(node) != 2:
-            raise ParseError(f"{what}: node must be a [lat, lon] pair", path=path)
+        if not isinstance(node, list) or len(node) != 2 or not all(map(_is_number, node)):
+            raise ParseError(f"{what}: node must be a [lat, lon] pair of numbers", path=path)
         try:
             coords.append(Coordinate(lat=float(node[0]), lon=float(node[1])))
-        except (TypeError, ValueError) as exc:
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"{what}: {exc}", path=path) from exc
     try:
         return GeoPath(nodes=tuple(coords))
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}", path=path) from exc
+
+
+def _is_number(value: object) -> bool:
+    """Whether a JSON value is a number, so neither a string nor ``true``
+    or ``false``, which Python would take for 1 or 0."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _count(value: object) -> int:
@@ -466,14 +451,9 @@ def read_clusters_file(path: str | Path) -> tuple[list[ClusteredPair], float, Fi
             raise invalid_json(exc, name, getattr(exc, "lineno", None)) from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
         raise ParseError("clusters file must be an object with a 'pairs' array", path=name)
-    # A missing, null or zero radius means "not recorded"; a JSON true or
-    # false is no number.
+    # A missing, null or zero radius means "not recorded".
     recorded = payload.get("earth_radius_km")
-    if recorded is not None and (
-        isinstance(recorded, bool)
-        or not isinstance(recorded, (int, float))
-        or not 0.0 <= recorded <= MAX_EARTH_RADIUS_KM
-    ):
+    if recorded is not None and not (_is_number(recorded) and 0.0 <= recorded <= MAX_EARTH_RADIUS_KM):
         raise ParseError(
             f"earth_radius_km must be a positive number of at most {MAX_EARTH_RADIUS_KM:g}, got {recorded!r}",
             path=name,
@@ -491,11 +471,14 @@ def read_clusters_file(path: str | Path) -> tuple[list[ClusteredPair], float, Fi
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed filter_stats: {exc}", path=name) from exc
     clustered: dict[Pair, ClusteredPair] = {}
-    for entry in payload["pairs"]:
+    valid: set[str] = set()
+    for i, entry in enumerate(payload["pairs"]):
         if not isinstance(entry, dict):
             raise ParseError("each pair entry must be an object", path=name)
         try:
-            pair = (str(entry["src"]), str(entry["dst"]))
+            pair = tuple(
+                _check_address(entry[key], f"pairs[{i}].{key}", valid, name, None) for key in ("src", "dst")
+            )
             ip_route_count = _count(entry["ip_route_count"])
             geo_path_count = _count(entry["geo_path_count"])
             clusters = entry["clusters"]

@@ -15,7 +15,7 @@ from ipaddress import AddressValueError, IPv4Address
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import InvalidAddress, ParseError, invalid_json, not_utf8
+from .errors import ParseError, invalid_json, not_utf8
 
 UNRESPONSIVE = "*"
 
@@ -95,14 +95,9 @@ def _check_address(
         try:
             parse_ipv4(value)
         except AddressValueError as exc:
-            raise InvalidAddress(f"field {field!r}: {exc}", path=path, line=line) from exc
+            raise ParseError(f"field {field!r}: {exc}", path=path, line=line) from exc
         valid.add(value)
     return value
-
-
-def parse_trace_line(line: str, *, path: str | None = None, line_number: int | None = None) -> TraceRecord:
-    """Parse one JSONL trace record, keeping hop order and unresponsive markers."""
-    return _parse_line(line, set(), path, line_number)
 
 
 def _too_deep(line: str) -> bool:
@@ -123,7 +118,13 @@ def _too_deep(line: str) -> bool:
     return False
 
 
-def _parse_line(line: str, valid: set[str], path: str | None, line_number: int | None) -> TraceRecord:
+def parse_trace_line(
+    line: str, *, path: str | None = None, line_number: int | None = None, valid: set[str] | None = None
+) -> TraceRecord:
+    """Parse one JSONL trace record, keeping hop order and unresponsive
+    markers. ``valid`` holds address strings already accepted, which are
+    not parsed again, and gains the ones this record adds."""
+    valid = set() if valid is None else valid
     if len(line) > _MAX_NESTING and _too_deep(line):
         raise ParseError("invalid JSON: nested too deeply", path=path, line=line_number)
     try:
@@ -158,7 +159,7 @@ def parse_trace_file(path: str | Path) -> list[TraceRecord]:
             for number, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                records.append(_parse_line(line, valid, name, number))
+                records.append(parse_trace_line(line, path=name, line_number=number, valid=valid))
         except UnicodeDecodeError:
             raise not_utf8(path) from None
     return records

@@ -33,7 +33,7 @@ from geodiv.diversity import (
     _triangle_pair_scores,
     diversity_from_delta,
 )
-from geodiv.errors import EmptyPath, ParseError
+from geodiv.errors import ParseError
 from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate
 from geodiv.geolocate import GeoDb
 
@@ -328,7 +328,7 @@ def point_to_path_distance_per_arc(
     """The original point-to-path distance: every arc evaluated from
     scratch, with both endpoint distances and all three unit vectors."""
     if len(nodes) == 0:
-        raise EmptyPath("path has no nodes")
+        raise ValueError("path has no nodes")
     if len(nodes) == 1:
         return great_circle_distance_direct(p, nodes[0], radius_km)
     return min(

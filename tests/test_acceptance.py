@@ -14,14 +14,13 @@ from geodiv import (
     Coordinate,
     GeoPath,
     cluster_pair_routes,
-    diversity_from_delta,
     gdi,
     geo_equal,
-    great_circle_distance,
     pair_diversity,
-    point_to_path_distance,
     run_pipeline,
 )
+from geodiv.diversity import diversity_from_delta
+from geodiv.geodesy import great_circle_distance, point_to_path_distance
 from geodiv.cli import main as cli_main
 from oracles import delta_score, greedy_replay, sampled_point_to_polyline
 
@@ -53,9 +52,9 @@ def test_criterion_2_seven_routes_three_clusters(seven_route_corpus):
     with criterion(2, "7 IP routes collapse to 3 clusters, compression 2.3333"):
         traces, geodb, expected = seven_route_corpus
         start = time.perf_counter()
-        summary = run_pipeline(traces, geodb)
+        reports, _ = run_pipeline(traces, geodb)
         elapsed = time.perf_counter() - start
-        report = summary.per_pair[0]
+        report = reports[0]
         assert report.ip_route_count == 7
         assert report.cluster_count == 3
         assert abs(report.compression_ratio - 2.3333333333) < 1e-6
@@ -206,17 +205,17 @@ def test_criterion_8_planted_corpus_recovery(small_pool, tmp_path):
         corpus = build_corpus(spec, 808, small_pool)
         assert corpus.summary["total_pairs"] == 1000
         traces, geodb = corpus.write(tmp_path)
-        summary = run_pipeline(traces, geodb, jobs=2)
+        reports, stats = run_pipeline(traces, geodb, jobs=2)
 
-        assert summary.total_pairs == 1000
-        assert summary.pairs_removed_stage1 == corpus.summary["pairs_removed_stage1"]
-        assert summary.pairs_removed_stage2 == corpus.summary["pairs_removed_stage2"]
-        assert summary.pairs_scored == corpus.summary["pairs_scored"]
+        assert stats.input_pairs == 1000
+        assert stats.removed_single_ip_route == corpus.summary["pairs_removed_stage1"]
+        assert stats.removed_single_geo_path == corpus.summary["pairs_removed_stage2"]
+        assert len(reports) == corpus.summary["pairs_scored"]
 
         planted = corpus.pairs
         mismatched = [
             report
-            for report in summary.per_pair
+            for report in reports
             if report.cluster_count != planted[(report.src, report.dst)]["clusters"]
             or report.ip_route_count != planted[(report.src, report.dst)]["ip_routes"]
             or report.geo_path_count != planted[(report.src, report.dst)]["geo_paths"]

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import geodiv
-from geodiv import pipeline
+from geodiv import cli, pipeline
 from geodiv.cli import main
 from geodiv.traces import _MAX_NESTING
 
@@ -542,6 +542,71 @@ def test_a_pair_listed_twice_is_a_located_input_error(seven_route_corpus, tmp_pa
     serial, parallel = _run_both_ways(capsys, ["gdi", "--clusters", str(clusters), "--out", str(tmp_path / "out")])
     assert serial == parallel == f"error: {clusters}: pair ('172.20.0.1', '172.20.0.2') is listed twice\n"
     assert not (tmp_path / "out").exists()
+
+
+def _first_representative(payload):
+    return payload["pairs"][0]["clusters"][0]["representative"]
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        (lambda p: p["pairs"][0].update(src="evil,src\nX"),
+         "field 'pairs[0].src': Expected 4 octets in 'evil,src\\nX'"),
+        (lambda p: p["pairs"][0].update(src=12345), "field 'pairs[0].src' must be a string"),
+        (lambda p: p["pairs"][0].update(dst="10.0.0.256"),
+         "field 'pairs[0].dst': Octet 256 (> 255) not permitted in '10.0.0.256'"),
+        (lambda p: _first_representative(p).__setitem__(0, [True, False]),
+         "pair ('172.20.0.1', '172.20.0.2'): node must be a [lat, lon] pair of numbers"),
+        (lambda p: _first_representative(p).__setitem__(0, ["45.5", "7"]),
+         "pair ('172.20.0.1', '172.20.0.2'): node must be a [lat, lon] pair of numbers"),
+        (lambda p: _first_representative(p).__setitem__(0, [45.5, 10**400]),
+         "pair ('172.20.0.1', '172.20.0.2'): int too large to convert to float"),
+    ],
+    ids=["src-not-an-address", "src-not-a-string", "dst-not-an-address", "node-booleans", "node-strings",
+         "node-past-float"],
+)
+def test_bad_clusters_file_value_is_a_located_input_error(seven_route_corpus, tmp_path, capsys, edit, reason):
+    # Each of these was once scored: an address went into pairs.csv as it
+    # stood, and a boolean or string node was read as a number.
+    traces, geodb, _ = seven_route_corpus
+    assert main(["cluster", "--traces", str(traces), "--geodb", str(geodb),
+                 "--out", str(tmp_path), "--jobs", "1"]) == 0
+    clusters = tmp_path / "clusters.json"
+    payload = json.loads(clusters.read_text(encoding="utf-8"))
+    edit(payload)
+    clusters.write_text(json.dumps(payload), encoding="utf-8")
+    serial, parallel = _run_both_ways(capsys, ["gdi", "--clusters", str(clusters), "--out", str(tmp_path / "out")])
+    assert serial == parallel == f"error: {clusters}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "cluster", "gdi"])
+def test_jobs_above_the_bound_is_rejected_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # The input files do not exist, so reading one would be another error;
+    # forking is replaced by a failure, so none is started.
+    def no_fork(calls):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(pipeline, "_run_forked", no_fork)
+    inputs = ["--traces", "missing.jsonl", "--geodb", "missing.csv"]
+    if command == "gdi":
+        inputs = ["--clusters", "missing.json"]
+    for jobs in (cli.MAX_JOBS + 1, 1000):
+        assert main([command, *inputs, "--out", str(tmp_path / "out"), "--jobs", str(jobs)]) == 1
+        assert capsys.readouterr().err == f"error: --jobs must be at most {cli.MAX_JOBS}, got {jobs}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_jobs_is_all_cores_up_to_the_bound(monkeypatch):
+    # Only the parser runs; nothing is forked.
+    argv = ["gdi", "--clusters", "clusters.json", "--out", "out"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
+    assert cli.build_parser().parse_args(argv).jobs == cli.MAX_JOBS
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli.build_parser().parse_args(argv).jobs == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli.build_parser().parse_args(argv).jobs == 1
 
 
 @pytest.mark.parametrize("depth", [_MAX_NESTING, _MAX_NESTING + 1, 975])

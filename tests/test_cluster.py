@@ -3,13 +3,8 @@ import random
 
 import pytest
 
-from geodiv import (
-    Coordinate,
-    GeoPath,
-    cluster_pair_routes,
-    delta_vector,
-    geo_equal,
-)
+from geodiv import Coordinate, GeoPath, cluster_pair_routes, geo_equal
+from geodiv.cluster import delta_vector
 
 from oracles import point_to_path_distance_per_arc
 

@@ -10,10 +10,6 @@ from geodiv import (
     Coordinate,
     DiversityConfig,
     GeoPath,
-    InvalidCounts,
-    InvalidGeometry,
-    compression_ratio,
-    diversity_from_delta,
     gdi,
     mgdi,
     pair_diversity,
@@ -26,6 +22,8 @@ from geodiv.diversity import (
     _height_grid,
     _score_ceilings,
     _triangle_pair_scores,
+    compression_ratio,
+    diversity_from_delta,
 )
 from oracles import (
     best_greedy_set_exhaustive,
@@ -116,7 +114,7 @@ def test_pair_diversity_symmetric_exactly():
 
 
 def test_pair_diversity_equals_delta_evaluation():
-    from geodiv import delta_vector
+    from geodiv.cluster import delta_vector
 
     rng = random.Random(4)
     for _ in range(25):
@@ -177,9 +175,9 @@ def test_mgdi_degenerate_triangle_is_zero():
 
 
 def test_mgdi_rejects_inconsistent_lengths():
-    with pytest.raises(InvalidGeometry):
+    with pytest.raises(ValueError, match=r"^longest route \(99\.0 km\) shorter than the endpoint distance"):
         mgdi(2, 100.0, 99.0, DiversityConfig())
-    with pytest.raises(InvalidGeometry):
+    with pytest.raises(ValueError, match="^endpoint distance must be positive, got 0.0$"):
         mgdi(2, 0.0, 50.0, DiversityConfig())
 
 
@@ -393,9 +391,9 @@ def test_compression_ratio_examples():
 
 
 def test_compression_ratio_rejects_bad_counts():
-    with pytest.raises(InvalidCounts):
+    with pytest.raises(ValueError, match="^route and cluster counts must both be at least 1$"):
         compression_ratio(0, 1)
-    with pytest.raises(InvalidCounts):
+    with pytest.raises(ValueError, match=r"^cluster count \(4\) exceeds route count \(3\)$"):
         compression_ratio(3, 4)
 
 

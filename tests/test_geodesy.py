@@ -5,18 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geodiv import (
-    Coordinate,
-    EmptyPath,
-    GeoPath,
-    delta_vector,
-    geo_equal,
-    great_circle_distance,
-    path_length,
-    point_to_path_distance,
-)
+from geodiv import Coordinate, GeoPath, geo_equal
 from geodiv import geodesy
-from geodiv.geodesy import PreparedPath, _prepare_point
+from geodiv.cluster import delta_vector
+from geodiv.geodesy import PreparedPath, _prepare_point, great_circle_distance, path_length, point_to_path_distance
 from oracles import great_circle_distance_direct, point_to_path_distance_per_arc, sampled_point_to_polyline
 
 KM_PER_DEG = math.pi * 6371.0 / 180.0
@@ -132,7 +124,7 @@ def test_two_segment_path_matches_sampling_oracle():
 
 
 def test_empty_path_raises():
-    with pytest.raises(EmptyPath):
+    with pytest.raises(ValueError, match="^path has no nodes$"):
         point_to_path_distance(Coordinate(0, 0), [])
 
 
@@ -182,7 +174,7 @@ def test_path_length_sums_segments():
     nodes = [Coordinate(0, 0), Coordinate(0, 1), Coordinate(0, 2)]
     assert abs(path_length(nodes) - 2 * KM_PER_DEG) < 1e-9
     assert path_length([Coordinate(12, 34)]) == 0.0
-    with pytest.raises(EmptyPath):
+    with pytest.raises(ValueError, match="^path has no nodes$"):
         path_length([])
 
 

@@ -6,18 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from corpus import CorpusSpec, build_corpus
 
-from geodiv import (
-    Coordinate,
-    DuplicateCidr,
-    GeoDb,
-    GeoPath,
-    ParseError,
-    RouteSet,
-    filter_pairs,
-    load_geodb,
-    route_to_geopath,
-)
-from geodiv.geolocate import _parse_geodb_row
+from geodiv import Coordinate, GeoPath, ParseError, filter_pairs, load_geodb
+from geodiv.geolocate import GeoDb, _localize, _parse_geodb_row
+from geodiv.traces import RouteSet
 from oracles import brute_force_lookup, load_geodb_per_row, parse_geodb_row_ipaddress
 
 
@@ -42,7 +33,7 @@ def test_load_accepts_optional_header(tmp_path):
 def test_load_rejects_duplicate_cidr(tmp_path):
     path = tmp_path / "geo.csv"
     path.write_text("10.0.0.0/8,47.5,19.05\n10.0.0.0/8,1.0,2.0\n", encoding="utf-8")
-    with pytest.raises(DuplicateCidr):
+    with pytest.raises(ParseError, match="duplicate CIDR 10.0.0.0/8$"):
         load_geodb(path)
 
 
@@ -115,27 +106,29 @@ def test_lookup_matches_brute_force_scan():
 
 def test_route_collapses_consecutive_duplicates():
     db = _db(("10.1.0.0/16", 0.0, 0.0), ("10.2.0.0/16", 0.0, 0.0), ("10.3.0.0/16", 5.0, 5.0))
-    path = route_to_geopath(("10.1.0.1", "10.2.0.1", "10.3.0.1"), db)
-    assert path is not None
-    assert path.nodes == (Coordinate(0.0, 0.0), Coordinate(5.0, 5.0))
+    nodes = _localize(("10.1.0.1", "10.2.0.1", "10.3.0.1"), db)
+    assert nodes == (Coordinate(0.0, 0.0), Coordinate(5.0, 5.0))
 
 
 def test_route_with_one_locatable_hop_is_discarded():
     db = _db(("10.1.0.0/16", 0.0, 0.0))
-    assert route_to_geopath(("*", "10.1.0.1"), db) is None
+    assert _localize(("*", "10.1.0.1"), db) == (Coordinate(0.0, 0.0),)
+    routes = [("*", "10.1.0.1"), ("10.1.0.2",)]
+    kept, stats = filter_pairs(_route_sets({("10.0.0.1", "10.9.0.1"): routes}), db)
+    assert kept == {} and stats.removed_single_geo_path == 1
 
 
 def test_route_drops_unlocatable_hops():
     db = _db(("10.1.0.0/16", 0.0, 0.0), ("10.3.0.0/16", 5.0, 5.0))
-    path = route_to_geopath(("10.1.0.1", "198.51.100.7", "10.3.0.1"), db)
-    assert path is not None
-    assert len(path.nodes) == 2
+    nodes = _localize(("10.1.0.1", "198.51.100.7", "10.3.0.1"), db)
+    assert len(nodes) == 2
 
 
 def test_route_records_origin():
     db = _db(("10.1.0.0/16", 0.0, 0.0), ("10.3.0.0/16", 5.0, 5.0))
     route = ("10.1.0.1", "*", "10.3.0.1")
-    path = route_to_geopath(route, db)
+    kept, _ = filter_pairs(_route_sets({("10.0.0.1", "10.9.0.1"): [route, ("10.3.0.1", "10.1.0.1")]}), db)
+    path = kept[("10.0.0.1", "10.9.0.1")][0]
     assert path.origin_routes == (route,)
 
 
@@ -145,9 +138,9 @@ def test_aliased_routes_map_to_equal_coordinate_sequences():
         ("10.2.0.0/16", 0.0, 0.0),
         ("10.3.0.0/16", 5.0, 5.0),
     )
-    a = route_to_geopath(("10.1.0.1", "10.3.0.1"), db)
-    b = route_to_geopath(("10.2.0.1", "10.3.0.1"), db)
-    assert a.nodes == b.nodes
+    a = _localize(("10.1.0.1", "10.3.0.1"), db)
+    b = _localize(("10.2.0.1", "10.3.0.1"), db)
+    assert a == b
 
 
 def test_geopath_requires_two_distinct_nodes():
@@ -320,12 +313,12 @@ def test_row_parser_matches_ip_network(address, prefix):
 def test_duplicate_cidr_message_is_located(tmp_path):
     path = tmp_path / "geo.csv"
     path.write_text("cidr,lat,lon\n10.0.0.0/8,1,2\n10.1.0.0/16,1,2\n10.9.9.9/8,3,4\n", encoding="utf-8")
-    with pytest.raises(DuplicateCidr) as excinfo:
+    with pytest.raises(ParseError) as excinfo:
         load_geodb(path)
     assert str(excinfo.value) == f"{path}:4: duplicate CIDR 10.0.0.0/8"
     assert isinstance(excinfo.value, ParseError)
     assert (excinfo.value.path, excinfo.value.line) == (str(path), 4)
-    with pytest.raises(DuplicateCidr, match=r"^duplicate CIDR 10\.0\.0\.0/8$"):
+    with pytest.raises(ParseError, match=r"^duplicate CIDR 10\.0\.0\.0/8$"):
         _db(("10.0.0.0/8", 0.0, 0.0), ("10.0.0.0/8", 1.0, 1.0))
 
 
@@ -337,8 +330,8 @@ _ANTIMERIDIAN_DB = (
 
 
 def test_route_collapses_across_the_antimeridian():
-    path = route_to_geopath(("10.1.0.1", "10.2.0.1", "10.3.0.1"), _db(*_ANTIMERIDIAN_DB))
-    assert path.nodes == (Coordinate(10.0, 170.0), Coordinate(10.0, 179.9999999))
+    nodes = _localize(("10.1.0.1", "10.2.0.1", "10.3.0.1"), _db(*_ANTIMERIDIAN_DB))
+    assert nodes == (Coordinate(10.0, 170.0), Coordinate(10.0, 179.9999999))
 
 
 def test_routes_differing_across_the_antimeridian_are_one_geo_path():

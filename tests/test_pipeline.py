@@ -11,24 +11,24 @@ import pytest
 from corpus import CorpusSpec, build_corpus
 
 from geodiv import (
-    EARTH_RADIUS_KM,
-    Cluster,
     Coordinate,
     DiversityConfig,
     FilterStats,
-    GeoDb,
     GeoPath,
-    ecdf,
     emit_report,
     run_pipeline,
-    score_pair,
 )
 from geodiv import pipeline
 from geodiv.cli import main
+from geodiv.cluster import Cluster
+from geodiv.geodesy import EARTH_RADIUS_KM
+from geodiv.geolocate import GeoDb
 from geodiv.pipeline import (
     PAIRS_CSV_HEADER,
     ClusteredPair,
+    _score_pair,
     cluster_corpus,
+    ecdf,
     read_clusters_file,
     score_cluster_rows,
     write_clusters_file,
@@ -72,10 +72,10 @@ def test_ecdf_tracks_uniform_distribution():
 
 def test_pipeline_on_seven_route_corpus(seven_route_corpus):
     traces, geodb, expected = seven_route_corpus
-    summary = run_pipeline(traces, geodb)
-    assert summary.total_pairs == 1
-    assert summary.pairs_scored == 1
-    report = summary.per_pair[0]
+    reports, stats = run_pipeline(traces, geodb)
+    assert stats.input_pairs == 1
+    assert len(reports) == 1
+    report = reports[0]
     assert report.ip_route_count == expected["ip_routes"]
     assert report.geo_path_count == expected["geo_paths"]
     assert report.cluster_count == expected["clusters"]
@@ -89,10 +89,10 @@ def test_pipeline_empty_trace_file(tmp_path):
     geodb = tmp_path / "geodb.csv"
     traces.write_text("", encoding="utf-8")
     geodb.write_text("10.0.0.0/8,0.0,0.0\n", encoding="utf-8")
-    summary = run_pipeline(traces, geodb)
-    assert summary.total_pairs == 0
-    assert summary.per_pair == ()
-    paths = emit_report(summary, tmp_path / "out")
+    reports, stats = run_pipeline(traces, geodb)
+    assert stats.input_pairs == 0
+    assert reports == []
+    paths = emit_report(reports, stats, tmp_path / "out")
     ecdf_lines = (tmp_path / "out" / "compression_ecdf.csv").read_text().splitlines()
     assert ecdf_lines == ["value,cum_fraction"]
 
@@ -109,16 +109,16 @@ def test_pipeline_all_single_route_pairs(tmp_path):
         "10.1.0.0/16,0.0,0.0\n10.2.0.0/16,5.0,5.0\n10.3.0.0/16,10.0,10.0\n10.4.0.0/16,15.0,15.0\n",
         encoding="utf-8",
     )
-    summary = run_pipeline(traces, geodb)
-    assert summary.pairs_scored == 0
-    assert summary.pairs_removed_stage1 == 2
+    reports, stats = run_pipeline(traces, geodb)
+    assert len(reports) == 0
+    assert stats.removed_single_ip_route == 2
 
 
 def test_emit_report_layout(seven_route_corpus, tmp_path):
     traces, geodb, _ = seven_route_corpus
-    summary = run_pipeline(traces, geodb)
+    reports, stats = run_pipeline(traces, geodb)
     out = tmp_path / "out"
-    written = emit_report(summary, out)
+    written = emit_report(reports, stats, out)
     assert [p.name for p in written] == [
         "report.json",
         "pairs.csv",
@@ -127,23 +127,23 @@ def test_emit_report_layout(seven_route_corpus, tmp_path):
     ]
     pairs_lines = (out / "pairs.csv").read_text().splitlines()
     assert pairs_lines[0] == PAIRS_CSV_HEADER
-    assert len(pairs_lines) == 1 + summary.pairs_scored
+    assert len(pairs_lines) == 1 + len(reports)
     payload = json.loads((out / "report.json").read_text())
-    assert payload["summary"]["total_pairs"] == summary.total_pairs
-    assert payload["summary"]["pairs_scored"] == summary.pairs_scored
-    assert len(payload["pairs"]) == summary.pairs_scored
+    assert payload["summary"]["total_pairs"] == stats.input_pairs
+    assert payload["summary"]["pairs_scored"] == len(reports)
+    assert len(payload["pairs"]) == len(reports)
     # The ratio ECDF only covers pairs with at least 2 clusters.
     ratio_rows = (out / "gdi_ratio_ecdf.csv").read_text().splitlines()[1:]
-    eligible = {r.gdi_over_mgdi for r in summary.per_pair if r.cluster_count >= 2}
+    eligible = {r.gdi_over_mgdi for r in reports if r.cluster_count >= 2}
     assert len(ratio_rows) == len({f"{v:.6f}" for v in eligible})
 
 
 def test_emit_report_is_byte_stable(seven_route_corpus, tmp_path):
     traces, geodb, _ = seven_route_corpus
-    summary = run_pipeline(traces, geodb)
+    reports, stats = run_pipeline(traces, geodb)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    emit_report(summary, out1)
-    emit_report(run_pipeline(traces, geodb), out2)
+    emit_report(reports, stats, out1)
+    emit_report(*run_pipeline(traces, geodb), out2)
     for name in ("report.json", "pairs.csv", "compression_ecdf.csv", "gdi_ratio_ecdf.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -155,8 +155,8 @@ def test_pipeline_summary_independent_of_jobs(seven_route_corpus):
 
 def test_accounting_reconciles(seven_route_corpus):
     traces, geodb, _ = seven_route_corpus
-    s = run_pipeline(traces, geodb)
-    assert s.total_pairs == s.pairs_removed_stage1 + s.pairs_removed_stage2 + s.pairs_scored
+    reports, s = run_pipeline(traces, geodb)
+    assert s.input_pairs == s.removed_single_ip_route + s.removed_single_geo_path + len(reports)
 
 
 def _parallel_paths():
@@ -302,9 +302,9 @@ def test_a_stripe_frees_the_full_inputs_before_scoring(seven_route_corpus, monke
         alive.append([ref() is not None for ref in inputs])
         return real_score(*args)
 
-    real_score = pipeline.score_pair
-    monkeypatch.setattr(pipeline, "score_pair", score)
-    assert run_pipeline(traces, geodb, jobs=1).pairs_scored == 1
+    real_score = pipeline._score_pair
+    monkeypatch.setattr(pipeline, "_score_pair", score)
+    assert len(run_pipeline(traces, geodb, jobs=1)[0]) == 1
     assert alive == [[False, False]]
 
 
@@ -328,7 +328,7 @@ def test_mgdi_zero_for_loop_route():
 
     loop = GeoPath(nodes=(Coordinate(0, 0), Coordinate(4, 4), Coordinate(0, 0)))
     other = GeoPath(nodes=(Coordinate(0, 0), Coordinate(1, 1), Coordinate(0, 0.0001)))
-    report = score_pair(("10.0.0.1", "10.9.0.1"), (loop, other), 2, DiversityConfig())
+    report = _score_pair(("10.0.0.1", "10.9.0.1"), (loop, other), 2, DiversityConfig())
     assert report.mgdi_km == 0.0
     assert report.gdi_km > 0.0
     assert math.isinf(report.gdi_over_mgdi)
@@ -348,7 +348,7 @@ def test_clusters_file_round_trip(seven_route_corpus, tmp_path):
         cp._replace(clusters=tuple(Cluster(c.id, (GeoPath(c.representative.nodes),)) for c in cp.clusters))
         for cp in clustered
     ]
-    assert score_cluster_rows(rows, cfg) == run_pipeline(traces, geodb, cfg).per_pair
+    assert score_cluster_rows(rows, cfg) == run_pipeline(traces, geodb, cfg)[0]
     # A file that records neither gives the default radius, and counts
     # every pair in it as scored.
     payload = json.loads(path.read_text(encoding="utf-8"))

@@ -4,7 +4,8 @@ request, and recovered exactly by the pipeline on both template pools."""
 
 from corpus import CorpusSpec, build_corpus
 
-from geodiv import group_by_pair, parse_trace_line, run_pipeline
+from geodiv import group_by_pair, run_pipeline
+from geodiv.traces import parse_trace_line
 
 # 25 and 50 pairs in the roadmap's mixes: 40/20/40 single-route,
 # single-geo-path and scored pairs; 35/40/25 of the scored ones with 1, 2
@@ -40,12 +41,12 @@ def test_min_lines_mode(small_pool):
 
 
 def _assert_recovered(corpus, traces, geodb):
-    summary = run_pipeline(traces, geodb)
-    assert summary.total_pairs == corpus.summary["total_pairs"]
-    assert summary.pairs_removed_stage1 == corpus.summary["pairs_removed_stage1"]
-    assert summary.pairs_removed_stage2 == corpus.summary["pairs_removed_stage2"]
-    assert summary.pairs_scored == corpus.summary["pairs_scored"]
-    for report in summary.per_pair:
+    reports, stats = run_pipeline(traces, geodb)
+    assert stats.input_pairs == corpus.summary["total_pairs"]
+    assert stats.removed_single_ip_route == corpus.summary["pairs_removed_stage1"]
+    assert stats.removed_single_geo_path == corpus.summary["pairs_removed_stage2"]
+    assert len(reports) == corpus.summary["pairs_scored"]
+    for report in reports:
         truth = corpus.pairs[(report.src, report.dst)]
         assert report.ip_route_count == truth["ip_routes"]
         assert report.geo_path_count == truth["geo_paths"]

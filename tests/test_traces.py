@@ -6,15 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geodiv import traces
-from geodiv import (
-    InvalidAddress,
-    ParseError,
-    TraceRecord,
-    group_by_pair,
-    parse_trace_file,
-    parse_trace_line,
-)
-from geodiv.traces import parse_ipv4
+from geodiv import ParseError, group_by_pair, parse_trace_file
+from geodiv.traces import TraceRecord, parse_ipv4, parse_trace_line
 
 
 def test_parse_basic_record():
@@ -39,14 +32,18 @@ def test_parse_rejects_missing_keys():
 
 
 def test_parse_rejects_bad_address():
-    with pytest.raises(InvalidAddress):
+    octet = r"^field 'hops\[0\]': Octet 999 \(> 255\) not permitted in '999\.1\.1\.1'$"
+    with pytest.raises(ParseError, match=octet):
         parse_trace_line('{"src":"10.0.0.1","dst":"10.9.0.1","hops":["999.1.1.1"]}')
-    with pytest.raises(InvalidAddress):
+    with pytest.raises(ParseError, match="^field 'src': Expected 4 octets in 'nope'$"):
         parse_trace_line('{"src":"nope","dst":"10.9.0.1","hops":[]}')
 
 
 def test_invalid_address_is_a_parse_error():
-    assert issubclass(InvalidAddress, ParseError)
+    with pytest.raises(ParseError) as excinfo:
+        parse_trace_line('{"src":"10.0.0.1","dst":"nope","hops":[]}', path="t.jsonl", line_number=3)
+    assert type(excinfo.value) is ParseError
+    assert str(excinfo.value) == "t.jsonl:3: field 'dst': Expected 4 octets in 'nope'"
 
 
 def test_parse_rejects_non_string_hop():

@@ -6,19 +6,11 @@ import pickle
 
 import pytest
 
-from geodiv import (
-    Cluster,
-    Coordinate,
-    DiversityConfig,
-    DiversityReport,
-    FilterStats,
-    GeoPath,
-    PipelineSummary,
-    RouteSet,
-    TraceRecord,
-)
+from geodiv import Coordinate, DiversityConfig, DiversityReport, FilterStats, GeoPath
 from geodiv.cli import main
+from geodiv.cluster import Cluster
 from geodiv.pipeline import ClusteredPair
+from geodiv.traces import RouteSet, TraceRecord
 
 _A, _B = Coordinate(0.0, 0.0), Coordinate(1.0, 1.0)
 _PATH = GeoPath((_A, _B), (("10.0.0.1", "10.0.0.2"),))
@@ -63,15 +55,6 @@ CASES = [
         "DiversityConfig(threshold_km=50.0, earth_radius_km=6371.0, mgdi_grid_steps=21)",
     ),
     (DiversityReport, _REPORT._asdict(), {**_REPORT._asdict(), "gdi_km": 11.0}, _REPORT_REPR),
-    (
-        PipelineSummary,
-        {"total_pairs": 5, "pairs_removed_stage1": 2, "pairs_removed_stage2": 1, "pairs_scored": 1,
-         "per_pair": (_REPORT,)},
-        {"total_pairs": 5, "pairs_removed_stage1": 2, "pairs_removed_stage2": 1, "pairs_scored": 0,
-         "per_pair": ()},
-        "PipelineSummary(total_pairs=5, pairs_removed_stage1=2, pairs_removed_stage2=1, pairs_scored=1, "
-        f"per_pair=({_REPORT_REPR},))",
-    ),
     (
         ClusteredPair,
         {"pair": ("10.0.0.1", "10.9.0.1"), "ip_route_count": 3, "geo_path_count": 2, "clusters": ()},
