@@ -441,7 +441,7 @@ def read_clusters_file(path: str | Path) -> tuple[list[ClusteredPair], float, Fi
     ``members``. A file that records no radius gives ``EARTH_RADIUS_KM``,
     and one without stats counts every pair in it as scored."""
     name = str(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             payload = json.load(fh)
         except UnicodeDecodeError:

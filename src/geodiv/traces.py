@@ -149,12 +149,68 @@ def parse_trace_line(
 
 
 def parse_trace_file(path: str | Path) -> list[TraceRecord]:
-    """Parse a JSONL trace file; blank lines are skipped. Each distinct
-    address string is validated once per call."""
+    """Parse a JSONL trace file; blank lines are skipped and one leading
+    byte order mark is allowed. Each distinct address string is validated
+    once per call.
+
+    One pass decodes each line and keeps the records of a clean file. A
+    line it does not accept as clean, an address that does not parse, or
+    a byte that is not UTF-8 sends the whole file to the per-line parser,
+    which words and locates the first error as it always has.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            records = _parse_clean_file(fh)
+        except UnicodeDecodeError:
+            records = None
+    return _parse_file_per_line(path) if records is None else records
+
+
+def _parse_clean_file(lines: Iterable[str]) -> list[TraceRecord] | None:
+    """The records of ``lines``, or None unless every line is blank or a
+    clean record: an object with ``src`` and ``dst`` address strings and
+    a ``hops`` array of address strings and markers."""
+    records = []
+    addresses: set[object] = set()
+    for line in lines:
+        if len(line) > _MAX_NESTING and _too_deep(line):
+            return None
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            if line.strip():
+                return None
+            continue
+        if type(obj) is not dict:
+            return None
+        src, dst, hops = obj.get("src"), obj.get("dst"), obj.get("hops")
+        if type(src) is not str or type(dst) is not str or type(hops) is not list or UNRESPONSIVE in (src, dst):
+            return None
+        try:
+            addresses.update(hops)
+        except TypeError:  # an array or object among the hops
+            return None
+        addresses.add(src)
+        addresses.add(dst)
+        records.append(TraceRecord(src, dst, tuple(hops)))
+    addresses.discard(UNRESPONSIVE)
+    for address in addresses:
+        if type(address) is not str:
+            return None
+        try:
+            parse_ipv4(address)
+        except ValueError:
+            return None
+    return records
+
+
+def _parse_file_per_line(path: str | Path) -> list[TraceRecord]:
+    """``parse_trace_file`` one line at a time, raising the first error at
+    its line."""
     records = []
     valid: set[str] = set()
     name = str(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             for number, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -166,7 +222,9 @@ def parse_trace_file(path: str | Path) -> list[TraceRecord]:
 
 
 def _strip_markers(hops: Sequence[str]) -> HopSequence:
-    return tuple(h for h in hops if h != UNRESPONSIVE)
+    if UNRESPONSIVE in hops:
+        return tuple([h for h in hops if h != UNRESPONSIVE])
+    return tuple(hops)
 
 
 def group_by_pair(records: Iterable[TraceRecord]) -> dict[Pair, RouteSet]:
@@ -177,9 +235,12 @@ def group_by_pair(records: Iterable[TraceRecord]) -> dict[Pair, RouteSet]:
     grouping is insensitive to input order.
     """
     routes: dict[Pair, set[HopSequence]] = {}
-    for record in records:
-        pair = (record.src, record.dst)
-        routes.setdefault(pair, set()).add(_strip_markers(record.hops))
+    for src, dst, hops in records:
+        pair = (src, dst)
+        seen = routes.get(pair)
+        if seen is None:
+            seen = routes[pair] = set()
+        seen.add(_strip_markers(hops))
     return {
         pair: RouteSet(pair=pair, ip_routes=tuple(sorted(routes[pair])))
         for pair in sorted(routes)

@@ -9,8 +9,9 @@ so that the fast path must match it bit for bit: the exhaustive MGDI
 subset search (on the package's planar score and greedy accumulation),
 the trajectory search on the full apex table that three-route MGDI no
 longer builds, the MGDI triangle-pair score on the generic planar distance,
-the per-arc point-to-path distance, and the ``ipaddress``-based geodb row
-parser with its per-row ``Coordinate`` construction. The planar model that
+the per-arc point-to-path distance, the ``ipaddress``-based geodb row
+parser with its per-row ``Coordinate`` construction and ``csv`` loop, and
+the per-line trace file parser. The planar model that
 MGDI is defined on (triangle routes, the planar pair score and GDI) is the
 reference the MGDI kernel is checked against.
 """
@@ -21,6 +22,7 @@ import csv
 import itertools
 import math
 from ipaddress import AddressValueError, IPv4Address, IPv4Network, NetmaskValueError, ip_network
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,9 +35,10 @@ from geodiv.diversity import (
     _triangle_pair_scores,
     diversity_from_delta,
 )
-from geodiv.errors import ParseError
+from geodiv.errors import ParseError, not_utf8
 from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate
 from geodiv.geolocate import GeoDb
+from geodiv.traces import TraceRecord, parse_trace_line
 
 _DEGENERATE_NORM = 1e-12
 
@@ -358,13 +361,40 @@ def parse_geodb_row_ipaddress(row: list[str], path: str | None, line: int) -> tu
 
 def load_geodb_per_row(path) -> GeoDb:
     """A snapshot loaded with one new ``Coordinate`` per row, through the
-    original row parser."""
-    db = GeoDb(())
+    original row parser, by the original ``csv`` loop: each row numbered
+    by its place among the rows, and the file's errors worded as the
+    original loader worded them."""
+    db = GeoDb()
+    name = str(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        for line, row in enumerate(csv.reader(fh), start=1):
-            if not "".join(row).strip():
-                continue
-            if line == 1 and tuple(col.strip().lower() for col in row) == ("cidr", "lat", "lon"):
-                continue
-            db._add(*parse_geodb_row_ipaddress(row, str(path), line))
+        reader = csv.reader(fh)
+        try:
+            for line, row in enumerate(reader, start=1):
+                if not "".join(row).strip():
+                    continue
+                if line == 1 and tuple(col.strip().lower() for col in row) == ("cidr", "lat", "lon"):
+                    continue
+                network, prefixlen, location = parse_geodb_row_ipaddress(row, name, line)
+                db._locations.append(location)
+                db._add(network, prefixlen, len(db._locations) - 1, name, line)
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", path=name, line=reader.line_num) from None
     return db
+
+
+def parse_trace_file_per_line(path: str | Path) -> list[TraceRecord]:
+    """The original trace file parser: one ``parse_trace_line`` per line."""
+    records = []
+    valid: set[str] = set()
+    name = str(path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for number, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                records.append(parse_trace_line(line, path=name, line_number=number, valid=valid))
+        except UnicodeDecodeError:
+            raise not_utf8(path) from None
+    return records

@@ -445,6 +445,30 @@ def test_non_utf8_input_is_a_located_input_error(seven_route_corpus, tmp_path, c
     assert serial.endswith(" (0xff: invalid start byte)\n")
 
 
+@pytest.mark.parametrize("marked", ["traces.jsonl", "geodb.csv", "clusters.json"])
+def test_a_leading_byte_order_mark_is_accepted(seven_route_corpus, tmp_path, marked):
+    """A file saved with a UTF-8 byte order mark, as spreadsheet tools
+    write one, gives the same reports as the file without it."""
+    seven_traces, seven_geodb, _ = seven_route_corpus
+    for side in ("plain", "marked"):
+        work = tmp_path / side
+        work.mkdir()
+        traces, geodb = work / "traces.jsonl", work / "geodb.csv"
+        traces.write_bytes(seven_traces.read_bytes())
+        geodb.write_bytes(seven_geodb.read_bytes())
+        inputs = ["--traces", str(traces), "--geodb", str(geodb), "--jobs", "1"]
+        assert main(["cluster", *inputs, "--out", str(work)]) == 0
+        clusters = work / "clusters.json"
+        if side == "marked":
+            (work / marked).write_bytes(b"\xef\xbb\xbf" + (work / marked).read_bytes())
+        assert main(["pipeline", *inputs, "--out", str(work / "pipeline")]) == 0
+        assert main(["gdi", "--clusters", str(clusters), "--out", str(work / "gdi"), "--jobs", "1"]) == 0
+    for name in REPORT_FILES:
+        for command in ("pipeline", "gdi"):
+            plain = (tmp_path / "plain" / command / name).read_bytes()
+            assert (tmp_path / "marked" / command / name).read_bytes() == plain
+
+
 _TOO_DEEP = "[" * 1000 + "]" * 1000
 _FIELD_PAST_CSV_LIMIT = "0" * 140_000  # the csv module's limit is 131,072 characters
 _CSV_LIMIT_REASON = "malformed CSV: field larger than field limit"

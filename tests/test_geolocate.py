@@ -1,19 +1,28 @@
 import random
-from ipaddress import IPv4Address, ip_network
+from ipaddress import IPv4Address, IPv4Network, ip_network
+from typing import Iterable
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from corpus import CorpusSpec, build_corpus
 
-from geodiv import Coordinate, GeoPath, ParseError, filter_pairs, load_geodb
-from geodiv.geolocate import GeoDb, _localize, _parse_geodb_row
+from geodiv import Coordinate, GeoPath, ParseError, filter_pairs, geolocate, load_geodb, traces
+from geodiv.geolocate import GeoDb, _add_row, _localize
 from geodiv.traces import RouteSet
 from oracles import brute_force_lookup, load_geodb_per_row, parse_geodb_row_ipaddress
 
 
+def _db_of(entries: Iterable[tuple[IPv4Network, Coordinate]]) -> GeoDb:
+    db = GeoDb()
+    for network, location in entries:
+        db._locations.append(location)
+        db._add(int(network.network_address), network.prefixlen, len(db._locations) - 1)
+    return db
+
+
 def _db(*rows: tuple[str, float, float]) -> GeoDb:
-    return GeoDb((ip_network(cidr), Coordinate(lat, lon)) for cidr, lat, lon in rows)
+    return _db_of((ip_network(cidr), Coordinate(lat, lon)) for cidr, lat, lon in rows)
 
 
 def test_load_single_row(tmp_path):
@@ -98,7 +107,7 @@ def test_lookup_matches_brute_force_scan():
         if key not in entries:
             entries[key] = (network, Coordinate(rng.uniform(-85, 85), rng.uniform(-179, 179)))
     pairs = list(entries.values())
-    db = GeoDb(pairs)
+    db = _db_of(pairs)
     for _ in range(2000):
         ip = str(IPv4Address(rng.getrandbits(32)))
         assert db.lookup(ip) == brute_force_lookup(pairs, ip)
@@ -263,7 +272,13 @@ def test_filter_accounting_and_survivor_invariants():
 
 
 def _parse_row(row, path, line):
-    return _parse_geodb_row(row, path, line, {})
+    """(network, prefix length, location) of one row added by the loader,
+    in place or through ``_parse_geodb_row``."""
+    db = GeoDb()
+    _add_row(db, row, path, line, {})
+    [(shift, table)] = db._by_shift.items()
+    [(key, index)] = table.items()
+    return key << shift, 32 - shift, _coordinate(db._locations[index])
 
 
 def _row_outcome(parse, row):
@@ -341,9 +356,17 @@ def test_routes_differing_across_the_antimeridian_are_one_geo_path():
     assert stats.removed_single_geo_path == 1
 
 
+def _coordinate(location: Coordinate | tuple[float, float]) -> Coordinate:
+    return Coordinate(*location) if type(location) is tuple else location
+
+
 def _tables(db: GeoDb) -> dict[int, dict[int, str]]:
-    # repr keeps every float bit, the sign of zero included.
-    return {shift: {key: repr(c) for key, c in table.items()} for shift, table in db._by_shift.items()}
+    # Each index resolved to its coordinate; repr keeps every float bit,
+    # the sign of zero included.
+    return {
+        shift: {key: repr(_coordinate(db._locations[index])) for key, index in table.items()}
+        for shift, table in db._by_shift.items()
+    }
 
 
 _REPEATED_LOCATIONS = (
@@ -359,13 +382,20 @@ _REPEATED_LOCATIONS = (
 )
 
 
-def test_load_matches_per_row_construction(small_pool, tmp_path):
-    spec = CorpusSpec("small", {1: 8, 2: 10, 3: 6}, single_route=24, single_geopath=12)
-    _, generated = build_corpus(spec, 3, small_pool).write(tmp_path)
+def test_load_matches_per_row_construction(small_pool, many_pool, tmp_path):
+    small = CorpusSpec("small", {1: 8, 2: 10, 3: 6}, single_route=24, single_geopath=12)
+    many = CorpusSpec("many", {4: 3, 5: 2, 6: 1, 7: 1})
+    paths = []
+    for spec, pool in ((small, small_pool), (many, many_pool)):
+        directory = tmp_path / spec.pool
+        directory.mkdir()
+        paths.append(build_corpus(spec, 3, pool).write(directory)[1])
     handmade = tmp_path / "handmade.csv"
     handmade.write_text(_REPEATED_LOCATIONS, encoding="utf-8")
-    for path in (generated, handmade):
-        assert _tables(load_geodb(path)) == _tables(load_geodb_per_row(path))
+    for path in (*paths, handmade):
+        tables = _tables(load_geodb(path))
+        assert sum(map(len, tables.values())) >= 8
+        assert tables == _tables(load_geodb_per_row(path))
 
 
 def test_rows_with_identical_location_text_share_one_coordinate(tmp_path):
@@ -394,3 +424,129 @@ def test_invalid_location_fails_at_its_first_row(tmp_path, bad_line):
         parse_geodb_row_ipaddress(rows[bad_line - 1].split(","), str(path), bad_line)
     assert excinfo.value.line == bad_line
     assert str(excinfo.value) == str(expected.value)
+
+
+def _load_outcome(load, path):
+    """(tables, None) when ``load`` accepts the file, (None, (message,
+    line)) when it raises ``ParseError``."""
+    try:
+        return _tables(load(path)), None
+    except ParseError as exc:
+        return None, (str(exc), exc.line)
+
+
+_ROWS = "cidr,lat,lon\n10.0.0.0/8,1.0,2.5\n10.1.0.0/16,-3.5,170\n"
+# About 10 KiB of good rows, so that a byte after them lies past the first
+# block the text decoder reads.
+_PAST_FIRST_BLOCK = "".join(f"11.{i // 256}.{i % 256}.0/24,1.5,{i % 90}\n" for i in range(500))
+
+GEODB_FILES = {
+    "crlf": _ROWS.replace("\n", "\r\n").encode(),
+    "lone-cr": _ROWS.replace("\n", "\r").encode(),
+    "crlf-bad-late": (_ROWS + "10.2.0.0/16,91,0\n").replace("\n", "\r\n").encode(),
+    "cr-after-plain-rows": (_ROWS + "12.0.0.0/8,1,2\r\n13.0.0.0/8,1.0,2.5\r\n").encode(),
+    "no-final-newline": _ROWS.rstrip("\n").encode(),
+    "blank-rows": f"\n{_ROWS}\n  \n,,\n , ,\t\n12.0.0.0/8,1,1\n".encode(),
+    "header-variants": b" CIDR , Lat,LON \n10.0.0.0/8,1,2\n",
+    "header-not-first": f"10.0.0.0/8,1,2\n{_ROWS}".encode(),
+    "padded-columns": b"  10.0.0.0/8 ,  1.0 ,2.5\t\n\t11.0.0.0/8,1.0 ,  2.5  \n12.0.0.0/8 , 1.0,2.5\n",
+    "quoted-fields": b'cidr,lat,lon\n"10.0.0.0/8","1.0","2.5"\n11.0.0.0/8,"1.0",2.5\n"12.0.0.0/8",1,2\n',
+    "quoted-comma": b'10.0.0.0/8,1,2\n"11.0.0.0/8,1",1,2\n',
+    "quoted-bad-late": b'"10.0.0.0/8",1,2\n11.0.0.0/8,1,2\n11.0.0.0/8,3,4\n',
+    "unterminated-quote": b'10.0.0.0/8,1,2\n"11.0.0.0/8,1,2\n',
+    "nul": b"10.0.0.0/8,1,2\n11.0.0.0/8,1\x00,2\n",
+    "nul-in-cidr": b"10.0.0.0/8,1,2\n11.0.0.0/8\x00,1,2\n",
+    "field-over-limit": f"10.0.0.0/8,1,2\n11.0.0.0/8,1,{'2' * 131_073}\n".encode(),
+    "line-over-limit": f"10.0.0.0/8,1,2\n11.0.0.0/8,1,2{',' * 131_073}\n".encode(),
+    "long-field-under-limit": f"10.0.0.0/8,1,2\n11.0.0.0/8,1,2{'0' * 131_000}\n".encode(),
+    "no-prefix-length": b"10.1.2.3,1,2\n10.1.2.4/32,1,2\n",
+    "host-bits-and-leading-zero-prefix": b"10.1.2.3/08,1,2\n11.0.0.0/0,1,2\n",
+    "netmask": b"10.0.0.0/255.0.0.0,1,2\n10.0.0.0/8,1,2\n",
+    "duplicate-after-no-prefix": b"10.1.2.3,1,2\n10.1.2.3/32,3,4\n",
+    "duplicate-with-bad-location": b"10.0.0.0/8,1,2\n10.0.0.0/8,91,2\n",
+    "leading-zero-octet": b"10.0.0.0/8,1,2\n010.0.0.0/8,1,2\n",
+    "ipv6": b"10.0.0.0/8,1,2\n2001:db8::/32,1,2\n",
+    "three-digit-prefix": b"10.0.0.0/8,1,2\n10.0.0.0/008,1,2\n",
+    "bad-latitude": b"10.0.0.0/8,1,2\n11.0.0.0/8,-90.5,2\n",
+    "nan-latitude": b"10.0.0.0/8,1,2\n11.0.0.0/8,nan,2\n",
+    "infinite-longitude": b"10.0.0.0/8,1,2\n11.0.0.0/8,1,-inf\n",
+    "longitude-past-180": b"10.0.0.0/8,1,190\n11.0.0.0/8,1,-170\n12.0.0.0/8,1,540\n",
+    "bad-location-text-repeated": b"10.0.0.0/8,x,2\n11.0.0.0/8,x,2\n",
+    "good-location-text-repeated-badly-padded": b"10.0.0.0/8,1,2\n11.0.0.0/8, 1,2 x\n",
+    "unicode-digits": "10.0.0.0/8,\u0661,2\n11.0.0.0/\u0668,1,2\n".encode(),
+    "two-columns": b"10.0.0.0/8,1,2\n11.0.0.0/8,1\n",
+    "four-columns": b"10.0.0.0/8,1,2\n11.0.0.0/8,1,2,\n",
+    "bad-byte-in-first-block": b"10.0.0.0/8,1,2\nbogus,1,2\n11.0.0.0/8,1,\xff\n",
+    "bad-byte-past-first-block": f"10.0.0.0/8,1,2\nbogus,1,2\n{_PAST_FIRST_BLOCK}".encode() + b"\xff\n",
+    "bad-byte-after-duplicate": (
+        f'{_PAST_FIRST_BLOCK}10.0.0.0/8,1,2\n10.0.0.0/8,1,2\n{_PAST_FIRST_BLOCK.replace("11.", "12.")}'
+    ).encode() + b"\xff\n",
+    "bad-byte-after-quote": f'"10.0.0.0/8",1,2\nbogus,1,2\n{_PAST_FIRST_BLOCK}'.encode() + b"\xff\n",
+}
+
+
+@pytest.mark.parametrize("content", GEODB_FILES.values(), ids=GEODB_FILES.keys())
+def test_load_matches_per_row_loader_on_handmade_files(tmp_path, content):
+    path = tmp_path / "geo.csv"
+    path.write_bytes(content)
+    assert _load_outcome(load_geodb, path) == _load_outcome(load_geodb_per_row, path)
+
+
+def test_errors_name_the_physical_line_a_row_starts_on(tmp_path):
+    path = tmp_path / "geo.csv"
+    path.write_text('cidr,lat,lon\n"10.0.0.0/8",1,"2\n"\n11.0.0.0/8,1,2\nbogus,1,2\n', encoding="utf-8")
+    with pytest.raises(ParseError, match=r":5: invalid CIDR 'bogus'") as excinfo:
+        load_geodb(path)
+    assert excinfo.value.line == 5
+    # A row with a quoted line break is numbered by its first line.
+    path.write_text('"10.0.0.0/8",1,"2\n"\n"bo\ngus",1,2\n', encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_geodb(path)
+    assert excinfo.value.line == 3 and excinfo.value.reason.startswith("invalid CIDR 'bo\\ngus'")
+
+
+def test_load_accepts_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "geo.csv"
+    path.write_bytes(f"\ufeff{_ROWS}".encode())
+    plain = tmp_path / "plain.csv"
+    plain.write_bytes(_ROWS.encode())
+    assert _tables(load_geodb(path)) == _tables(load_geodb(plain))
+    path.write_bytes(f'\ufeff"10.0.0.0/8",1,2\n'.encode())
+    assert len(load_geodb(path)) == 1
+    # Only the first one: a second one is part of the first column.
+    path.write_bytes(f"\ufeff\ufeff{_ROWS}".encode())
+    with pytest.raises(ParseError, match=r":1: invalid CIDR '\\ufeffcidr'"):
+        load_geodb(path)
+
+
+def test_coordinates_are_built_on_first_lookup(tmp_path):
+    path = tmp_path / "geo.csv"
+    path.write_text("10.0.0.0/8,1.0,190\n11.0.0.0/8,1.0,190\n12.0.0.0/8,-0.0,2.5\n", encoding="utf-8")
+    db = load_geodb(path)
+    assert db._locations == [(1.0, 190.0), (-0.0, 2.5)]
+    first = db.lookup("10.1.2.3")
+    assert repr(first) == "Coordinate(lat=1.0, lon=-170.0)"
+    assert db.lookup("11.1.2.3") is first and db.lookup("10.9.9.9") is first
+    assert db._locations[0] is first and db._locations[1] == (-0.0, 2.5)
+
+
+def test_a_clean_corpus_never_reaches_the_per_line_parsers(small_pool, tmp_path, monkeypatch):
+    """On a corpus of the benchmark's ``mixed`` shape, the trace file is
+    never parsed line by line and at most the header goes through the
+    general snapshot row parser."""
+    per_line, per_row = [], []
+
+    def count(calls, fn):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(traces, "parse_trace_line", count(per_line, traces.parse_trace_line))
+    monkeypatch.setattr(geolocate, "_parse_geodb_row", count(per_row, geolocate._parse_geodb_row))
+    spec = CorpusSpec("small", {1: 210, 2: 240, 3: 150}, single_route=600, single_geopath=300, min_lines=11000)
+    trace_path, geodb_path = build_corpus(spec, 5, small_pool).write(tmp_path)
+    assert len(traces.parse_trace_file(trace_path)) == 11000
+    assert len(geolocate.load_geodb(geodb_path)) > 20000
+    assert len(per_line) == 0
+    assert len(per_row) <= 1

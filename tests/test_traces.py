@@ -4,10 +4,12 @@ from ipaddress import AddressValueError, IPv4Address
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from corpus import CorpusSpec, build_corpus
 
 from geodiv import traces
 from geodiv import ParseError, group_by_pair, parse_trace_file
 from geodiv.traces import TraceRecord, parse_ipv4, parse_trace_line
+from oracles import parse_trace_file_per_line
 
 
 def test_parse_basic_record():
@@ -209,3 +211,95 @@ def test_parse_file_checks_each_distinct_address_once(tmp_path, monkeypatch):
     records = parse_trace_file(path)
     assert [r.hops for r in records] == [("10.1.0.1", "*", "10.1.0.1", "10.2.0.1"), ("10.2.0.1", "10.9.0.1")]
     assert sorted(seen) == ["10.0.0.1", "10.1.0.1", "10.2.0.1", "10.9.0.1"]
+
+
+def _file_outcome(parse, path):
+    """(records, None) when ``parse`` accepts the file, (None, (message,
+    line)) when it raises ``ParseError``."""
+    try:
+        return parse(path), None
+    except ParseError as exc:
+        return None, (str(exc), exc.line)
+
+
+def test_parse_file_matches_per_line_parser_on_generated_corpora(small_pool, many_pool, tmp_path):
+    for name, spec, pool in (
+        ("small", CorpusSpec("small", {1: 8, 2: 10, 3: 6}, single_route=24, single_geopath=12), small_pool),
+        ("many", CorpusSpec("many", {4: 3, 5: 2, 6: 1, 7: 1}), many_pool),
+    ):
+        directory = tmp_path / name
+        directory.mkdir()
+        path, _ = build_corpus(spec, 11, pool).write(directory)
+        records, error = _file_outcome(parse_trace_file, path)
+        assert error is None and len(records) > 100
+        assert (records, error) == _file_outcome(parse_trace_file_per_line, path)
+
+
+_GOOD = '{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.1","*","10.2.0.1"]}'
+_OTHER = '{"src":"10.0.0.2","dst":"10.9.0.1","hops":[],"note":"x"}'
+# About 10 KiB of good lines, so that a byte after them lies past the
+# first block the text decoder reads.
+_PAST_FIRST_BLOCK = 140 * (_GOOD + "\n")
+
+TRACE_FILES = {
+    "crlf": f"{_GOOD}\r\n{_OTHER}\r\n".encode(),
+    "lone-cr": f"{_GOOD}\r{_OTHER}\r".encode(),
+    "crlf-bad-late": f"{_GOOD}\r\n{_OTHER}\r\n{{broken\r\n".encode(),
+    "separators-in-strings": (
+        _GOOD[:-1] + ',"note":"a\u2028b\x0cc\x85d\u2029e\x1cf"}\n' + _OTHER + "\n"
+    ).encode(),
+    "blank-and-whitespace-lines": f"\n  \t \n{_GOOD}\n\n \x0c \n{_OTHER}\n   ".encode(),
+    "no-final-newline": f"{_GOOD}\n{_OTHER}".encode(),
+    "bad-json-no-final-newline": f"{_GOOD}\n{{".encode(),
+    "nested-hop": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":[["10.1.0.1"]]}}\n'.encode(),
+    "object-hop": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":[{{"a":1}}]}}\n'.encode(),
+    "number-hop": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":["*",42]}}\n'.encode(),
+    "null-hop": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":[null]}}\n'.encode(),
+    "hops-not-array": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":"10.1.0.1"}}\n'.encode(),
+    "marker-src": f'{_GOOD}\n{{"src":"*","dst":"10.9.0.1","hops":[]}}\n'.encode(),
+    "marker-dst": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"*","hops":["*"]}}\n'.encode(),
+    "number-src": f'{_GOOD}\n{{"src":1,"dst":"10.9.0.1","hops":[]}}\n'.encode(),
+    "missing-hops": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1"}}\n'.encode(),
+    "not-an-object": f"{_GOOD}\n[1, 2]\n".encode(),
+    "bad-address-first-seen-late": (
+        50 * (_GOOD + "\n") + '{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.1","10.1.0.01"]}\n'
+        + '{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.01"]}\n'
+    ).encode(),
+    "bad-address-before-bad-json": (
+        f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.256","hops":[]}}\n{{broken\n'
+    ).encode(),
+    "nested-over-500": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":[],"x":{"[" * 501}{"]" * 501}}}\n'.encode(),
+    "nested-500": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":[],"x":{"[" * 499}{"]" * 499}}}\n'.encode(),
+    "5000-digit-integer": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":[],"x":{"7" * 5000}}}\n'.encode(),
+    "nul-in-string": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.1\x00"]}}\n'.encode(),
+    "escaped-nul-address": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.1\\u0000"]}}\n'.encode(),
+    "mid-file-bom": f"{_GOOD}\n\ufeff{_OTHER}\n".encode(),
+    "bad-byte-in-first-block": f"{_GOOD}\n{{broken\n".encode() + b'{"src":"\xff"}\n',
+    "bad-byte-past-first-block": f"{_GOOD}\n{{broken\n{_PAST_FIRST_BLOCK}".encode() + b'{"src":"\xff"}\n',
+    "bad-byte-after-bad-address": (
+        f'{_PAST_FIRST_BLOCK}{{"src":"10.0.0.1","dst":"1.2.3","hops":[]}}\n{_PAST_FIRST_BLOCK}'
+    ).encode() + b"\xff\n",
+}
+
+
+@pytest.mark.parametrize("content", TRACE_FILES.values(), ids=TRACE_FILES.keys())
+def test_parse_file_matches_per_line_parser_on_handmade_files(tmp_path, content):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(content)
+    assert _file_outcome(parse_trace_file, path) == _file_outcome(parse_trace_file_per_line, path)
+
+
+def test_parse_file_accepts_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(f"\ufeff{_GOOD}\n{_OTHER}\n".encode())
+    plain = tmp_path / "plain.jsonl"
+    plain.write_bytes(f"{_GOOD}\n{_OTHER}\n".encode())
+    assert parse_trace_file(path) == parse_trace_file(plain)
+    # Only the first one: a second one opens a line that is no JSON.
+    path.write_bytes(f"\ufeff\ufeff{_GOOD}\n".encode())
+    with pytest.raises(ParseError, match=r":1: invalid JSON: Unexpected UTF-8 BOM"):
+        parse_trace_file(path)
+    # A bad byte is still located by its offset in the file, mark included.
+    path.write_bytes(f"\ufeff{_GOOD}\n".encode() + b"\xff\n")
+    with pytest.raises(ParseError, match=rf":2: not valid UTF-8 at byte offset {3 + len(_GOOD) + 1} "):
+        parse_trace_file(path)
