@@ -11,8 +11,6 @@ import csv
 from _socket import AF_INET, inet_pton  # socket re-exports these, at several times the import cost
 from functools import cached_property
 from ipaddress import IPv4Address, IPv4Network, ip_network
-from itertools import chain
-from math import isfinite
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
@@ -28,18 +26,14 @@ class GeoDb:
 
     def __init__(self) -> None:
         # Per prefix length, a table from the network address shifted right
-        # by ``shift = 32 - prefixlen`` to an index into ``_locations``.
-        self._by_shift: dict[int, dict[int, int]] = {}
-        self._tables: list[tuple[int, dict[int, int]]] = []  # longest prefix first
-        # A location is its checked (lat, lon) until a lookup first returns
-        # it, and from then on the ``Coordinate`` built from them.
-        self._locations: list[Coordinate | tuple[float, float]] = []
+        # by ``shift = 32 - prefixlen`` to the location.
+        self._by_shift: dict[int, dict[int, Coordinate]] = {}
+        self._tables: list[tuple[int, dict[int, Coordinate]]] = []  # longest prefix first
 
-    def _add(self, network: int, prefixlen: int, index: int,
+    def _add(self, network: int, prefixlen: int, location: Coordinate,
              path: str | None = None, line: int | None = None) -> None:
-        """Add one prefix at the ``index`` of its location; a repeated one
-        is a ``ParseError`` located at the snapshot's ``path`` and ``line``
-        when they are given."""
+        """Add one prefix; a repeated one is a ``ParseError`` located at
+        the snapshot's ``path`` and ``line`` when they are given."""
         shift = 32 - prefixlen
         table = self._by_shift.get(shift)
         if table is None:
@@ -48,7 +42,7 @@ class GeoDb:
         key = network >> shift
         if key in table:
             raise ParseError(f"duplicate CIDR {IPv4Network((network, prefixlen))}", path=path, line=line)
-        table[key] = index
+        table[key] = location
 
     def __len__(self) -> int:
         return sum(len(table) for table in self._by_shift.values())
@@ -57,26 +51,18 @@ class GeoDb:
         """Location of the longest matching prefix, or None when uncovered."""
         ip_int = parse_ipv4(ip)
         for shift, table in self._tables:
-            index = table.get(ip_int >> shift)
-            if index is not None:
-                location = self._locations[index]
-                if location.__class__ is tuple:
-                    location = self._locations[index] = Coordinate(*location)
+            location = table.get(ip_int >> shift)
+            if location is not None:
                 return location
         return None
 
 
 def _parse_geodb_row(
-    row: list[str],
-    path: str | None,
-    line: int,
-    locations: dict[tuple[str, str], int],
-    points: list[Coordinate | tuple[float, float]],
-) -> tuple[int, int, int]:
-    """(network, prefix length, location index) of one snapshot row.
-    ``locations`` maps the stripped ``(lat, lon)`` texts seen so far to
-    their index in ``points``, so rows that repeat a location share one;
-    a new location is appended as a ``Coordinate``."""
+    row: list[str], path: str | None, line: int, locations: dict[tuple[str, str], Coordinate]
+) -> tuple[int, int, Coordinate]:
+    """(network, prefix length, location) of one snapshot row. ``locations``
+    maps the stripped ``(lat, lon)`` texts seen so far to their coordinate,
+    so rows that repeat a location share one ``Coordinate``."""
     if len(row) != 3:
         raise ParseError(f"expected 3 columns, got {len(row)}", path=path, line=line)
     cidr_text, lat_text, lon_text = [col.strip() for col in row]
@@ -86,14 +72,14 @@ def _parse_geodb_row(
         raise ParseError(f"invalid CIDR {cidr_text!r}: {exc}", path=path, line=line) from exc
     if not isinstance(network, IPv4Network):
         raise ParseError(f"not an IPv4 prefix: {cidr_text!r}", path=path, line=line)
-    index = locations.get((lat_text, lon_text))
-    if index is None:
+    location = locations.get((lat_text, lon_text))
+    if location is None:
         try:
-            points.append(Coordinate(lat=float(lat_text), lon=float(lon_text)))
+            location = Coordinate(lat=float(lat_text), lon=float(lon_text))
         except ValueError as exc:
             raise ParseError(f"invalid coordinates: {exc}", path=path, line=line) from exc
-        index = locations[lat_text, lon_text] = len(points) - 1
-    return int(network.network_address), network.prefixlen, index
+        locations[lat_text, lon_text] = location
+    return int(network.network_address), network.prefixlen, location
 
 
 # The prefix lengths of the plain ``a.b.c.d/len`` form, by their text: at
@@ -101,13 +87,15 @@ def _parse_geodb_row(
 _PREFIX_LENGTHS = {**{str(n): n for n in range(33)}, **{f"{n:02}": n for n in range(10)}}
 
 
-def _add_row(db: GeoDb, row: list[str], path: str, line: int, locations: dict[tuple[str, str], int]) -> None:
+def _add_row(
+    db: GeoDb, row: list[str], path: str, line: int, locations: dict[tuple[str, str], Coordinate]
+) -> None:
     """Add one snapshot row that starts on physical line ``line``, skipping
     a blank row and the header. A row in the plain ``a.b.c.d/len,lat,lon``
     or ``a.b.c.d,lat,lon`` form with a strict dotted-quad address and a
-    valid location is added here, its location kept as ``(lat, lon)``;
-    any other goes through ``_parse_geodb_row``, which words its error or
-    accepts it as ``ip_network(cidr, strict=False)`` does."""
+    valid location is added here; any other goes through
+    ``_parse_geodb_row``, which words its error or accepts it as
+    ``ip_network(cidr, strict=False)`` does."""
     if len(row) == 3:
         cidr_text, lat_text, lon_text = row[0].strip(), row[1].strip(), row[2].strip()
         address, slash, prefix = cidr_text.partition("/")
@@ -116,68 +104,45 @@ def _add_row(db: GeoDb, row: list[str], path: str, line: int, locations: dict[tu
             try:
                 shift = 32 - prefixlen
                 key = int.from_bytes(inet_pton(AF_INET, address), "big") >> shift
-                index = locations.get((lat_text, lon_text))
-                if index is None:
-                    lat, lon = float(lat_text), float(lon_text)
-                    if not (-90.0 <= lat <= 90.0 and isfinite(lon)):
-                        raise ValueError("out of range")
-                    db._locations.append((lat, lon))
-                    index = locations[lat_text, lon_text] = len(db._locations) - 1
+                location = locations.get((lat_text, lon_text))
+                if location is None:
+                    location = locations[lat_text, lon_text] = Coordinate(float(lat_text), float(lon_text))
             except (OSError, ValueError):
                 pass  # a bad address or location, worded below
             else:
                 table = db._by_shift.get(shift)
                 if table is None or key in table:
-                    db._add(key << shift, prefixlen, index, path, line)
+                    db._add(key << shift, prefixlen, location, path, line)
                 else:
-                    table[key] = index
+                    table[key] = location
                 return
     if not "".join(row).strip():
         return
     if line == 1 and tuple(col.strip().lower() for col in row) == _HEADER:
         return
-    db._add(*_parse_geodb_row(row, path, line, locations, db._locations), path, line)
+    db._add(*_parse_geodb_row(row, path, line, locations), path, line)
 
 
 def load_geodb(path: str | Path) -> GeoDb:
     """Load a CSV geolocation snapshot, rejecting duplicate identical CIDRs.
     One leading byte order mark is allowed, and an error names the
     physical line its row starts on. Rows that repeat a location's text
-    share one ``Coordinate``, built on its first lookup.
-
-    Lines are split at commas until one holds a quote or a carriage
-    return, or is longer than the ``csv`` module's field limit; from that
-    line on, the ``csv`` module reads the rows.
-    """
+    share one ``Coordinate``."""
     db = GeoDb()
-    locations: dict[tuple[str, str], int] = {}
+    locations: dict[tuple[str, str], Coordinate] = {}
     name = str(path)
-    limit = csv.field_size_limit()
     with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        line = 1
         try:
-            for number, text in enumerate(fh, start=1):
-                if '"' in text or "\r" in text or len(text) > limit:
-                    _add_csv_rows(db, chain((text,), fh), name, number - 1, locations)
-                    break
-                _add_row(db, text.split(","), name, number, locations)
+            for row in reader:
+                _add_row(db, row, name, line, locations)
+                line = reader.line_num + 1
         except UnicodeDecodeError:
             raise not_utf8(path) from None
+        except csv.Error as exc:  # such as a field past the csv module's size limit
+            raise ParseError(f"malformed CSV: {exc}", path=name, line=reader.line_num) from None
     return db
-
-
-def _add_csv_rows(
-    db: GeoDb, lines: Iterable[str], path: str, skipped: int, locations: dict[tuple[str, str], int]
-) -> None:
-    """Add the rows the ``csv`` module reads from ``lines``, which follow
-    ``skipped`` lines of the file."""
-    reader = csv.reader(lines)
-    try:
-        line = skipped + 1
-        for row in reader:
-            _add_row(db, row, path, line, locations)
-            line = skipped + reader.line_num + 1
-    except csv.Error as exc:  # such as a field past the csv module's size limit
-        raise ParseError(f"malformed CSV: {exc}", path=path, line=skipped + reader.line_num) from None
 
 
 class _GeoPathFields(NamedTuple):

@@ -155,15 +155,31 @@ def parse_trace_file(path: str | Path) -> list[TraceRecord]:
 
     One pass decodes each line and keeps the records of a clean file. A
     line it does not accept as clean, an address that does not parse, or
-    a byte that is not UTF-8 sends the whole file to the per-line parser,
-    which words and locates the first error as it always has.
+    a byte that is not UTF-8 sends the file, read again from its start
+    through the same handle, to the per-line parser, which words and
+    locates the first error as it always has. A file that cannot seek,
+    such as a pipe, goes to the per-line parser from the start.
     """
     with open(path, encoding="utf-8-sig") as fh:
+        if fh.seekable():
+            try:
+                clean = _parse_clean_file(fh)
+            except UnicodeDecodeError:
+                clean = None
+            if clean is not None:
+                return clean
+            fh.seek(0)
+        records = []
+        valid: set[str] = set()
+        name = str(path)
         try:
-            records = _parse_clean_file(fh)
+            for number, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                records.append(parse_trace_line(line, path=name, line_number=number, valid=valid))
         except UnicodeDecodeError:
-            records = None
-    return _parse_file_per_line(path) if records is None else records
+            raise not_utf8(path) from None
+    return records
 
 
 def _parse_clean_file(lines: Iterable[str]) -> list[TraceRecord] | None:
@@ -204,27 +220,8 @@ def _parse_clean_file(lines: Iterable[str]) -> list[TraceRecord] | None:
     return records
 
 
-def _parse_file_per_line(path: str | Path) -> list[TraceRecord]:
-    """``parse_trace_file`` one line at a time, raising the first error at
-    its line."""
-    records = []
-    valid: set[str] = set()
-    name = str(path)
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            for number, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                records.append(parse_trace_line(line, path=name, line_number=number, valid=valid))
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-    return records
-
-
 def _strip_markers(hops: Sequence[str]) -> HopSequence:
-    if UNRESPONSIVE in hops:
-        return tuple([h for h in hops if h != UNRESPONSIVE])
-    return tuple(hops)
+    return tuple(h for h in hops if h != UNRESPONSIVE)
 
 
 def group_by_pair(records: Iterable[TraceRecord]) -> dict[Pair, RouteSet]:
@@ -235,12 +232,9 @@ def group_by_pair(records: Iterable[TraceRecord]) -> dict[Pair, RouteSet]:
     grouping is insensitive to input order.
     """
     routes: dict[Pair, set[HopSequence]] = {}
-    for src, dst, hops in records:
-        pair = (src, dst)
-        seen = routes.get(pair)
-        if seen is None:
-            seen = routes[pair] = set()
-        seen.add(_strip_markers(hops))
+    for record in records:
+        pair = (record.src, record.dst)
+        routes.setdefault(pair, set()).add(_strip_markers(record.hops))
     return {
         pair: RouteSet(pair=pair, ip_routes=tuple(sorted(routes[pair])))
         for pair in sorted(routes)

@@ -374,9 +374,7 @@ def load_geodb_per_row(path) -> GeoDb:
                     continue
                 if line == 1 and tuple(col.strip().lower() for col in row) == ("cidr", "lat", "lon"):
                     continue
-                network, prefixlen, location = parse_geodb_row_ipaddress(row, name, line)
-                db._locations.append(location)
-                db._add(network, prefixlen, len(db._locations) - 1, name, line)
+                db._add(*parse_geodb_row_ipaddress(row, name, line), name, line)
         except UnicodeDecodeError:
             raise not_utf8(path) from None
         except csv.Error as exc:

@@ -16,8 +16,7 @@ from oracles import brute_force_lookup, load_geodb_per_row, parse_geodb_row_ipad
 def _db_of(entries: Iterable[tuple[IPv4Network, Coordinate]]) -> GeoDb:
     db = GeoDb()
     for network, location in entries:
-        db._locations.append(location)
-        db._add(int(network.network_address), network.prefixlen, len(db._locations) - 1)
+        db._add(int(network.network_address), network.prefixlen, location)
     return db
 
 
@@ -277,8 +276,8 @@ def _parse_row(row, path, line):
     db = GeoDb()
     _add_row(db, row, path, line, {})
     [(shift, table)] = db._by_shift.items()
-    [(key, index)] = table.items()
-    return key << shift, 32 - shift, _coordinate(db._locations[index])
+    [(key, location)] = table.items()
+    return key << shift, 32 - shift, location
 
 
 def _row_outcome(parse, row):
@@ -356,17 +355,9 @@ def test_routes_differing_across_the_antimeridian_are_one_geo_path():
     assert stats.removed_single_geo_path == 1
 
 
-def _coordinate(location: Coordinate | tuple[float, float]) -> Coordinate:
-    return Coordinate(*location) if type(location) is tuple else location
-
-
 def _tables(db: GeoDb) -> dict[int, dict[int, str]]:
-    # Each index resolved to its coordinate; repr keeps every float bit,
-    # the sign of zero included.
-    return {
-        shift: {key: repr(_coordinate(db._locations[index])) for key, index in table.items()}
-        for shift, table in db._by_shift.items()
-    }
+    # repr keeps every float bit, the sign of zero included.
+    return {shift: {key: repr(c) for key, c in table.items()} for shift, table in db._by_shift.items()}
 
 
 _REPEATED_LOCATIONS = (
@@ -517,17 +508,6 @@ def test_load_accepts_a_leading_byte_order_mark(tmp_path):
     path.write_bytes(f"\ufeff\ufeff{_ROWS}".encode())
     with pytest.raises(ParseError, match=r":1: invalid CIDR '\\ufeffcidr'"):
         load_geodb(path)
-
-
-def test_coordinates_are_built_on_first_lookup(tmp_path):
-    path = tmp_path / "geo.csv"
-    path.write_text("10.0.0.0/8,1.0,190\n11.0.0.0/8,1.0,190\n12.0.0.0/8,-0.0,2.5\n", encoding="utf-8")
-    db = load_geodb(path)
-    assert db._locations == [(1.0, 190.0), (-0.0, 2.5)]
-    first = db.lookup("10.1.2.3")
-    assert repr(first) == "Coordinate(lat=1.0, lon=-170.0)"
-    assert db.lookup("11.1.2.3") is first and db.lookup("10.9.9.9") is first
-    assert db._locations[0] is first and db._locations[1] == (-0.0, 2.5)
 
 
 def test_a_clean_corpus_never_reaches_the_per_line_parsers(small_pool, tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
+import os
 import random
+import threading
 from ipaddress import AddressValueError, IPv4Address
 
 import pytest
@@ -303,3 +305,36 @@ def test_parse_file_accepts_a_leading_byte_order_mark(tmp_path):
     path.write_bytes(f"\ufeff{_GOOD}\n".encode() + b"\xff\n")
     with pytest.raises(ParseError, match=rf":2: not valid UTF-8 at byte offset {3 + len(_GOOD) + 1} "):
         parse_trace_file(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("name", ["clean", "bad-json-late", "bad-address-late"])
+def test_parse_file_reads_a_pipe_once(tmp_path, name):
+    """A pipe cannot be read a second time, so a malformed file that comes
+    from one is still reported at its line, and a clean one read whole."""
+    content = {
+        "clean": f"{_PAST_FIRST_BLOCK}{_OTHER}\n",
+        "bad-json-late": f"{_PAST_FIRST_BLOCK}{{broken\n{_GOOD}\n",
+        "bad-address-late": f'{_PAST_FIRST_BLOCK}{{"src":"10.0.0.1","dst":"1.2.3","hops":[]}}\n',
+    }[name].encode()
+    regular = tmp_path / "t.jsonl"
+    regular.write_bytes(content)
+    read_end, write_end = os.pipe()
+
+    def feed() -> None:
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(content)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        records, error = _file_outcome(parse_trace_file, f"/dev/fd/{read_end}")
+    finally:
+        writer.join()
+        os.close(read_end)
+    expected, expected_error = _file_outcome(parse_trace_file_per_line, regular)
+    assert records == expected
+    assert (error is None) == (expected_error is None)
+    if error is not None:
+        assert error[0].replace(f"/dev/fd/{read_end}", str(regular)) == expected_error[0]
+        assert error[1] == expected_error[1]
