@@ -88,14 +88,13 @@ def _print_counts(stats: FilterStats, outcome: str) -> None:
 
 
 def _report(reports: list[DiversityReport], stats: FilterStats, out_dir: str) -> int:
-    """Warn, in pair order, of each pair whose GDI exceeds its MGDI, then
-    write the reports and print the counts."""
-    sys.stderr.write("".join(
-        f"WARNING geodiv.pipeline: pair {r.src} -> {r.dst}: "
-        f"GDI {r.gdi_km:.3f} km exceeds MGDI {r.mgdi_km:.3f} km\n"
-        for r in reports
-        if r.gdi_over_mgdi > 1.0
-    ))
+    """Warn once if any pair's GDI exceeds its MGDI, then write the reports
+    and print the counts."""
+    if over := sum(r.gdi_over_mgdi > 1.0 for r in reports):
+        sys.stderr.write(
+            f"WARNING: {over} of {len(reports)} scored pairs have GDI above MGDI "
+            "(gdi_over_mgdi > 1 in pairs.csv)\n"
+        )
     out = Path(out_dir)
     emit_report(reports, stats, out)
     _print_counts(stats, f"{len(reports)} scored; reports in {out}")
@@ -122,6 +121,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 
 def _cmd_gdi(args: argparse.Namespace) -> int:
+    DiversityConfig(mgdi_grid_steps=args.mgdi_grid_steps)  # checks the flag before the file is read
     clustered, radius, stats = read_clusters_file(args.clusters)
     cfg = DiversityConfig(earth_radius_km=radius, mgdi_grid_steps=args.mgdi_grid_steps)
     return _report(score_cluster_rows(clustered, cfg, jobs=args.jobs), stats, args.out)

@@ -27,6 +27,8 @@ from .geolocate import GeoPath
 
 # Far beyond any planet, and far below where squared route lengths overflow.
 MAX_EARTH_RADIUS_KM = 1e12
+# MGDI builds a height grid of this many entries for every pair it scores.
+MAX_MGDI_GRID_STEPS = 1001
 
 
 class _Settings(NamedTuple):
@@ -42,17 +44,16 @@ class DiversityConfig(_Settings):
 
     def __new__(cls, *args: float, **kwargs: float) -> DiversityConfig:
         self = super().__new__(cls, *args, **kwargs)
-        if not self.threshold_km > 0:
-            raise InvalidConfig("threshold_km", f"must be positive, got {self.threshold_km}")
+        if not 0 < self.threshold_km < math.inf:
+            raise InvalidConfig("threshold_km", f"must be positive and finite, got {self.threshold_km}")
         if not 0 < self.earth_radius_km <= MAX_EARTH_RADIUS_KM:
             raise InvalidConfig(
                 "earth_radius_km",
                 f"must be positive and at most {MAX_EARTH_RADIUS_KM:g}, got {self.earth_radius_km}",
             )
-        if self.mgdi_grid_steps < 1:
-            raise InvalidConfig(
-                "mgdi_grid_steps", f"must be a positive integer, got {self.mgdi_grid_steps}"
-            )
+        if not 1 <= self.mgdi_grid_steps <= MAX_MGDI_GRID_STEPS:
+            bound = "be a positive integer" if self.mgdi_grid_steps < 1 else f"be at most {MAX_MGDI_GRID_STEPS}"
+            raise InvalidConfig("mgdi_grid_steps", f"must {bound}, got {self.mgdi_grid_steps}")
         return self
 
 

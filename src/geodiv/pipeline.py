@@ -1,22 +1,23 @@
 """End-to-end pipeline: parse traces, localize, filter, cluster, score, report.
 
-Per-pair work is pure, so pairs are split into stripes: with ``jobs``
-processes, each takes every ``jobs``-th pair in lexicographic order. The
-main process works one stripe itself, and forked children, which inherit
-the inputs already in memory, work the others. Results are merged back in
-pair order, which keeps every output file byte-identical regardless of
-the worker count. With more than one job, a reader process parses the
-trace file while the main process loads the geolocation snapshot.
+Per-pair work is pure, so pairs are split into stripes: with ``w``
+processes, each takes every ``w``-th pair in lexicographic order. The
+main process works stripe 0, and ``os.fork`` children, which inherit the
+inputs in memory, work the others, each pickling its results to a pipe
+of its own. Pair ``p`` is read from stripe ``p % w``, so every output is
+byte-identical for any worker count. With more than one job, a reader
+child parses the trace file while the main process loads the snapshot.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from functools import partial
-from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .cluster import Cluster, cluster_pair_routes
 from .diversity import MAX_EARTH_RADIUS_KM, DiversityConfig, DiversityReport, compression_ratio, gdi, mgdi
@@ -24,9 +25,6 @@ from .errors import ParseError, invalid_json, not_utf8
 from .geodesy import EARTH_RADIUS_KM, Coordinate, great_circle_distance, path_length
 from .geolocate import FilterStats, GeoPath, filter_pairs, load_geodb
 from .traces import Pair, _check_address, group_by_pair, parse_trace_file
-
-if TYPE_CHECKING:
-    from multiprocessing.connection import Connection
 
 PAIRS_CSV_HEADER = "src,dst,ip_routes,geo_paths,clusters,compression,gdi_km,mgdi_km,gdi_over_mgdi"
 ECDF_CSV_HEADER = "value,cum_fraction"
@@ -50,11 +48,9 @@ def ecdf(values: Sequence[float]) -> tuple[tuple[float, float], ...]:
     ordered = sorted(values)
     n = len(ordered)
     points = []
-    seen = 0
     for i, value in enumerate(ordered):
-        seen += 1
         if i + 1 == n or ordered[i + 1] != value:
-            points.append((value, seen / n))
+            points.append((value, (i + 1) / n))
     return tuple(points)
 
 
@@ -62,41 +58,53 @@ def _run_forked(calls: Sequence[Callable[[], object]]) -> list[object]:
     """The outcome of each call: its result, or the exception it raised.
 
     The first call runs here once every other one has started in a forked
-    child, which inherits this process's memory (nothing is pickled into
-    it) and sends its outcome back through a pipe. Every pipe is read, so
-    no child blocks on a full one, and every child has exited on return.
-    Call it only while no other thread runs. ``multiprocessing`` is
-    imported only when there is a child to start.
+    child, which inherits this process's memory and writes its pickled
+    outcome to a pipe of its own. Every pipe is read to its end, so no
+    child blocks on a full one, and every child is reaped before return.
+    Call it only while no other thread runs.
     """
     if len(calls) == 1:
         return [_outcome(calls[0])]
-    import multiprocessing
+    import pickle
+    import signal
 
-    fork = multiprocessing.get_context("fork")
-    children: list[tuple[multiprocessing.process.BaseProcess, Connection]] = []
+    pids: list[int] = []
+    read_ends: list[int] = []
     try:
         for call in calls[1:]:
-            receiver, sender = fork.Pipe(duplex=False)
-            receivers = [r for _, r in children] + [receiver]
-            child = fork.Process(target=_send_outcome, args=(call, sender, receivers))
-            child.start()
-            sender.close()
-            children.append((child, receiver))
-        outcomes = [_outcome(calls[0])]
-        for _, receiver in children:
+            read_end, write_end = os.pipe()
+            read_ends.append(read_end)
             try:
-                outcomes.append(receiver.recv())
-            except EOFError:
+                if (pid := os.fork()) == 0:
+                    # Child: holding no read end, its write fails rather than blocks once the parent's closes.
+                    try:
+                        for fd in read_ends:
+                            os.close(fd)
+                        with open(write_end, "wb") as pipe:
+                            pipe.write(pickle.dumps(_outcome(call)))
+                    finally:
+                        os._exit(0)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        outcomes = [_outcome(calls[0])]
+        for read_end in read_ends:
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            try:
+                outcomes.append(pickle.loads(data))
+            except (EOFError, pickle.UnpicklingError):
                 raise RuntimeError("a worker process exited without a result") from None
         return outcomes
     except BaseException:
-        for child, _ in children:
-            child.kill()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for child, receiver in children:
-            receiver.close()
-            child.join()
+        for read_end in read_ends:
+            os.close(read_end)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _outcome(call: Callable[[], _R]) -> _R | Exception:
@@ -106,30 +114,21 @@ def _outcome(call: Callable[[], _R]) -> _R | Exception:
         return exc
 
 
-def _send_outcome(call: Callable[[], object], sender: Connection, receivers: list[Connection]) -> None:
-    """Forked child: close the inherited receiving ends, so that a send
-    fails instead of blocking once the parent has closed its own, then
-    send the outcome of ``call``."""
-    for receiver in receivers:
-        receiver.close()
-    sender.send(_outcome(call))
-
-
 def _raise_first(outcomes: Iterable[object]) -> None:
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
 
 
-def _each(fn: Callable[..., _R], tasks: Iterable[tuple[int, tuple]]) -> list[tuple[int, _R | Exception]]:
-    """``(position, fn(*args))`` for each ``(position, args)`` task in order,
-    up to the first call that raises, which is paired with its exception."""
-    done: list[tuple[int, _R | Exception]] = []
-    for position, args in tasks:
+def _each(fn: Callable[..., _R], tasks: Iterable[tuple | None]) -> list[_R | Exception | None]:
+    """``fn(*args)`` for each ``args`` in order, ``None`` for each ``None``,
+    up to the first call that raises, which gives its exception."""
+    done: list[_R | Exception | None] = []
+    for args in tasks:
         try:
-            done.append((position, fn(*args)))
-        except Exception as exc:  # noqa: BLE001 - raised after the merge
-            done.append((position, exc))
+            done.append(None if args is None else fn(*args))
+        except Exception as exc:  # noqa: BLE001 - raised in position order
+            done.append(exc)
             break
     return done
 
@@ -138,16 +137,21 @@ def _in_stripes(
     stripe: Callable[[int, int], tuple[list, _T]], count: int, jobs: int
 ) -> tuple[list, list[_T]]:
     """Run ``stripe(k, w)`` for each ``k < w = min(jobs, count)``, each but
-    stripe 0 in a forked child. A stripe returns :func:`_each`'s pairs and
-    one more value; returns the results merged by position and the extra
+    stripe 0 in a forked child. Stripe ``k`` returns :func:`_each`'s list
+    for positions ``k``, ``k + w``, ... and one more value; returns the
+    results in position order, without the ``None`` ones, and the extra
     values. A stripe that failed as a whole raises first, then the first
     failing position does."""
     w = max(1, min(jobs, count))
     outcomes = _run_forked([partial(stripe, k, w) for k in range(w)])
     _raise_first(outcomes)
-    merged = sorted(chain.from_iterable(done for done, _ in outcomes), key=itemgetter(0))
-    results = [result for _, result in merged]
-    _raise_first(results)
+    results = []
+    for p in range(count):  # a stripe's list ends where it raises, so no lookup overruns it
+        result = outcomes[p % w][0][p // w]
+        if isinstance(result, Exception):
+            raise result
+        if result is not None:
+            results.append(result)
     return results, [extra for _, extra in outcomes]
 
 
@@ -178,18 +182,14 @@ def _over_corpus(
     inputs = _read_inputs(traces_path, geodb_path, jobs)
     pairs = sorted(inputs[0])
 
-    def stripe(k: int, w: int) -> tuple[list[tuple[int, _R | Exception]], FilterStats]:
-        positions = range(k, len(pairs), w)
+    def stripe(k: int, w: int) -> tuple[list[_R | Exception | None], FilterStats]:
+        mine = pairs[k::w]
         route_sets, db = inputs
         inputs.clear()  # so that the inputs are freed once the stripe is localized
-        filtered, stats = filter_pairs({pairs[p]: route_sets[pairs[p]] for p in positions}, db)
+        filtered, stats = filter_pairs({pair: route_sets[pair] for pair in mine}, db)
         counts = {pair: len(route_sets[pair].ip_routes) for pair in filtered}
         del route_sets, db
-        tasks = (
-            (p, (pairs[p], filtered[pairs[p]], counts[pairs[p]], cfg))
-            for p in positions
-            if pairs[p] in filtered
-        )
+        tasks = ((pair, filtered[pair], counts[pair], cfg) if pair in filtered else None for pair in mine)
         return _each(per_pair, tasks), stats
 
     results, stats = _in_stripes(stripe, len(pairs), jobs)
@@ -226,12 +226,8 @@ def score_clustered_pair(clustered: ClusteredPair, cfg: DiversityConfig) -> Dive
     radius = cfg.earth_radius_km
     gdi_km = gdi(representatives, radius)
 
-    longest = representatives[0]
+    longest = max(representatives, key=lambda rep: path_length(rep.nodes, radius))
     longest_len = path_length(longest.nodes, radius)
-    for rep in representatives[1:]:
-        length = path_length(rep.nodes, radius)
-        if length > longest_len:
-            longest, longest_len = rep, length
     endpoint_distance = great_circle_distance(longest.nodes[0], longest.nodes[-1], radius)
     if endpoint_distance <= 0.0:
         mgdi_km = 0.0
@@ -272,9 +268,8 @@ def score_cluster_rows(
     """Score clustered pairs in pair order, in up to ``jobs`` processes."""
     ordered = sorted(rows, key=attrgetter("pair"))
 
-    def stripe(k: int, w: int) -> tuple[list[tuple[int, DiversityReport | Exception]], None]:
-        tasks = ((p, (ordered[p], cfg)) for p in range(k, len(ordered), w))
-        return _each(score_clustered_pair, tasks), None
+    def stripe(k: int, w: int) -> tuple[list[DiversityReport | Exception | None], None]:
+        return _each(score_clustered_pair, ((row, cfg) for row in ordered[k::w])), None
 
     return _in_stripes(stripe, len(ordered), jobs)[0]
 
@@ -317,10 +312,13 @@ def emit_report(reports: Sequence[DiversityReport], stats: FilterStats, out_dir:
             "pairs_removed_stage2": stats.removed_single_geo_path,
             "pairs_scored": len(reports),
         },
-        "pairs": [report._asdict() for report in reports],
+        # Strict JSON has no infinity: a pair with GDI but no MGDI gets a null ratio.
+        "pairs": [
+            (r if math.isfinite(r.gdi_over_mgdi) else r._replace(gdi_over_mgdi=None))._asdict() for r in reports
+        ],
     }
     report_json = out / "report.json"
-    _write_text(report_json, json.dumps(payload, indent=2) + "\n")
+    _write_text(report_json, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
     pairs_csv = out / "pairs.csv"
     rows = [PAIRS_CSV_HEADER]
@@ -395,7 +393,7 @@ def write_clusters_file(
         ],
     }
     out = Path(path)
-    _write_text(out, json.dumps(payload, indent=2) + "\n")
+    _write_text(out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return out
 
 

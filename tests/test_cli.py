@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -80,19 +79,12 @@ def test_cluster_then_gdi_matches_pipeline(seven_route_corpus, small_pool, tmp_p
 
     # One pair at --jobs 5: the reader is the only child; the pair is
     # scored in this process.
-    started = []
-
-    class CountingProcess(multiprocessing.get_context("fork").Process):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", CountingProcess)
+    forks = _count_forks(monkeypatch)
     wide = tmp_path / "wide"
     assert main(
         ["pipeline", "--traces", str(traces), "--geodb", str(geodb), "--out", str(wide), "--jobs", "5"]
     ) == 0
-    assert len(started) == 1
+    assert len(forks) == 1
     for name in REPORT_FILES:
         assert (wide / name).read_bytes() == (direct / name).read_bytes()
     monkeypatch.undo()
@@ -122,7 +114,7 @@ def test_cluster_then_gdi_matches_pipeline(seven_route_corpus, small_pool, tmp_p
             clusters,
             [r.stderr for r in (pipeline_run, cluster_run, gdi_run)],
         ))
-    assert b"exceeds MGDI" in runs[0][2][0]
+    assert _WARNING.fullmatch(runs[0][2][0].decode())
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
 
@@ -144,6 +136,25 @@ def test_gdi_scores_at_the_radius_its_file_records(seven_route_corpus, tmp_path)
     assert (tmp_path / "direct" / "pairs.csv").read_bytes() != (tmp_path / "default" / "pairs.csv").read_bytes()
 
 
+# The one line a report writes when some pair's GDI exceeds its MGDI.
+_WARNING = re.compile(
+    r"WARNING: (\d+) of (\d+) scored pairs have GDI above MGDI \(gdi_over_mgdi > 1 in pairs\.csv\)\n"
+)
+
+
+def _count_forks(monkeypatch):
+    """A list that gains an entry each time this process forks."""
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
 def _cli(argv):
     src = str(Path(geodiv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -153,29 +164,36 @@ def _cli(argv):
 
 
 # Which of the heavy modules importing the CLI loads beyond a bare
-# interpreter, then which ones are loaded after a --jobs 1 run of each
-# command, as one JSON list per line. The script's arguments are the trace
-# file, the snapshot and an output directory.
+# interpreter, then which ones are loaded after --help and a --jobs 1 run
+# of each command, then after a --jobs 2 pipeline run, as one JSON list per
+# line. The script's arguments are the trace file, the snapshot and an
+# output directory.
 _IMPORT_DIET = """
-import json, sys
+import contextlib, io, json, sys
 before = set(sys.modules)
 from geodiv.cli import main
-heavy = {"dataclasses", "inspect", "multiprocessing", "socket"}
-print(json.dumps(sorted(heavy & (set(sys.modules) - before))))
+heavy = {"dataclasses", "inspect", "multiprocessing", "pickle", "socket"}
+loaded = lambda: print(json.dumps(sorted(heavy & (set(sys.modules) - before))))
+loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main(["pipeline", "--help"])
 traces, geodb, out = sys.argv[1:]
 inputs = ["--traces", traces, "--geodb", geodb, "--jobs", "1"]
 assert main(["pipeline", *inputs, "--out", out + "/direct"]) == 0
 assert main(["cluster", *inputs, "--out", out + "/staged"]) == 0
 assert main(["gdi", "--clusters", out + "/staged/clusters.json", "--out", out + "/scored", "--jobs", "1"]) == 0
-print(json.dumps(sorted(heavy & (set(sys.modules) - before))))
+loaded()
+assert main(["pipeline", "--traces", traces, "--geodb", geodb, "--jobs", "2", "--out", out + "/forked"]) == 0
+loaded()
 """
 
 
 def test_a_launch_imports_only_what_a_run_uses(seven_route_corpus, tmp_path):
     # Module sets only, no timing: importing the CLI loads neither
     # dataclasses (nor the inspect it pulls in), nor multiprocessing, nor
-    # socket, and a --jobs 1 run of each command forks nothing, so it never
-    # loads multiprocessing either.
+    # pickle, nor socket; --help and a --jobs 1 run of each command fork
+    # nothing, so they load none of them either; a --jobs 2 run loads
+    # pickle for its pipes and still no multiprocessing.
     traces, geodb, _ = seven_route_corpus
     src = str(Path(geodiv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
@@ -184,10 +202,10 @@ def test_a_launch_imports_only_what_a_run_uses(seven_route_corpus, tmp_path):
         capture_output=True, env=env, timeout=120, text=True,
     )
     assert run.returncode == 0, run.stderr
-    lines = run.stdout.splitlines()
-    assert json.loads(lines[0]) == []
-    assert json.loads(lines[-1]) == []
-    assert (tmp_path / "scored" / "report.json").read_bytes() == (tmp_path / "direct" / "report.json").read_bytes()
+    loaded = [json.loads(line) for line in run.stdout.splitlines() if line.startswith("[")]
+    assert loaded == [[], [], ["pickle"]]
+    for name in ("scored", "forked"):
+        assert (tmp_path / name / "report.json").read_bytes() == (tmp_path / "direct" / "report.json").read_bytes()
 
 
 def test_warnings_are_identical_for_any_jobs(small_pool, tmp_path):
@@ -200,9 +218,11 @@ def test_warnings_are_identical_for_any_jobs(small_pool, tmp_path):
         for i, jobs in enumerate(("1", "2", "2"))
     ]
     assert [run.returncode for run in runs] == [0, 0, 0]
-    warnings = runs[0].stderr.decode().splitlines()
-    assert len(warnings) > 5
-    assert all("exceeds MGDI" in line for line in warnings)
+    # One line that counts the pairs over the ceiling, not one per pair.
+    warning = _WARNING.fullmatch(runs[0].stderr.decode())
+    rows = [line.split(",") for line in (tmp_path / "out0" / "pairs.csv").read_text().splitlines()[1:]]
+    assert int(warning[1]) == sum(float(row[-1]) > 1.0 for row in rows) > 5
+    assert int(warning[2]) == len(rows)
     assert runs[1].stderr == runs[0].stderr
     assert runs[2].stderr == runs[0].stderr
 
@@ -289,12 +309,17 @@ def test_unexpected_failure_is_internal_error(seven_route_corpus, tmp_path, monk
         ("gdi", [], lambda payload: payload.update(earth_radius_km=[]), "clusters.json"),
         ("gdi", [], lambda payload: payload.update(earth_radius_km={}), "clusters.json"),
         ("gdi", [], lambda payload: payload.update(earth_radius_km="6371"), "clusters.json"),
+        ("pipeline", ["--mgdi-grid-steps", "1002"], None, "error: --mgdi-grid-steps must be at most 1001, got 1002\n"),
+        ("gdi", ["--mgdi-grid-steps", "1000000000"], None,
+         "error: --mgdi-grid-steps must be at most 1001, got 1000000000\n"),
+        ("cluster", ["--threshold-km", "inf"], None, "error: --threshold-km must be positive and finite, got inf\n"),
     ],
     ids=[
         "threshold", "grid-steps", "radius", "gdi-grid-steps", "file-radius", "file-route-count",
         "threshold-nan", "radius-nan", "radius-huge", "file-radius-huge",
         "jobs-zero", "cluster-jobs-negative", "gdi-jobs-zero", "file-radius-true", "file-radius-false",
         "file-radius-empty-string", "file-radius-empty-array", "file-radius-empty-object", "file-radius-string",
+        "grid-steps-huge", "gdi-grid-steps-huge", "threshold-inf",
     ],
 )
 def test_bad_setting_is_input_error(seven_route_corpus, tmp_path, capsys, command, flags, edit, named):
@@ -315,6 +340,13 @@ def test_bad_setting_is_input_error(seven_route_corpus, tmp_path, capsys, comman
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert named in err
+
+
+def test_grid_steps_are_checked_before_any_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    for inputs in (["pipeline", "--traces", missing, "--geodb", missing], ["gdi", "--clusters", missing]):
+        assert main([*inputs, "--out", str(tmp_path / "out"), "--jobs", "1", "--mgdi-grid-steps", "1002"]) == 1
+        assert capsys.readouterr().err == "error: --mgdi-grid-steps must be at most 1001, got 1002\n"
 
 
 @pytest.mark.parametrize(
@@ -350,23 +382,44 @@ class _Overdue(BaseException):
 @contextlib.contextmanager
 def _deadline(seconds):
     """Fail a call that blocks for longer than ``seconds`` instead of
-    hanging, and end any child process it leaves behind."""
+    hanging, and fail on, then end, any child process it leaves unreaped."""
 
     def expire(signum, frame):
         raise _Overdue(f"still running after {seconds} s")
 
+    forked = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
     previous = signal.signal(signal.SIGALRM, expire)
     signal.alarm(seconds)
+    os.fork = recording_fork
     try:
         yield
     finally:
+        os.fork = fork
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-        left = multiprocessing.active_children()
-        for child in left:
-            child.kill()
-            child.join()
+        left = []
+        for pid in forked:
+            with contextlib.suppress(ChildProcessError):  # raised only for a reaped child
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                left.append(pid)
         assert left == []
+        _assert_no_child()
+
+
+def _assert_no_child():
+    """This process has no child, running or exited, left to reap."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _run_both_ways(capsys, argv):

@@ -1,8 +1,8 @@
 import gc
 import json
 import logging
-import multiprocessing
 import os
+import pickle
 import random
 import time
 import weakref
@@ -34,7 +34,7 @@ from geodiv.pipeline import (
     write_clusters_file,
 )
 
-from test_cli import _deadline
+from test_cli import _assert_no_child, _count_forks, _deadline
 
 
 def test_ecdf_counts_duplicates():
@@ -200,11 +200,9 @@ def test_gdi_over_mgdi_above_one_is_flagged(tmp_path, capfd, caplog):
         assert [r.src for r in flagged] == ["10.0.0.1", "10.0.0.3"]
         out = tmp_path / f"out{jobs}"
         assert main(["gdi", "--clusters", str(clusters), "--out", str(out), "--jobs", str(jobs)]) == 0
-        assert capfd.readouterr().err.splitlines() == [
-            f"WARNING geodiv.pipeline: pair {r.src} -> {r.dst}: "
-            f"GDI {r.gdi_km:.3f} km exceeds MGDI {r.mgdi_km:.3f} km"
-            for r in flagged
-        ]
+        assert capfd.readouterr().err == (
+            f"WARNING: 2 of {len(reports)} scored pairs have GDI above MGDI (gdi_over_mgdi > 1 in pairs.csv)\n"
+        )
 
 
 def _clustered(pair, representatives):
@@ -219,24 +217,17 @@ def _rows(count):
 
 
 def test_stripes_start_one_child_fewer_than_their_count(monkeypatch):
-    started = []
-
-    class CountingProcess(multiprocessing.get_context("fork").Process):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", CountingProcess)
+    forks = _count_forks(monkeypatch)
     want = score_cluster_rows(_rows(3), DiversityConfig(), jobs=1)
     counts = []
     for count, jobs in ((3, 64), (3, 2), (1, 64), (3, 1)):
-        started.clear()
+        forks.clear()
         with _deadline(60):
             reports = score_cluster_rows(_rows(count), DiversityConfig(), jobs=jobs)
         assert reports == want[:count]
-        counts.append(len(started))
+        counts.append(len(forks))
     assert counts == [2, 1, 0, 0]
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_first_failing_pair_in_pair_order_wins(monkeypatch):
@@ -254,7 +245,7 @@ def test_first_failing_pair_in_pair_order_wins(monkeypatch):
         # process's own stripe fails later, at 10.0.0.3.
         with _deadline(60), pytest.raises(ValueError, match=r"^cannot score 10\.0\.0\.2$"):
             score_cluster_rows(rows, DiversityConfig(), jobs=jobs)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_failing_main_stripe_next_to_a_large_child_result_fails_promptly(monkeypatch):
@@ -270,13 +261,46 @@ def test_failing_main_stripe_next_to_a_large_child_result_fails_promptly(monkeyp
     with _deadline(60), pytest.raises(ValueError, match="the main stripe fails"):
         score_cluster_rows(_rows(4), DiversityConfig(), jobs=2)
     assert time.perf_counter() - start < 30.0
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_a_child_that_exits_without_a_result_is_an_error():
     with _deadline(60), pytest.raises(RuntimeError, match="exited without a result"):
         pipeline._run_forked([lambda: 1, lambda: os._exit(3)])
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("keep", [lambda data: data[:-1], lambda data: data[: len(data) // 2]], ids=["end", "half"])
+def test_a_child_whose_result_is_cut_short_is_an_error(monkeypatch, keep):
+    # The children inherit the patched pickle.dumps, so each pipe holds a
+    # truncated pickle, as when a child dies while writing.
+    dumps = pickle.dumps
+    monkeypatch.setattr(pickle, "dumps", lambda outcome: keep(dumps(outcome)))
+    with _deadline(60), pytest.raises(RuntimeError, match="^a worker process exited without a result$"):
+        pipeline._run_forked([lambda: 1, lambda: list(range(100_000)), lambda: "x" * 100_000])
+    _assert_no_child()
+
+
+def test_a_failed_fork_ends_the_children_already_started(monkeypatch):
+    # The third fork fails while two children sleep: both are killed and
+    # reaped at once, and no pipe end stays open.
+    fork = os.fork
+    forks = []
+
+    def fork_twice():
+        forks.append(None)
+        if len(forks) == 3:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_twice)
+    open_fds = sorted(os.listdir("/dev/fd"))
+    start = time.perf_counter()
+    with _deadline(60), pytest.raises(BlockingIOError):
+        pipeline._run_forked([lambda: 1] + [lambda: time.sleep(600)] * 3)
+    assert time.perf_counter() - start < 30.0
+    assert sorted(os.listdir("/dev/fd")) == open_fds
+    _assert_no_child()
 
 
 def test_a_stripe_frees_the_full_inputs_before_scoring(seven_route_corpus, monkeypatch):
@@ -314,7 +338,7 @@ def test_reader_gives_the_same_front_half(seven_route_corpus, small_pool, tmp_pa
     cfg = DiversityConfig()
     traces, geodb, _ = seven_route_corpus
     assert cluster_corpus(traces, geodb, cfg, jobs=2) == cluster_corpus(traces, geodb, cfg)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     spec = CorpusSpec("small", {1: 8, 2: 10, 3: 6}, single_route=24, single_geopath=12)
     traces, geodb = build_corpus(spec, 5, small_pool).write(tmp_path)
     serial = cluster_corpus(traces, geodb, cfg, jobs=1)
@@ -332,6 +356,39 @@ def test_mgdi_zero_for_loop_route():
     assert report.mgdi_km == 0.0
     assert report.gdi_km > 0.0
     assert math.isinf(report.gdi_over_mgdi)
+
+
+def test_loop_route_pair_writes_strict_json(tmp_path, capsys):
+    # Both routes leave and come back to one location, so the pair's ratio
+    # is infinite: pairs.csv says inf, and report.json null.
+    hops = {"10.1.0.1": (0, 0), "10.1.0.2": (4, 4), "10.1.0.3": (0, 0),
+            "10.2.0.1": (0, 0), "10.2.0.2": (-3, 5), "10.2.0.3": (0, 0)}
+    traces, geodb = tmp_path / "traces.jsonl", tmp_path / "geodb.csv"
+    traces.write_text("".join(
+        json.dumps({"src": "10.0.0.1", "dst": "10.9.0.1", "hops": [f"10.{r}.0.{h}" for h in (1, 2, 3)]}) + "\n"
+        for r in (1, 2)
+    ), encoding="utf-8")
+    geodb.write_text("".join(f"{ip}/32,{lat},{lon}\n" for ip, (lat, lon) in hops.items()), encoding="utf-8")
+
+    def strict(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    inputs = ["--traces", str(traces), "--geodb", str(geodb)]
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        assert main(["pipeline", *inputs, "--out", str(out / "direct"), "--jobs", jobs]) == 0
+        assert main(["cluster", *inputs, "--out", str(out / "staged"), "--jobs", jobs]) == 0
+        clusters = out / "staged" / "clusters.json"
+        json.loads(clusters.read_text(encoding="utf-8"), parse_constant=strict)
+        assert main(["gdi", "--clusters", str(clusters), "--out", str(out / "scored"), "--jobs", jobs]) == 0
+        assert capsys.readouterr().err == 2 * (
+            "WARNING: 1 of 1 scored pairs have GDI above MGDI (gdi_over_mgdi > 1 in pairs.csv)\n"
+        )
+        for name in ("direct", "scored"):
+            report = json.loads((out / name / "report.json").read_text(encoding="utf-8"), parse_constant=strict)
+            assert report["pairs"][0]["mgdi_km"] == 0.0 < report["pairs"][0]["gdi_km"]
+            assert report["pairs"][0]["gdi_over_mgdi"] is None
+            assert (out / name / "pairs.csv").read_text(encoding="utf-8").splitlines()[1].endswith(",inf")
 
 
 def test_clusters_file_round_trip(seven_route_corpus, tmp_path):
