@@ -44,17 +44,29 @@ class DiversityConfig(_Settings):
 
     def __new__(cls, *args: float, **kwargs: float) -> DiversityConfig:
         self = super().__new__(cls, *args, **kwargs)
-        if not 0 < self.threshold_km < math.inf:
-            raise InvalidConfig("threshold_km", f"must be positive and finite, got {self.threshold_km}")
-        if not 0 < self.earth_radius_km <= MAX_EARTH_RADIUS_KM:
+        threshold, radius, steps = self
+        if not (_is_number(threshold) and 0 < threshold < math.inf):
+            raise InvalidConfig("threshold_km", f"must be positive and finite, got {threshold}")
+        if not (_is_number(radius) and 0 < radius <= MAX_EARTH_RADIUS_KM):
             raise InvalidConfig(
-                "earth_radius_km",
-                f"must be positive and at most {MAX_EARTH_RADIUS_KM:g}, got {self.earth_radius_km}",
+                "earth_radius_km", f"must be positive and at most {MAX_EARTH_RADIUS_KM:g}, got {radius}"
             )
-        if not 1 <= self.mgdi_grid_steps <= MAX_MGDI_GRID_STEPS:
-            bound = "be a positive integer" if self.mgdi_grid_steps < 1 else f"be at most {MAX_MGDI_GRID_STEPS}"
-            raise InvalidConfig("mgdi_grid_steps", f"must {bound}, got {self.mgdi_grid_steps}")
+        if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 1):
+            raise InvalidConfig("mgdi_grid_steps", f"must be a positive integer, got {steps}")
+        if steps > MAX_MGDI_GRID_STEPS:
+            raise InvalidConfig("mgdi_grid_steps", f"must be at most {MAX_MGDI_GRID_STEPS}, got {steps}")
         return self
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> DiversityConfig:
+        # NamedTuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
+
+
+def _is_number(value: object) -> bool:
+    """Whether a value is a number, so neither a string nor ``True`` or
+    ``False``, which Python would take for 1 or 0."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class DiversityReport(NamedTuple):

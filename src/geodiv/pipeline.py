@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .cluster import Cluster, cluster_pair_routes
-from .diversity import MAX_EARTH_RADIUS_KM, DiversityConfig, DiversityReport, compression_ratio, gdi, mgdi
+from .diversity import MAX_EARTH_RADIUS_KM, DiversityConfig, DiversityReport, _is_number, compression_ratio, gdi, mgdi
 from .errors import ParseError, invalid_json, not_utf8
 from .geodesy import EARTH_RADIUS_KM, Coordinate, great_circle_distance, path_length
 from .geolocate import FilterStats, GeoPath, filter_pairs, load_geodb
@@ -412,12 +412,6 @@ def _path_from_json(nodes: object, *, path: str, what: str) -> GeoPath:
         return GeoPath(nodes=tuple(coords))
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}", path=path) from exc
-
-
-def _is_number(value: object) -> bool:
-    """Whether a JSON value is a number, so neither a string nor ``true``
-    or ``false``, which Python would take for 1 or 0."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _count(value: object) -> int:

@@ -13,7 +13,7 @@ import re
 from _socket import AF_INET, inet_pton  # socket re-exports these, at several times the import cost
 from ipaddress import AddressValueError, IPv4Address
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError, invalid_json, not_utf8
 
@@ -150,78 +150,49 @@ def parse_trace_line(
 
 def parse_trace_file(path: str | Path) -> list[TraceRecord]:
     """Parse a JSONL trace file; blank lines are skipped and one leading
-    byte order mark is allowed. Each distinct address string is validated
-    once per call.
-
-    One pass decodes each line and keeps the records of a clean file. A
-    line it does not accept as clean, an address that does not parse, or
-    a byte that is not UTF-8 sends the file, read again from its start
-    through the same handle, to the per-line parser, which words and
-    locates the first error as it always has. A file that cannot seek,
-    such as a pipe, goes to the per-line parser from the start.
+    byte order mark is allowed. One pass, a pipe's too, decodes each line
+    once and keeps its record in place when ``_clean_record`` accepts it,
+    so each distinct address string is validated once per call. Any other
+    line goes to ``parse_trace_line``, which words and locates its error.
     """
+    records = []
+    known = {UNRESPONSIVE}  # the addresses accepted so far, and the marker
+    name = str(path)
     with open(path, encoding="utf-8-sig") as fh:
-        if fh.seekable():
-            try:
-                clean = _parse_clean_file(fh)
-            except UnicodeDecodeError:
-                clean = None
-            if clean is not None:
-                return clean
-            fh.seek(0)
-        records = []
-        valid: set[str] = set()
-        name = str(path)
         try:
             for number, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                records.append(parse_trace_line(line, path=name, line_number=number, valid=valid))
+                record = None
+                if not (len(line) > _MAX_NESTING and _too_deep(line)):
+                    try:
+                        record = _clean_record(json.loads(line), known)
+                    except (ValueError, RecursionError):
+                        if not line.strip():
+                            continue
+                records.append(record or parse_trace_line(line, path=name, line_number=number))
         except UnicodeDecodeError:
             raise not_utf8(path) from None
     return records
 
 
-def _parse_clean_file(lines: Iterable[str]) -> list[TraceRecord] | None:
-    """The records of ``lines``, or None unless every line is blank or a
-    clean record: an object with ``src`` and ``dst`` address strings and
-    a ``hops`` array of address strings and markers."""
-    records = []
-    addresses: set[object] = set()
-    for line in lines:
-        if len(line) > _MAX_NESTING and _too_deep(line):
-            return None
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError):
-            if line.strip():
-                return None
-            continue
-        if type(obj) is not dict:
-            return None
-        src, dst, hops = obj.get("src"), obj.get("dst"), obj.get("hops")
+def _clean_record(obj: object, known: set[object]) -> TraceRecord | None:
+    """The record of a decoded object with ``src`` and ``dst`` address
+    strings and a ``hops`` array of address strings and markers, else None.
+    ``known`` holds the addresses accepted so far and the marker, and gains
+    the new ones that parse."""
+    try:
+        src, dst, hops = obj["src"], obj["dst"], obj["hops"]
         if type(src) is not str or type(dst) is not str or type(hops) is not list or UNRESPONSIVE in (src, dst):
             return None
-        try:
-            addresses.update(hops)
-        except TypeError:  # an array or object among the hops
-            return None
-        addresses.add(src)
-        addresses.add(dst)
-        records.append(TraceRecord(src, dst, tuple(hops)))
-    addresses.discard(UNRESPONSIVE)
-    for address in addresses:
-        if type(address) is not str:
-            return None
-        try:
-            parse_ipv4(address)
-        except ValueError:
-            return None
-    return records
-
-
-def _strip_markers(hops: Sequence[str]) -> HopSequence:
-    return tuple(h for h in hops if h != UNRESPONSIVE)
+        if not (src in known and dst in known and known.issuperset(hops)):
+            for address in (src, dst, *hops):
+                if address not in known:
+                    if type(address) is not str:
+                        return None
+                    parse_ipv4(address)
+                    known.add(address)
+    except (LookupError, TypeError, ValueError):  # not an object, or a key, hop or address amiss
+        return None
+    return TraceRecord(src, dst, tuple(hops))
 
 
 def group_by_pair(records: Iterable[TraceRecord]) -> dict[Pair, RouteSet]:
@@ -234,7 +205,7 @@ def group_by_pair(records: Iterable[TraceRecord]) -> dict[Pair, RouteSet]:
     routes: dict[Pair, set[HopSequence]] = {}
     for record in records:
         pair = (record.src, record.dst)
-        routes.setdefault(pair, set()).add(_strip_markers(record.hops))
+        routes.setdefault(pair, set()).add(tuple(h for h in record.hops if h != UNRESPONSIVE))
     return {
         pair: RouteSet(pair=pair, ip_routes=tuple(sorted(routes[pair])))
         for pair in sorted(routes)

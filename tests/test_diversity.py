@@ -15,6 +15,7 @@ from geodiv import (
     pair_diversity,
 )
 import geodiv.diversity as diversity
+from geodiv.errors import InvalidConfig
 from geodiv.diversity import (
     _BOUND_SLACK,
     _PEAK_SHARE,
@@ -404,3 +405,37 @@ def test_config_validation():
         DiversityConfig(earth_radius_km=-1.0)
     with pytest.raises(ValueError):
         DiversityConfig(mgdi_grid_steps=0)
+    assert DiversityConfig(threshold_km=50, earth_radius_km=6371) == DiversityConfig()
+
+
+def test_config_checks_replace_and_make():
+    # NamedTuple's _replace builds through _make, which skips __new__.
+    with pytest.raises(InvalidConfig, match="^threshold_km must be positive and finite, got inf$"):
+        DiversityConfig()._replace(mgdi_grid_steps=10**9, threshold_km=float("inf"))
+    with pytest.raises(InvalidConfig, match="^threshold_km must be positive and finite, got nan$"):
+        DiversityConfig._make([math.nan, 1.0, 5])
+    with pytest.raises(InvalidConfig, match="^mgdi_grid_steps must be at most 1001, got 1000000000$"):
+        DiversityConfig()._replace(mgdi_grid_steps=10**9)
+    replaced = DiversityConfig()._replace(threshold_km=20.0, mgdi_grid_steps=41)
+    assert type(replaced) is DiversityConfig
+    assert replaced == DiversityConfig(threshold_km=20.0, mgdi_grid_steps=41)
+    assert DiversityConfig._make([20.0, 6371.0, 41]) == replaced
+
+
+@pytest.mark.parametrize(
+    "setting, value, message",
+    [
+        ("mgdi_grid_steps", 21.5, "must be a positive integer, got 21.5"),
+        ("mgdi_grid_steps", 21.0, "must be a positive integer, got 21.0"),
+        ("mgdi_grid_steps", True, "must be a positive integer, got True"),
+        ("mgdi_grid_steps", "21", "must be a positive integer, got 21"),
+        ("threshold_km", "50", "must be positive and finite, got 50"),
+        ("threshold_km", True, "must be positive and finite, got True"),
+        ("earth_radius_km", "6371", "must be positive and at most 1e+12, got 6371"),
+        ("earth_radius_km", False, "must be positive and at most 1e+12, got False"),
+    ],
+)
+def test_config_rejects_a_setting_of_the_wrong_type(setting, value, message):
+    with pytest.raises(InvalidConfig) as excinfo:
+        DiversityConfig(**{setting: value})
+    assert (excinfo.value.field, excinfo.value.reason) == (setting, message)

@@ -4,7 +4,7 @@ import threading
 from ipaddress import AddressValueError, IPv4Address
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from corpus import CorpusSpec, build_corpus
 
@@ -291,6 +291,39 @@ def test_parse_file_matches_per_line_parser_on_handmade_files(tmp_path, content)
     assert _file_outcome(parse_trace_file, path) == _file_outcome(parse_trace_file_per_line, path)
 
 
+_ADDRESS_LINE = '{{"src":"{}","dst":"{}","hops":[{}]}}'
+# Lines that a file is built from: clean ones, some bringing new
+# addresses, and one of each way a line can be refused.
+_GOOD_LINES = [
+    _GOOD,
+    _OTHER,
+    _ADDRESS_LINE.format("10.0.0.1", "10.9.0.2", '"10.3.0.1","10.1.0.1","*"'),
+    '{"hops":["*","*"],"dst":"10.9.0.3","src":"10.0.0.3"}',
+]
+_BAD_LINES = [
+    _ADDRESS_LINE.format("10.0.0.1", "10.9.0.1", '"10.1.0.1","10.1.0.01"'),
+    _ADDRESS_LINE.format("10.0.0.1", "1.2.3", ""),
+    _ADDRESS_LINE.format("10.0.0.1", "10.9.0.1", '"*",42'),
+    _ADDRESS_LINE.format("*", "10.9.0.1", ""),
+    _ADDRESS_LINE.format("10.0.0.1", "10.9.0.1", '["10.1.0.1"]'),
+    "{broken",
+    "",
+    " \t",
+    f'{{"src":"10.0.0.1","dst":"10.9.0.1","hops":[],"x":{"[" * 501}{"]" * 501}}}',
+]
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(st.sampled_from(_GOOD_LINES + _BAD_LINES), max_size=12),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_parse_file_matches_per_line_parser_on_mixed_lines(tmp_path, lines, newline):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(newline.join(lines).encode())
+    assert _file_outcome(parse_trace_file, path) == _file_outcome(parse_trace_file_per_line, path)
+
+
 def test_parse_file_accepts_a_leading_byte_order_mark(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_bytes(f"\ufeff{_GOOD}\n{_OTHER}\n".encode())
@@ -309,9 +342,17 @@ def test_parse_file_accepts_a_leading_byte_order_mark(tmp_path):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
 @pytest.mark.parametrize("name", ["clean", "bad-json-late", "bad-address-late"])
-def test_parse_file_reads_a_pipe_once(tmp_path, name):
+def test_parse_file_reads_a_pipe_once(tmp_path, monkeypatch, name):
     """A pipe cannot be read a second time, so a malformed file that comes
-    from one is still reported at its line, and a clean one read whole."""
+    from one is still reported at its line, and a clean one read whole
+    without the per-line parser."""
+    per_line = []
+
+    def counted(*args, **kwargs):
+        per_line.append(args)
+        return parse_trace_line(*args, **kwargs)
+
+    monkeypatch.setattr(traces, "parse_trace_line", counted)
     content = {
         "clean": f"{_PAST_FIRST_BLOCK}{_OTHER}\n",
         "bad-json-late": f"{_PAST_FIRST_BLOCK}{{broken\n{_GOOD}\n",
@@ -335,6 +376,7 @@ def test_parse_file_reads_a_pipe_once(tmp_path, name):
     expected, expected_error = _file_outcome(parse_trace_file_per_line, regular)
     assert records == expected
     assert (error is None) == (expected_error is None)
+    assert len(per_line) == (0 if name == "clean" else 1)
     if error is not None:
         assert error[0].replace(f"/dev/fd/{read_end}", str(regular)) == expected_error[0]
         assert error[1] == expected_error[1]
