@@ -42,6 +42,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: an affinity mask can rule out cores."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="geodiv",
@@ -74,8 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
         p.add_argument("--out", required=True, metavar="DIR", help="output directory")
         p.add_argument(
-            "--jobs", type=int, default=min(os.cpu_count() or 1, MAX_JOBS), metavar="N",
-            help=f"worker processes, at most {MAX_JOBS} (default: all cores)",
+            "--jobs", type=int, default=min(_usable_cpus(), MAX_JOBS), metavar="N",
+            help=f"worker processes, at most {MAX_JOBS} (default: the usable CPUs)",
         )
     return parser
 

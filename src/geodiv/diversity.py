@@ -46,15 +46,15 @@ class DiversityConfig(_Settings):
         self = super().__new__(cls, *args, **kwargs)
         threshold, radius, steps = self
         if not (_is_number(threshold) and 0 < threshold < math.inf):
-            raise InvalidConfig("threshold_km", f"must be positive and finite, got {threshold}")
+            raise InvalidConfig("threshold_km", f"must be positive and finite, got {threshold!r}")
         if not (_is_number(radius) and 0 < radius <= MAX_EARTH_RADIUS_KM):
             raise InvalidConfig(
-                "earth_radius_km", f"must be positive and at most {MAX_EARTH_RADIUS_KM:g}, got {radius}"
+                "earth_radius_km", f"must be positive and at most {MAX_EARTH_RADIUS_KM:g}, got {radius!r}"
             )
         if not (isinstance(steps, int) and not isinstance(steps, bool) and steps >= 1):
-            raise InvalidConfig("mgdi_grid_steps", f"must be a positive integer, got {steps}")
+            raise InvalidConfig("mgdi_grid_steps", f"must be a positive integer, got {steps!r}")
         if steps > MAX_MGDI_GRID_STEPS:
-            raise InvalidConfig("mgdi_grid_steps", f"must be at most {MAX_MGDI_GRID_STEPS}, got {steps}")
+            raise InvalidConfig("mgdi_grid_steps", f"must be at most {MAX_MGDI_GRID_STEPS}, got {steps!r}")
         return self
 
     @classmethod

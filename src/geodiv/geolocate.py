@@ -57,31 +57,6 @@ class GeoDb:
         return None
 
 
-def _parse_geodb_row(
-    row: list[str], path: str | None, line: int, locations: dict[tuple[str, str], Coordinate]
-) -> tuple[int, int, Coordinate]:
-    """(network, prefix length, location) of one snapshot row. ``locations``
-    maps the stripped ``(lat, lon)`` texts seen so far to their coordinate,
-    so rows that repeat a location share one ``Coordinate``."""
-    if len(row) != 3:
-        raise ParseError(f"expected 3 columns, got {len(row)}", path=path, line=line)
-    cidr_text, lat_text, lon_text = [col.strip() for col in row]
-    try:
-        network = ip_network(cidr_text, strict=False)
-    except ValueError as exc:
-        raise ParseError(f"invalid CIDR {cidr_text!r}: {exc}", path=path, line=line) from exc
-    if not isinstance(network, IPv4Network):
-        raise ParseError(f"not an IPv4 prefix: {cidr_text!r}", path=path, line=line)
-    location = locations.get((lat_text, lon_text))
-    if location is None:
-        try:
-            location = Coordinate(lat=float(lat_text), lon=float(lon_text))
-        except ValueError as exc:
-            raise ParseError(f"invalid coordinates: {exc}", path=path, line=line) from exc
-        locations[lat_text, lon_text] = location
-    return int(network.network_address), network.prefixlen, location
-
-
 # The prefix lengths of the plain ``a.b.c.d/len`` form, by their text: at
 # most two ASCII digits, at most 32.
 _PREFIX_LENGTHS = {**{str(n): n for n in range(33)}, **{f"{n:02}": n for n in range(10)}}
@@ -91,36 +66,48 @@ def _add_row(
     db: GeoDb, row: list[str], path: str, line: int, locations: dict[tuple[str, str], Coordinate]
 ) -> None:
     """Add one snapshot row that starts on physical line ``line``, skipping
-    a blank row and the header. A row in the plain ``a.b.c.d/len,lat,lon``
-    or ``a.b.c.d,lat,lon`` form with a strict dotted-quad address and a
-    valid location is added here; any other goes through
-    ``_parse_geodb_row``, which words its error or accepts it as
-    ``ip_network(cidr, strict=False)`` does."""
-    if len(row) == 3:
-        cidr_text, lat_text, lon_text = row[0].strip(), row[1].strip(), row[2].strip()
-        address, slash, prefix = cidr_text.partition("/")
-        prefixlen = _PREFIX_LENGTHS.get(prefix) if slash else 32
-        if prefixlen is not None:
-            try:
-                shift = 32 - prefixlen
-                key = int.from_bytes(inet_pton(AF_INET, address), "big") >> shift
-                location = locations.get((lat_text, lon_text))
-                if location is None:
-                    location = locations[lat_text, lon_text] = Coordinate(float(lat_text), float(lon_text))
-            except (OSError, ValueError):
-                pass  # a bad address or location, worded below
-            else:
-                table = db._by_shift.get(shift)
-                if table is None or key in table:
-                    db._add(key << shift, prefixlen, location, path, line)
-                else:
-                    table[key] = location
-                return
-    if not "".join(row).strip():
-        return
-    if line == 1 and tuple(col.strip().lower() for col in row) == _HEADER:
-        return
-    db._add(*_parse_geodb_row(row, path, line, locations), path, line)
+    a blank row and a line-1 header, or raise the located error of its
+    first fault. A strict dotted-quad ``a.b.c.d`` or ``a.b.c.d/len`` prefix
+    is read with ``inet_pton``; any other form goes to
+    ``ip_network(cidr, strict=False)``, which accepts it or words its
+    error. ``locations`` maps the stripped ``(lat, lon)`` texts seen so far
+    to their coordinate, so rows that repeat a location share one."""
+    if len(row) != 3:
+        if not "".join(row).strip():
+            return
+        raise ParseError(f"expected 3 columns, got {len(row)}", path=path, line=line)
+    cidr_text, lat_text, lon_text = row[0].strip(), row[1].strip(), row[2].strip()
+    address, slash, prefix = cidr_text.partition("/")
+    prefixlen = _PREFIX_LENGTHS.get(prefix) if slash else 32
+    try:
+        network = int.from_bytes(inet_pton(AF_INET, address), "big")
+    except (OSError, ValueError):
+        prefixlen = None
+    if prefixlen is None:
+        if not (cidr_text or lat_text or lon_text):
+            return
+        if line == 1 and (cidr_text.lower(), lat_text.lower(), lon_text.lower()) == _HEADER:
+            return
+        try:
+            parsed = ip_network(cidr_text, strict=False)
+        except ValueError as exc:
+            raise ParseError(f"invalid CIDR {cidr_text!r}: {exc}", path=path, line=line) from exc
+        if not isinstance(parsed, IPv4Network):
+            raise ParseError(f"not an IPv4 prefix: {cidr_text!r}", path=path, line=line)
+        network, prefixlen = int(parsed.network_address), parsed.prefixlen
+    location = locations.get((lat_text, lon_text))
+    if location is None:
+        try:
+            location = locations[lat_text, lon_text] = Coordinate(float(lat_text), float(lon_text))
+        except ValueError as exc:
+            raise ParseError(f"invalid coordinates: {exc}", path=path, line=line) from exc
+    shift = 32 - prefixlen
+    key = network >> shift
+    table = db._by_shift.get(shift)
+    if table is None or key in table:
+        db._add(key << shift, prefixlen, location, path, line)
+    else:
+        table[key] = location
 
 
 def load_geodb(path: str | Path) -> GeoDb:

@@ -463,14 +463,11 @@ def read_clusters_file(path: str | Path) -> tuple[list[ClusteredPair], float, Fi
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed filter_stats: {exc}", path=name) from exc
     clustered: dict[Pair, ClusteredPair] = {}
-    valid: set[str] = set()
     for i, entry in enumerate(payload["pairs"]):
         if not isinstance(entry, dict):
             raise ParseError("each pair entry must be an object", path=name)
         try:
-            pair = tuple(
-                _check_address(entry[key], f"pairs[{i}].{key}", valid, name, None) for key in ("src", "dst")
-            )
+            pair = tuple(_check_address(entry[key], f"pairs[{i}].{key}", name, None) for key in ("src", "dst"))
             ip_route_count = _count(entry["ip_route_count"])
             geo_path_count = _count(entry["geo_path_count"])
             clusters = entry["clusters"]

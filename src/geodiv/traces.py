@@ -84,20 +84,18 @@ def parse_ipv4(text: str) -> int:
         return int(IPv4Address(text))
 
 
-def _check_address(
-    value: object, field: str, valid: set[str], path: str | None, line: int | None
-) -> str:
-    """``value`` if it is an IPv4 address string; ``valid`` holds the strings
-    already accepted, so each distinct string is parsed once."""
-    if not isinstance(value, str):
-        raise ParseError(f"field {field!r} must be a string", path=path, line=line)
-    if value not in valid:
+def _check_address(value: object, field: str, path: str | None, line: int | None) -> str:
+    """``value`` if it is an IPv4 address string; else raises the located
+    error of the field named ``field``."""
+    if type(value) is str:
         try:
             parse_ipv4(value)
+            return value
         except AddressValueError as exc:
-            raise ParseError(f"field {field!r}: {exc}", path=path, line=line) from exc
-        valid.add(value)
-    return value
+            reason = f": {exc}"
+    else:
+        reason = " must be a string"
+    raise ParseError(f"field {field!r}{reason}", path=path, line=line)
 
 
 def _too_deep(line: str) -> bool:
@@ -118,80 +116,72 @@ def _too_deep(line: str) -> bool:
     return False
 
 
-def parse_trace_line(
-    line: str, *, path: str | None = None, line_number: int | None = None, valid: set[str] | None = None
-) -> TraceRecord:
+def parse_trace_line(line: str, *, path: str | None = None, line_number: int | None = None) -> TraceRecord:
     """Parse one JSONL trace record, keeping hop order and unresponsive
-    markers. ``valid`` holds address strings already accepted, which are
-    not parsed again, and gains the ones this record adds."""
-    valid = set() if valid is None else valid
+    markers; a bad one raises the ``ParseError`` of its first fault."""
     if len(line) > _MAX_NESTING and _too_deep(line):
         raise ParseError("invalid JSON: nested too deeply", path=path, line=line_number)
     try:
         obj = json.loads(line)
     except (ValueError, RecursionError) as exc:
         raise invalid_json(exc, path, line_number) from exc
-    if not isinstance(obj, dict):
-        raise ParseError("trace record must be a JSON object", path=path, line=line_number)
-    for key in ("src", "dst", "hops"):
-        if key not in obj:
-            raise ParseError(f"missing key {key!r}", path=path, line=line_number)
-    src = _check_address(obj["src"], "src", valid, path, line_number)
-    dst = _check_address(obj["dst"], "dst", valid, path, line_number)
-    raw_hops = obj["hops"]
-    if not isinstance(raw_hops, list):
-        raise ParseError("field 'hops' must be an array", path=path, line=line_number)
-    for i, hop in enumerate(raw_hops):
-        if isinstance(hop, str) and (hop in valid or hop == UNRESPONSIVE):
-            continue
-        _check_address(hop, f"hops[{i}]", valid, path, line_number)
-    return TraceRecord(src=src, dst=dst, hops=tuple(raw_hops))
+    return _record(obj, {UNRESPONSIVE}, path, line_number)
 
 
 def parse_trace_file(path: str | Path) -> list[TraceRecord]:
-    """Parse a JSONL trace file; blank lines are skipped and one leading
-    byte order mark is allowed. One pass, a pipe's too, decodes each line
-    once and keeps its record in place when ``_clean_record`` accepts it,
-    so each distinct address string is validated once per call. Any other
-    line goes to ``parse_trace_line``, which words and locates its error.
-    """
+    """Parse a JSONL trace file in one pass, a pipe's too, skipping blank
+    lines and one leading byte order mark. Each line is decoded once and
+    checked by ``_record``; each distinct address is parsed once."""
     records = []
     known = {UNRESPONSIVE}  # the addresses accepted so far, and the marker
     name = str(path)
     with open(path, encoding="utf-8-sig") as fh:
         try:
             for number, line in enumerate(fh, start=1):
-                record = None
-                if not (len(line) > _MAX_NESTING and _too_deep(line)):
-                    try:
-                        record = _clean_record(json.loads(line), known)
-                    except (ValueError, RecursionError):
-                        if not line.strip():
-                            continue
-                records.append(record or parse_trace_line(line, path=name, line_number=number))
+                if len(line) > _MAX_NESTING and _too_deep(line):
+                    raise ParseError("invalid JSON: nested too deeply", path=name, line=number)
+                try:
+                    obj = json.loads(line)
+                except (ValueError, RecursionError) as exc:
+                    if line.isspace():
+                        continue
+                    raise invalid_json(exc, name, number) from exc
+                records.append(_record(obj, known, name, number))
         except UnicodeDecodeError:
             raise not_utf8(path) from None
     return records
 
 
-def _clean_record(obj: object, known: set[object]) -> TraceRecord | None:
-    """The record of a decoded object with ``src`` and ``dst`` address
-    strings and a ``hops`` array of address strings and markers, else None.
-    ``known`` holds the addresses accepted so far and the marker, and gains
-    the new ones that parse."""
+def _record(obj: object, known: set[str], path: str | None, line: int | None) -> TraceRecord:
+    """The record of a decoded trace line, or the ``ParseError`` of its
+    first fault at ``path`` and ``line``. ``known`` holds the marker and
+    the addresses accepted so far, and gains each new one."""
     try:
         src, dst, hops = obj["src"], obj["dst"], obj["hops"]
-        if type(src) is not str or type(dst) is not str or type(hops) is not list or UNRESPONSIVE in (src, dst):
-            return None
-        if not (src in known and dst in known and known.issuperset(hops)):
-            for address in (src, dst, *hops):
-                if address not in known:
-                    if type(address) is not str:
-                        return None
-                    parse_ipv4(address)
-                    known.add(address)
-    except (LookupError, TypeError, ValueError):  # not an object, or a key, hop or address amiss
-        return None
+    except KeyError as exc:
+        raise ParseError(f"missing key {exc.args[0]!r}", path=path, line=line) from None
+    except TypeError:  # not an object: an array, a string, a number, a boolean or null
+        raise ParseError("trace record must be a JSON object", path=path, line=line) from None
+    if type(src) is not str or src not in known or src == UNRESPONSIVE:
+        known.add(_check_address(src, "src", path, line))
+    if type(dst) is not str or dst not in known or dst == UNRESPONSIVE:
+        known.add(_check_address(dst, "dst", path, line))
+    if type(hops) is not list:
+        raise ParseError("field 'hops' must be an array", path=path, line=line)
+    try:
+        clean = known.issuperset(hops)
+    except TypeError:  # an array or object hop
+        clean = False
+    if not clean:
+        for i, hop in enumerate(hops):
+            if type(hop) is not str:
+                _check_address(hop, f"hops[{i}]", path, line)
+            elif hop not in known:
+                try:  # one call per new hop: ``_check_address`` only words a bad one
+                    parse_ipv4(hop)
+                except AddressValueError:
+                    _check_address(hop, f"hops[{i}]", path, line)
+                known.add(hop)
     return TraceRecord(src, dst, tuple(hops))
 
 

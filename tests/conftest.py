@@ -7,17 +7,13 @@ from __future__ import annotations
 
 import json
 import math
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
 from geodiv import Coordinate, GeoPath
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-
-from corpus import template_pool  # noqa: E402 - needs the path above
+from corpus import template_pool
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")

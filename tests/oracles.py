@@ -11,8 +11,9 @@ the trajectory search on the full apex table that three-route MGDI no
 longer builds, the MGDI triangle-pair score on the generic planar distance,
 the per-arc point-to-path distance, the ``ipaddress``-based geodb row
 parser with its per-row ``Coordinate`` construction and ``csv`` loop, and
-the per-line trace file parser. The planar model that
-MGDI is defined on (triangle routes, the planar pair score and GDI) is the
+the per-line trace file parser with its own line parser, so that the
+package's one record checker is not its own reference. The planar model
+that MGDI is defined on (triangle routes, the planar pair score and GDI) is the
 reference the MGDI kernel is checked against.
 """
 
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 from ipaddress import AddressValueError, IPv4Address, IPv4Network, NetmaskValueError, ip_network
 from pathlib import Path
@@ -35,10 +37,10 @@ from geodiv.diversity import (
     _triangle_pair_scores,
     diversity_from_delta,
 )
-from geodiv.errors import ParseError, not_utf8
+from geodiv.errors import ParseError, invalid_json, not_utf8
 from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate
 from geodiv.geolocate import GeoDb
-from geodiv.traces import TraceRecord, parse_trace_line
+from geodiv.traces import _MAX_NESTING, UNRESPONSIVE, TraceRecord, _too_deep, parse_ipv4
 
 _DEGENERATE_NORM = 1e-12
 
@@ -382,8 +384,55 @@ def load_geodb_per_row(path) -> GeoDb:
     return db
 
 
+def _check_address(
+    value: object, field: str, valid: set[str], path: str | None, line: int | None
+) -> str:
+    """``value`` if it is an IPv4 address string; ``valid`` holds the strings
+    already accepted, so each distinct string is parsed once."""
+    if not isinstance(value, str):
+        raise ParseError(f"field {field!r} must be a string", path=path, line=line)
+    if value not in valid:
+        try:
+            parse_ipv4(value)
+        except AddressValueError as exc:
+            raise ParseError(f"field {field!r}: {exc}", path=path, line=line) from exc
+        valid.add(value)
+    return value
+
+
+def parse_trace_line(
+    line: str, *, path: str | None = None, line_number: int | None = None, valid: set[str] | None = None
+) -> TraceRecord:
+    """Parse one JSONL trace record, keeping hop order and unresponsive
+    markers. ``valid`` holds address strings already accepted, which are
+    not parsed again, and gains the ones this record adds."""
+    valid = set() if valid is None else valid
+    if len(line) > _MAX_NESTING and _too_deep(line):
+        raise ParseError("invalid JSON: nested too deeply", path=path, line=line_number)
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise invalid_json(exc, path, line_number) from exc
+    if not isinstance(obj, dict):
+        raise ParseError("trace record must be a JSON object", path=path, line=line_number)
+    for key in ("src", "dst", "hops"):
+        if key not in obj:
+            raise ParseError(f"missing key {key!r}", path=path, line=line_number)
+    src = _check_address(obj["src"], "src", valid, path, line_number)
+    dst = _check_address(obj["dst"], "dst", valid, path, line_number)
+    raw_hops = obj["hops"]
+    if not isinstance(raw_hops, list):
+        raise ParseError("field 'hops' must be an array", path=path, line=line_number)
+    for i, hop in enumerate(raw_hops):
+        if isinstance(hop, str) and (hop in valid or hop == UNRESPONSIVE):
+            continue
+        _check_address(hop, f"hops[{i}]", valid, path, line_number)
+    return TraceRecord(src=src, dst=dst, hops=tuple(raw_hops))
+
+
 def parse_trace_file_per_line(path: str | Path) -> list[TraceRecord]:
-    """The original trace file parser: one ``parse_trace_line`` per line."""
+    """The original trace file parser: one ``parse_trace_line`` per line,
+    the original one above, not the package's."""
     records = []
     valid: set[str] = set()
     name = str(path)

@@ -676,12 +676,16 @@ def test_jobs_above_the_bound_is_rejected_before_any_work(tmp_path, capsys, monk
 
 
 def test_default_jobs_is_all_cores_up_to_the_bound(monkeypatch):
-    # Only the parser runs; nothing is forked.
+    # Only the parser runs; nothing is forked. The default counts the CPUs
+    # the process may run on, not the machine's cores.
     argv = ["gdi", "--clusters", "clusters.json", "--out", "out"]
     monkeypatch.setattr(os, "cpu_count", lambda: 10_000)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(10_000)), raising=False)
     assert cli.build_parser().parse_args(argv).jobs == cli.MAX_JOBS
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
     assert cli.build_parser().parse_args(argv).jobs == 3
+    # Without an affinity mask, the core count, or 1 when it is unknown.
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert cli.build_parser().parse_args(argv).jobs == 1
 

@@ -428,10 +428,10 @@ def test_config_checks_replace_and_make():
         ("mgdi_grid_steps", 21.5, "must be a positive integer, got 21.5"),
         ("mgdi_grid_steps", 21.0, "must be a positive integer, got 21.0"),
         ("mgdi_grid_steps", True, "must be a positive integer, got True"),
-        ("mgdi_grid_steps", "21", "must be a positive integer, got 21"),
-        ("threshold_km", "50", "must be positive and finite, got 50"),
+        ("mgdi_grid_steps", "21", "must be a positive integer, got '21'"),
+        ("threshold_km", "50", "must be positive and finite, got '50'"),
         ("threshold_km", True, "must be positive and finite, got True"),
-        ("earth_radius_km", "6371", "must be positive and at most 1e+12, got 6371"),
+        ("earth_radius_km", "6371", "must be positive and at most 1e+12, got '6371'"),
         ("earth_radius_km", False, "must be positive and at most 1e+12, got False"),
     ],
 )

@@ -271,8 +271,8 @@ def test_filter_accounting_and_survivor_invariants():
 
 
 def _parse_row(row, path, line):
-    """(network, prefix length, location) of one row added by the loader,
-    in place or through ``_parse_geodb_row``."""
+    """(network, prefix length, location) of one row added by the loader's
+    row checker."""
     db = GeoDb()
     _add_row(db, row, path, line, {})
     [(shift, table)] = db._by_shift.items()
@@ -440,6 +440,9 @@ GEODB_FILES = {
     "blank-rows": f"\n{_ROWS}\n  \n,,\n , ,\t\n12.0.0.0/8,1,1\n".encode(),
     "header-variants": b" CIDR , Lat,LON \n10.0.0.0/8,1,2\n",
     "header-not-first": f"10.0.0.0/8,1,2\n{_ROWS}".encode(),
+    "blank-three-column-row": b"10.0.0.0/8,1,2\n , ,\t\n11.0.0.0/8,1,2\n",
+    "mixed-case-header": b"CIDR,Lat,LON\n10.0.0.0/8,1,2\n",
+    "header-on-line-2": b"10.0.0.0/8,1,2\ncidr,lat,lon\n",
     "padded-columns": b"  10.0.0.0/8 ,  1.0 ,2.5\t\n\t11.0.0.0/8,1.0 ,  2.5  \n12.0.0.0/8 , 1.0,2.5\n",
     "quoted-fields": b'cidr,lat,lon\n"10.0.0.0/8","1.0","2.5"\n11.0.0.0/8,"1.0",2.5\n"12.0.0.0/8",1,2\n',
     "quoted-comma": b'10.0.0.0/8,1,2\n"11.0.0.0/8,1",1,2\n',
@@ -453,6 +456,7 @@ GEODB_FILES = {
     "no-prefix-length": b"10.1.2.3,1,2\n10.1.2.4/32,1,2\n",
     "host-bits-and-leading-zero-prefix": b"10.1.2.3/08,1,2\n11.0.0.0/0,1,2\n",
     "netmask": b"10.0.0.0/255.0.0.0,1,2\n10.0.0.0/8,1,2\n",
+    "duplicate-in-netmask-form": b"10.0.0.0/8,1,2\n10.9.9.9/255.0.0.0,3,4\n",
     "duplicate-after-no-prefix": b"10.1.2.3,1,2\n10.1.2.3/32,3,4\n",
     "duplicate-with-bad-location": b"10.0.0.0/8,1,2\n10.0.0.0/8,91,2\n",
     "leading-zero-octet": b"10.0.0.0/8,1,2\n010.0.0.0/8,1,2\n",
@@ -511,10 +515,10 @@ def test_load_accepts_a_leading_byte_order_mark(tmp_path):
 
 
 def test_a_clean_corpus_never_reaches_the_per_line_parsers(small_pool, tmp_path, monkeypatch):
-    """On a corpus of the benchmark's ``mixed`` shape, the trace file is
-    never parsed line by line and at most the header goes through the
-    general snapshot row parser."""
-    per_line, per_row = [], []
+    """On a corpus of the benchmark's ``mixed`` shape, each distinct trace
+    address is parsed once and at most the header goes through
+    ``ip_network``."""
+    addresses, networks = [], []
 
     def count(calls, fn):
         def counted(*args, **kwargs):
@@ -522,11 +526,13 @@ def test_a_clean_corpus_never_reaches_the_per_line_parsers(small_pool, tmp_path,
             return fn(*args, **kwargs)
         return counted
 
-    monkeypatch.setattr(traces, "parse_trace_line", count(per_line, traces.parse_trace_line))
-    monkeypatch.setattr(geolocate, "_parse_geodb_row", count(per_row, geolocate._parse_geodb_row))
+    monkeypatch.setattr(traces, "parse_ipv4", count(addresses, traces.parse_ipv4))
+    monkeypatch.setattr(geolocate, "ip_network", count(networks, geolocate.ip_network))
     spec = CorpusSpec("small", {1: 210, 2: 240, 3: 150}, single_route=600, single_geopath=300, min_lines=11000)
     trace_path, geodb_path = build_corpus(spec, 5, small_pool).write(tmp_path)
-    assert len(traces.parse_trace_file(trace_path)) == 11000
+    records = traces.parse_trace_file(trace_path)
+    assert len(records) == 11000
     assert len(geolocate.load_geodb(geodb_path)) > 20000
-    assert len(per_line) == 0
-    assert len(per_row) <= 1
+    distinct = {a for r in records for a in (r.src, r.dst, *r.hops)} - {traces.UNRESPONSIVE}
+    assert sorted(args for (args,) in addresses) == sorted(distinct)
+    assert len(networks) <= 1

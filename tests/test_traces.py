@@ -263,6 +263,13 @@ TRACE_FILES = {
     "number-src": f'{_GOOD}\n{{"src":1,"dst":"10.9.0.1","hops":[]}}\n'.encode(),
     "missing-hops": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1"}}\n'.encode(),
     "not-an-object": f"{_GOOD}\n[1, 2]\n".encode(),
+    "json-string-line": f'{_GOOD}\n"x"\n'.encode(),
+    "missing-src": f'{_GOOD}\n{{"dst":"10.9.0.1","hops":[]}}\n'.encode(),
+    "true-hop": f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.1",true]}}\n'.encode(),
+    "array-src": f'{_GOOD}\n{{"src":["10.0.0.1"],"dst":"10.9.0.1","hops":[]}}\n'.encode(),
+    "bad-address-after-new-good-one": (
+        f'{_GOOD}\n{{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.1","10.4.0.1","10.4.0.256"]}}\n'
+    ).encode(),
     "bad-address-first-seen-late": (
         50 * (_GOOD + "\n") + '{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.1","10.1.0.01"]}\n'
         + '{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.01"]}\n'
@@ -342,17 +349,9 @@ def test_parse_file_accepts_a_leading_byte_order_mark(tmp_path):
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
 @pytest.mark.parametrize("name", ["clean", "bad-json-late", "bad-address-late"])
-def test_parse_file_reads_a_pipe_once(tmp_path, monkeypatch, name):
+def test_parse_file_reads_a_pipe_once(tmp_path, name):
     """A pipe cannot be read a second time, so a malformed file that comes
-    from one is still reported at its line, and a clean one read whole
-    without the per-line parser."""
-    per_line = []
-
-    def counted(*args, **kwargs):
-        per_line.append(args)
-        return parse_trace_line(*args, **kwargs)
-
-    monkeypatch.setattr(traces, "parse_trace_line", counted)
+    from one is still reported at its line, and a clean one read whole."""
     content = {
         "clean": f"{_PAST_FIRST_BLOCK}{_OTHER}\n",
         "bad-json-late": f"{_PAST_FIRST_BLOCK}{{broken\n{_GOOD}\n",
@@ -376,7 +375,6 @@ def test_parse_file_reads_a_pipe_once(tmp_path, monkeypatch, name):
     expected, expected_error = _file_outcome(parse_trace_file_per_line, regular)
     assert records == expected
     assert (error is None) == (expected_error is None)
-    assert len(per_line) == (0 if name == "clean" else 1)
     if error is not None:
         assert error[0].replace(f"/dev/fd/{read_end}", str(regular)) == expected_error[0]
         assert error[1] == expected_error[1]
