@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and ``read_lines``, the one
+reader of input text, which locates a byte that is not UTF-8.
 
 ``ParseError`` (a malformed input file) and ``InvalidConfig`` (an
 out-of-range setting) are bad input, which the CLI reports and exits 1
@@ -8,7 +9,9 @@ on. A bad argument to a library call is a plain ``ValueError``.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 
 class GeodivError(Exception):
@@ -39,16 +42,35 @@ class ParseError(GeodivError):
         return self.reason
 
 
-def not_utf8(path: str | Path) -> ParseError:
-    """The error for a file that is not UTF-8, at its first bad byte. A
-    text read decodes in blocks, so the file is read again as bytes."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-        return ParseError("not valid UTF-8", path=str(path))  # changed since
-    except UnicodeDecodeError as exc:
-        reason = f"not valid UTF-8 at byte offset {exc.start} (0x{data[exc.start]:02x}: {exc.reason})"
-        return ParseError(reason, path=str(path), line=data.count(b"\n", 0, exc.start) + 1)
+def read_lines(path: str | Path) -> Iterator[str]:
+    """The lines that ``open(path, newline="", encoding="utf-8-sig")`` yields,
+    from one read of the file, a pipe's too. A bad byte raises its located
+    error after the lines before its ``\\n``-ended one, counting from the
+    start of the file, a byte order mark included."""
+    return chain.from_iterable(_blocks(path))
+
+
+def _blocks(path: str | Path) -> Iterator[list[str]]:
+    """The lines of ``read_lines``, a list per block of whole lines."""
+    with open(path, "rb") as fh:
+        raws = [fh.readline()]
+        offset = 3 if raws[0].startswith(b"\xef\xbb\xbf") else 0  # the file's bytes before ``block``
+        raws[0] = raws[0][offset:]
+        number = 1  # the line that ``block`` starts, counted in \n
+        while block := b"".join(raws):
+            try:
+                block.decode()
+            except UnicodeDecodeError as exc:
+                good = block[: block.rfind(b"\n", 0, exc.start) + 1]
+                yield list(map(bytes.decode, good.splitlines(True)))
+                reason = f"{offset + exc.start} ({block[exc.start]:#04x}: {exc.reason})"
+                line = number + good.count(b"\n")
+                raise ParseError(f"not valid UTF-8 at byte offset {reason}", path=str(path), line=line) from None
+            # Bytes split at \r\n, \r and \n only, as a text read does.
+            yield list(map(bytes.decode, block.splitlines(True) if b"\r" in block else raws))
+            offset += len(block)
+            number += len(raws)
+            raws = fh.readlines(1 << 16)  # whole lines, about 64 KiB of them
 
 
 def invalid_json(exc: ValueError | RecursionError, path: str | None, line: int | None) -> ParseError:

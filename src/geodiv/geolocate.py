@@ -14,7 +14,7 @@ from ipaddress import IPv4Address, IPv4Network, ip_network
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import ParseError, not_utf8
+from .errors import ParseError, read_lines
 from .geodesy import Coordinate, PreparedPath
 from .traces import HopSequence, Pair, RouteSet, UNRESPONSIVE, parse_ipv4
 
@@ -112,23 +112,19 @@ def _add_row(
 
 def load_geodb(path: str | Path) -> GeoDb:
     """Load a CSV geolocation snapshot, rejecting duplicate identical CIDRs.
-    One leading byte order mark is allowed, and an error names the
-    physical line its row starts on. Rows that repeat a location's text
-    share one ``Coordinate``."""
+    An error names the physical line its row starts on, a bad byte its own
+    line. Rows that repeat a location's text share one ``Coordinate``."""
     db = GeoDb()
     locations: dict[tuple[str, str], Coordinate] = {}
     name = str(path)
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        line = 1
-        try:
-            for row in reader:
-                _add_row(db, row, name, line, locations)
-                line = reader.line_num + 1
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-        except csv.Error as exc:  # such as a field past the csv module's size limit
-            raise ParseError(f"malformed CSV: {exc}", path=name, line=reader.line_num) from None
+    reader = csv.reader(read_lines(path))
+    line = 1
+    try:
+        for row in reader:
+            _add_row(db, row, name, line, locations)
+            line = reader.line_num + 1
+    except csv.Error as exc:  # such as a field past the csv module's size limit
+        raise ParseError(f"malformed CSV: {exc}", path=name, line=reader.line_num) from None
     return db
 
 

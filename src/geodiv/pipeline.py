@@ -21,7 +21,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .cluster import Cluster, cluster_pair_routes
 from .diversity import MAX_EARTH_RADIUS_KM, DiversityConfig, DiversityReport, _is_number, compression_ratio, gdi, mgdi
-from .errors import ParseError, invalid_json, not_utf8
+from .errors import ParseError, _blocks, invalid_json
 from .geodesy import EARTH_RADIUS_KM, Coordinate, great_circle_distance, path_length
 from .geolocate import FilterStats, GeoPath, filter_pairs, load_geodb
 from .traces import Pair, _check_address, group_by_pair, parse_trace_file
@@ -433,14 +433,11 @@ def read_clusters_file(path: str | Path) -> tuple[list[ClusteredPair], float, Fi
     ``members``. A file that records no radius gives ``EARTH_RADIUS_KM``,
     and one without stats counts every pair in it as scored."""
     name = str(path)
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            payload = json.load(fh)
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-        except (ValueError, RecursionError) as exc:
-            # A malformed file's error has a line; a too deep or too long one's has none.
-            raise invalid_json(exc, name, getattr(exc, "lineno", None)) from exc
+    try:  # one document, so a bad byte anywhere in it wins; a block's lines are joined as it is read
+        payload = json.loads("".join(map("".join, _blocks(path))).replace("\r\n", "\n").replace("\r", "\n"))
+    except (ValueError, RecursionError) as exc:
+        # A malformed file's error has a line (counted at \r\n, \r and \n); a too deep or too long one's has none.
+        raise invalid_json(exc, name, getattr(exc, "lineno", None)) from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("pairs"), list):
         raise ParseError("clusters file must be an object with a 'pairs' array", path=name)
     # A missing, null or zero radius means "not recorded".

@@ -15,7 +15,7 @@ from ipaddress import AddressValueError, IPv4Address
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from .errors import ParseError, invalid_json, not_utf8
+from .errors import ParseError, invalid_json, read_lines
 
 UNRESPONSIVE = "*"
 
@@ -116,39 +116,23 @@ def _too_deep(line: str) -> bool:
     return False
 
 
-def parse_trace_line(line: str, *, path: str | None = None, line_number: int | None = None) -> TraceRecord:
-    """Parse one JSONL trace record, keeping hop order and unresponsive
-    markers; a bad one raises the ``ParseError`` of its first fault."""
-    if len(line) > _MAX_NESTING and _too_deep(line):
-        raise ParseError("invalid JSON: nested too deeply", path=path, line=line_number)
-    try:
-        obj = json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        raise invalid_json(exc, path, line_number) from exc
-    return _record(obj, {UNRESPONSIVE}, path, line_number)
-
-
 def parse_trace_file(path: str | Path) -> list[TraceRecord]:
     """Parse a JSONL trace file in one pass, a pipe's too, skipping blank
-    lines and one leading byte order mark. Each line is decoded once and
-    checked by ``_record``; each distinct address is parsed once."""
+    lines. Each line is checked by ``_record``, each distinct address is
+    parsed once, and the first faulty line raises its ``ParseError``."""
     records = []
     known = {UNRESPONSIVE}  # the addresses accepted so far, and the marker
     name = str(path)
-    with open(path, encoding="utf-8-sig") as fh:
+    for number, line in enumerate(read_lines(path), start=1):
+        if len(line) > _MAX_NESTING and _too_deep(line):
+            raise ParseError("invalid JSON: nested too deeply", path=name, line=number)
         try:
-            for number, line in enumerate(fh, start=1):
-                if len(line) > _MAX_NESTING and _too_deep(line):
-                    raise ParseError("invalid JSON: nested too deeply", path=name, line=number)
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:
-                    if line.isspace():
-                        continue
-                    raise invalid_json(exc, name, number) from exc
-                records.append(_record(obj, known, name, number))
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            if line.isspace():
+                continue
+            raise invalid_json(exc, name, number) from exc
+        records.append(_record(obj, known, name, number))
     return records
 
 

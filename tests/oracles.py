@@ -12,7 +12,11 @@ longer builds, the MGDI triangle-pair score on the generic planar distance,
 the per-arc point-to-path distance, the ``ipaddress``-based geodb row
 parser with its per-row ``Coordinate`` construction and ``csv`` loop, and
 the per-line trace file parser with its own line parser, so that the
-package's one record checker is not its own reference. The planar model
+package's one record checker is not its own reference. The two file
+oracles find a file's first bad byte from its bytes, run on the lines
+before that byte's line, and word the byte's error with the original
+``not_utf8``, so that the package's line source is not its own reference
+either. The planar model
 that MGDI is defined on (triangle routes, the planar pair score and GDI) is the
 reference the MGDI kernel is checked against.
 """
@@ -20,6 +24,7 @@ reference the MGDI kernel is checked against.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -37,7 +42,7 @@ from geodiv.diversity import (
     _triangle_pair_scores,
     diversity_from_delta,
 )
-from geodiv.errors import ParseError, invalid_json, not_utf8
+from geodiv.errors import ParseError, invalid_json
 from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate
 from geodiv.geolocate import GeoDb
 from geodiv.traces import _MAX_NESTING, UNRESPONSIVE, TraceRecord, _too_deep, parse_ipv4
@@ -361,6 +366,33 @@ def parse_geodb_row_ipaddress(row: list[str], path: str | None, line: int) -> tu
     return int(network.network_address), network.prefixlen, location
 
 
+def not_utf8(path: str | Path) -> ParseError:
+    """The error for a file that is not UTF-8, at its first bad byte. A
+    text read decodes in blocks, so the file is read again as bytes."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+        return ParseError("not valid UTF-8", path=str(path))  # changed since
+    except UnicodeDecodeError as exc:
+        reason = f"not valid UTF-8 at byte offset {exc.start} (0x{data[exc.start]:02x}: {exc.reason})"
+        return ParseError(reason, path=str(path), line=data.count(b"\n", 0, exc.start) + 1)
+
+
+def _lines_to_bad_byte(path, newline):
+    """The lines of ``path`` as ``open(path, newline=newline,
+    encoding="utf-8")`` reads them, up to the ``\\n``-ended line of the
+    file's first byte that is not UTF-8; then the original ``not_utf8``
+    error of that byte. A parser's error on an earlier line comes first."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        good = data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+        yield from io.StringIO(good, newline=newline)
+        raise not_utf8(path) from None
+    yield from io.StringIO(text, newline=newline)
+
+
 def load_geodb_per_row(path) -> GeoDb:
     """A snapshot loaded with one new ``Coordinate`` per row, through the
     original row parser, by the original ``csv`` loop: each row numbered
@@ -368,19 +400,16 @@ def load_geodb_per_row(path) -> GeoDb:
     original loader worded them."""
     db = GeoDb()
     name = str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            for line, row in enumerate(reader, start=1):
-                if not "".join(row).strip():
-                    continue
-                if line == 1 and tuple(col.strip().lower() for col in row) == ("cidr", "lat", "lon"):
-                    continue
-                db._add(*parse_geodb_row_ipaddress(row, name, line), name, line)
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
-        except csv.Error as exc:
-            raise ParseError(f"malformed CSV: {exc}", path=name, line=reader.line_num) from None
+    reader = csv.reader(_lines_to_bad_byte(path, newline=""))
+    try:
+        for line, row in enumerate(reader, start=1):
+            if not "".join(row).strip():
+                continue
+            if line == 1 and tuple(col.strip().lower() for col in row) == ("cidr", "lat", "lon"):
+                continue
+            db._add(*parse_geodb_row_ipaddress(row, name, line), name, line)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", path=name, line=reader.line_num) from None
     return db
 
 
@@ -436,12 +465,8 @@ def parse_trace_file_per_line(path: str | Path) -> list[TraceRecord]:
     records = []
     valid: set[str] = set()
     name = str(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for number, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                records.append(parse_trace_line(line, path=name, line_number=number, valid=valid))
-        except UnicodeDecodeError:
-            raise not_utf8(path) from None
+    for number, line in enumerate(_lines_to_bad_byte(path, newline=None), start=1):
+        if not line.strip():
+            continue
+        records.append(parse_trace_line(line, path=name, line_number=number, valid=valid))
     return records

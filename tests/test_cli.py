@@ -471,8 +471,6 @@ def test_input_errors_are_the_same_with_a_reader(tmp_path, capsys, command, trac
     ids=["traces", "traces-past-8k", "geodb", "geodb-past-8k", "clusters"],
 )
 def test_non_utf8_input_is_a_located_input_error(seven_route_corpus, tmp_path, capsys, bad_file, good_lines):
-    # A text read decodes 8 KiB blocks at a time, so in the "past-8k" cases
-    # the bad byte is met before the lines ahead of it are parsed.
     work = tmp_path / "work"
     work.mkdir()
     traces, geodb = work / "traces.jsonl", work / "geodb.csv"
@@ -496,6 +494,49 @@ def test_non_utf8_input_is_a_located_input_error(seven_route_corpus, tmp_path, c
     assert serial == parallel
     assert serial.startswith(f"error: {work / bad_file}:{good_lines + 1}: not valid UTF-8 at byte offset ")
     assert serial.endswith(" (0xff: invalid start byte)\n")
+
+
+# Runs the CLI on its arguments after an audit hook that writes the path
+# of each file opened, in this process or a forked one, to stderr.
+_COUNT_OPENS = """
+import os, sys
+sys.addaudithook(lambda event, args: event == "open" and os.write(2, f"opened {args[0]}\\n".encode()))
+from geodiv.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("bad_file", ["traces.jsonl", "geodb.csv", "clusters.json"])
+def test_each_input_file_is_opened_once(seven_route_corpus, tmp_path, bad_file, jobs):
+    # A bad byte past the first 8 KiB is located from the one read of its
+    # file, by whichever process reads it; no file is opened again.
+    work = tmp_path / "work"
+    work.mkdir()
+    traces, geodb, clusters = work / "traces.jsonl", work / "geodb.csv", work / "clusters.json"
+    traces.write_text(_GOOD_TRACE * 300, encoding="utf-8")
+    geodb.write_text("".join(f"10.{i >> 8}.{i & 255}.0/24,0,0\n" for i in range(1000)), encoding="utf-8")
+    argv = ["pipeline", "--traces", str(traces), "--geodb", str(geodb)]
+    if bad_file == "clusters.json":
+        seven_traces, seven_geodb, _ = seven_route_corpus
+        assert main(["cluster", "--traces", str(seven_traces), "--geodb", str(seven_geodb),
+                     "--out", str(work), "--jobs", "1"]) == 0
+        clusters.write_bytes(b"\n" * 9000 + clusters.read_bytes().replace(b'"src": "', b'"src": "\xff', 1))
+        argv = ["gdi", "--clusters", str(clusters)]
+    else:
+        bad = work / bad_file
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    src = str(Path(geodiv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run(
+        [sys.executable, "-c", _COUNT_OPENS, *argv, "--out", str(tmp_path / "out"), "--jobs", jobs],
+        capture_output=True, env=env, timeout=120, text=True,
+    )
+    assert run.returncode == 1, run.stderr
+    opened = [line.removeprefix("opened ") for line in run.stderr.splitlines() if line.startswith("opened ")]
+    assert opened.count(str(work / bad_file)) == 1
+    assert all(opened.count(str(path)) <= 1 for path in (traces, geodb, clusters))
+    assert f"error: {work / bad_file}:" in run.stderr and " not valid UTF-8 at byte offset " in run.stderr
 
 
 @pytest.mark.parametrize("marked", ["traces.jsonl", "geodb.csv", "clusters.json"])

@@ -1,3 +1,4 @@
+import os
 import random
 from ipaddress import IPv4Address, IPv4Network, ip_network
 from typing import Iterable
@@ -11,6 +12,7 @@ from geodiv import Coordinate, GeoPath, ParseError, filter_pairs, geolocate, loa
 from geodiv.geolocate import GeoDb, _add_row, _localize
 from geodiv.traces import RouteSet
 from oracles import brute_force_lookup, load_geodb_per_row, parse_geodb_row_ipaddress
+from test_traces import outcome_from_pipe
 
 
 def _db_of(entries: Iterable[tuple[IPv4Network, Coordinate]]) -> GeoDb:
@@ -427,8 +429,6 @@ def _load_outcome(load, path):
 
 
 _ROWS = "cidr,lat,lon\n10.0.0.0/8,1.0,2.5\n10.1.0.0/16,-3.5,170\n"
-# About 10 KiB of good rows, so that a byte after them lies past the first
-# block the text decoder reads.
 _PAST_FIRST_BLOCK = "".join(f"11.{i // 256}.{i % 256}.0/24,1.5,{i % 90}\n" for i in range(500))
 
 GEODB_FILES = {
@@ -477,6 +477,11 @@ GEODB_FILES = {
         f'{_PAST_FIRST_BLOCK}10.0.0.0/8,1,2\n10.0.0.0/8,1,2\n{_PAST_FIRST_BLOCK.replace("11.", "12.")}'
     ).encode() + b"\xff\n",
     "bad-byte-after-quote": f'"10.0.0.0/8",1,2\nbogus,1,2\n{_PAST_FIRST_BLOCK}'.encode() + b"\xff\n",
+    "bad-byte-before-bad-cidr": b"10.0.0.0/8,1,2\n11.0.0.0/8,1,\xff\nbogus,1,2\n",
+    "crlf-bad-byte": b"10.0.0.0/8,1,2\r\n11.0.0.0/8,1,2\r\n12.0.0.0/8,\xff,2\r\n",
+    "lone-cr-bad-byte": b"10.0.0.0/8,1,2\r11.0.0.0/8,1,2\r12.0.0.0/8,\xff,2\r",
+    "bom-bad-byte-on-line-1": b"\xef\xbb\xbf10.0.0.0/8,1,\xff\n11.0.0.0/8,1,2\n",
+    "bad-byte-in-quoted-field-across-lines": b'10.0.0.0/8,1,2\n"11.0.\n0.0/8\xff",1,2\n12.0.0.0/8,1,2\n',
 }
 
 
@@ -485,6 +490,24 @@ def test_load_matches_per_row_loader_on_handmade_files(tmp_path, content):
     path = tmp_path / "geo.csv"
     path.write_bytes(content)
     assert _load_outcome(load_geodb, path) == _load_outcome(load_geodb_per_row, path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("name", ["clean", "bad-row-late", "bad-byte-late"])
+def test_load_reads_a_pipe_once(tmp_path, name):
+    """A snapshot from a pipe loads, or fails at its line and offset, as
+    the same file does."""
+    content = {
+        "clean": f"{_ROWS}{_PAST_FIRST_BLOCK}".encode(),
+        "bad-row-late": f"{_ROWS}{_PAST_FIRST_BLOCK}bogus,1,2\n".encode(),
+        "bad-byte-late": f"{_ROWS}{_PAST_FIRST_BLOCK}".encode() + b"12.0.0.0/8,1,\xff\n13.0.0.0/8,1,2\n",
+    }[name]
+    regular = tmp_path / "geo.csv"
+    regular.write_bytes(content)
+    db, error = outcome_from_pipe(load_geodb, content, regular)
+    outcome = (None if db is None else _tables(db), error)
+    assert outcome == _load_outcome(load_geodb, regular) == _load_outcome(load_geodb_per_row, regular)
+    assert (error is None) == (name == "clean")
 
 
 def test_errors_name_the_physical_line_a_row_starts_on(tmp_path):

@@ -35,6 +35,7 @@ from geodiv.pipeline import (
 )
 
 from test_cli import _assert_no_child, _count_forks, _deadline
+from test_traces import _file_outcome, outcome_from_pipe
 
 
 def test_ecdf_counts_duplicates():
@@ -389,6 +390,32 @@ def test_loop_route_pair_writes_strict_json(tmp_path, capsys):
             assert report["pairs"][0]["mgdi_km"] == 0.0 < report["pairs"][0]["gdi_km"]
             assert report["pairs"][0]["gdi_over_mgdi"] is None
             assert (out / name / "pairs.csv").read_text(encoding="utf-8").splitlines()[1].endswith(",inf")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("name", ["clean", "bad-json-late", "bad-byte-late", "bad-json-after-lone-cr"])
+def test_clusters_file_reads_a_pipe_once(seven_route_corpus, tmp_path, name):
+    """A clusters file from a pipe loads, or fails at its line and offset,
+    as the same file does."""
+    traces, geodb, _ = seven_route_corpus
+    cfg = DiversityConfig()
+    clustered, stats = cluster_corpus(traces, geodb, cfg)
+    text = write_clusters_file(clustered, cfg, tmp_path / "written.json", stats=stats).read_bytes()
+    content = {
+        "clean": b"\n" * 9000 + text,
+        "bad-json-late": b"\n" * 9000 + text[:-3],
+        "bad-byte-late": b"\n" * 9000 + text.replace(b'"dst": "', b'"dst": "\xff', 1),
+        "bad-json-after-lone-cr": b"\r" * 9000 + text[:-3],
+    }[name]
+    regular = tmp_path / "clusters.json"
+    regular.write_bytes(content)
+    outcome = outcome_from_pipe(read_clusters_file, content, regular)
+    assert outcome == _file_outcome(read_clusters_file, regular)
+    assert (outcome[1] is None) == (name == "clean")
+    if name == "bad-json-after-lone-cr":
+        # An error's line counts a lone \r as a line end, as a text read does.
+        regular.write_bytes(b"\n" * 9000 + text[:-3])
+        assert outcome == _file_outcome(read_clusters_file, regular)
 
 
 def test_clusters_file_round_trip(seven_route_corpus, tmp_path):

@@ -5,7 +5,7 @@ request, and recovered exactly by the pipeline on both template pools."""
 from corpus import CorpusSpec, build_corpus
 
 from geodiv import group_by_pair, run_pipeline
-from geodiv.traces import parse_trace_line
+from oracles import parse_trace_line
 
 # 25 and 50 pairs in the roadmap's mixes: 40/20/40 single-route,
 # single-geo-path and scored pairs; 35/40/25 of the scored ones with 1, 2

@@ -10,53 +10,65 @@ from corpus import CorpusSpec, build_corpus
 
 from geodiv import traces
 from geodiv import ParseError, group_by_pair, parse_trace_file
-from geodiv.traces import TraceRecord, parse_ipv4, parse_trace_line
-from oracles import parse_trace_file_per_line
+from geodiv.errors import read_lines
+from geodiv.traces import TraceRecord, parse_ipv4
+from oracles import not_utf8, parse_trace_file_per_line
 
 
-def test_parse_basic_record():
+def _parse_line(tmp_path, line):
+    """The one record of a trace file that holds ``line`` alone."""
+    path = tmp_path / "t.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    (record,) = parse_trace_file(path)
+    return record
+
+
+def test_parse_basic_record(tmp_path):
     line = '{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.1","*","10.2.0.1"]}'
-    record = parse_trace_line(line)
+    record = _parse_line(tmp_path, line)
     assert record == TraceRecord(src="10.0.0.1", dst="10.9.0.1", hops=("10.1.0.1", "*", "10.2.0.1"))
 
 
-def test_parse_empty_hops():
-    record = parse_trace_line('{"src":"10.0.0.1","dst":"10.9.0.1","hops":[]}')
+def test_parse_empty_hops(tmp_path):
+    record = _parse_line(tmp_path, '{"src":"10.0.0.1","dst":"10.9.0.1","hops":[]}')
     assert record.hops == ()
 
 
-def test_parse_rejects_non_json():
+def test_parse_rejects_non_json(tmp_path):
     with pytest.raises(ParseError):
-        parse_trace_line("not json")
+        _parse_line(tmp_path, "not json")
 
 
-def test_parse_rejects_missing_keys():
+def test_parse_rejects_missing_keys(tmp_path):
     with pytest.raises(ParseError):
-        parse_trace_line('{"src":"10.0.0.1","hops":[]}')
+        _parse_line(tmp_path, '{"src":"10.0.0.1","hops":[]}')
 
 
-def test_parse_rejects_bad_address():
-    octet = r"^field 'hops\[0\]': Octet 999 \(> 255\) not permitted in '999\.1\.1\.1'$"
-    with pytest.raises(ParseError, match=octet):
-        parse_trace_line('{"src":"10.0.0.1","dst":"10.9.0.1","hops":["999.1.1.1"]}')
-    with pytest.raises(ParseError, match="^field 'src': Expected 4 octets in 'nope'$"):
-        parse_trace_line('{"src":"nope","dst":"10.9.0.1","hops":[]}')
-
-
-def test_invalid_address_is_a_parse_error():
+def test_parse_rejects_bad_address(tmp_path):
     with pytest.raises(ParseError) as excinfo:
-        parse_trace_line('{"src":"10.0.0.1","dst":"nope","hops":[]}', path="t.jsonl", line_number=3)
+        _parse_line(tmp_path, '{"src":"10.0.0.1","dst":"10.9.0.1","hops":["999.1.1.1"]}')
+    assert excinfo.value.reason == "field 'hops[0]': Octet 999 (> 255) not permitted in '999.1.1.1'"
+    with pytest.raises(ParseError) as excinfo:
+        _parse_line(tmp_path, '{"src":"nope","dst":"10.9.0.1","hops":[]}')
+    assert excinfo.value.reason == "field 'src': Expected 4 octets in 'nope'"
+
+
+def test_invalid_address_is_a_parse_error(tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_text(2 * f"{_GOOD}\n" + '{"src":"10.0.0.1","dst":"nope","hops":[]}\n', encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        parse_trace_file(path)
     assert type(excinfo.value) is ParseError
-    assert str(excinfo.value) == "t.jsonl:3: field 'dst': Expected 4 octets in 'nope'"
+    assert str(excinfo.value) == f"{path}:3: field 'dst': Expected 4 octets in 'nope'"
 
 
-def test_parse_rejects_non_string_hop():
+def test_parse_rejects_non_string_hop(tmp_path):
     with pytest.raises(ParseError):
-        parse_trace_line('{"src":"10.0.0.1","dst":"10.9.0.1","hops":[42]}')
+        _parse_line(tmp_path, '{"src":"10.0.0.1","dst":"10.9.0.1","hops":[42]}')
 
 
-def test_parse_ignores_unknown_keys():
-    record = parse_trace_line('{"src":"10.0.0.1","dst":"10.9.0.1","hops":[],"rtt_ms":3}')
+def test_parse_ignores_unknown_keys(tmp_path):
+    record = _parse_line(tmp_path, '{"src":"10.0.0.1","dst":"10.9.0.1","hops":[],"rtt_ms":3}')
     assert record.src == "10.0.0.1"
 
 
@@ -239,8 +251,8 @@ def test_parse_file_matches_per_line_parser_on_generated_corpora(small_pool, man
 
 _GOOD = '{"src":"10.0.0.1","dst":"10.9.0.1","hops":["10.1.0.1","*","10.2.0.1"]}'
 _OTHER = '{"src":"10.0.0.2","dst":"10.9.0.1","hops":[],"note":"x"}'
-# About 10 KiB of good lines, so that a byte after them lies past the
-# first block the text decoder reads.
+# About 10 KiB of good lines: more than the 8 KiB that a text read
+# decodes at once.
 _PAST_FIRST_BLOCK = 140 * (_GOOD + "\n")
 
 TRACE_FILES = {
@@ -288,6 +300,10 @@ TRACE_FILES = {
     "bad-byte-after-bad-address": (
         f'{_PAST_FIRST_BLOCK}{{"src":"10.0.0.1","dst":"1.2.3","hops":[]}}\n{_PAST_FIRST_BLOCK}'
     ).encode() + b"\xff\n",
+    "bad-byte-before-bad-json": f"{_GOOD}\n".encode() + b'{"src":"\xff"}\n{broken\n',
+    "crlf-bad-byte": f"{_GOOD}\r\n{_OTHER}\r\n".encode() + b'{"src":"\xff"}\r\n',
+    "lone-cr-bad-byte": f"{_GOOD}\r{_OTHER}\r".encode() + b'{"src":"\xff"}\r',
+    "bom-bad-byte-on-line-1": b'\xef\xbb\xbf{"src":"\xff"}\n' + f"{_GOOD}\n".encode(),
 }
 
 
@@ -347,19 +363,67 @@ def test_parse_file_accepts_a_leading_byte_order_mark(tmp_path):
         parse_trace_file(path)
 
 
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
-@pytest.mark.parametrize("name", ["clean", "bad-json-late", "bad-address-late"])
-def test_parse_file_reads_a_pipe_once(tmp_path, name):
-    """A pipe cannot be read a second time, so a malformed file that comes
-    from one is still reported at its line, and a clean one read whole."""
-    content = {
-        "clean": f"{_PAST_FIRST_BLOCK}{_OTHER}\n",
-        "bad-json-late": f"{_PAST_FIRST_BLOCK}{{broken\n{_GOOD}\n",
-        "bad-address-late": f'{_PAST_FIRST_BLOCK}{{"src":"10.0.0.1","dst":"1.2.3","hops":[]}}\n',
-    }[name].encode()
-    regular = tmp_path / "t.jsonl"
-    regular.write_bytes(content)
+# Line ends, characters that end a line elsewhere but not here, a byte
+# order mark, a two-byte character, and a line longer than a block read.
+_TEXT_PIECES = [
+    "a", "b c", "\r", "\n", "\r\n", "\u2028", "\x85", "\x0c", "\x0b", "\x1c", "\ufeff", "\u00e9", "z" * 70_000
+]
+
+
+def _assert_read_as_text(path, data):
+    """``read_lines`` of ``data`` yields what a ``utf-8-sig`` text read with
+    untranslated line ends yields. With a bad byte in it, it yields the
+    lines before the byte's ``\\n``-ended line, then raises the error that
+    the original ``not_utf8`` words."""
+    path.write_bytes(data)
+    lines = []
+    try:
+        for line in read_lines(path):
+            lines.append(line)
+    except ParseError as exc:
+        expected = not_utf8(path)
+        assert (str(exc), exc.line) == (str(expected), expected.line)
+        start = int(expected.reason.split()[6])  # the bad byte's offset
+        path.write_bytes(data[: data.rfind(b"\n", 0, start) + 1])
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        assert lines == list(fh)
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    pieces=st.lists(st.sampled_from(_TEXT_PIECES), max_size=20),
+    mark=st.booleans(),
+    bad_at=st.one_of(st.none(), st.integers(0, 10**6)),
+)
+def test_read_lines_is_a_text_read(tmp_path, pieces, mark, bad_at):
+    data = ("\ufeff" * mark + "".join(pieces)).encode()
+    if bad_at is not None:
+        bad_at %= len(data) + 1
+        data = data[:bad_at] + b"\xff" + data[bad_at:]
+    _assert_read_as_text(tmp_path / "t.txt", data)
+
+
+@pytest.mark.parametrize("bad_at", [None, 0, 1, 3, 70_000, 150_001, 299_999, -1])
+def test_read_lines_is_a_text_read_over_many_blocks(tmp_path, bad_at):
+    # About 300 KB of lines of mixed length and ends, read in blocks of
+    # about 64 KiB, with one bad byte in the first, a middle or the last.
+    rng = random.Random(7)
+    ends = ["\n", "\r\n", "\r", "\n", "\u2028\n"]
+    text = "\ufeff" + "".join("x\u00e9" * rng.randrange(60) + rng.choice(ends) for _ in range(4000))
+    data = text.encode()
+    if bad_at is not None:
+        data = data[:bad_at] + b"\xff" + data[bad_at:] if bad_at >= 0 else data + b"\xff"
+    assert len(data) > 250_000
+    _assert_read_as_text(tmp_path / "t.txt", data)
+
+
+def outcome_from_pipe(read, content, name):
+    """(result, None) of ``read`` on a ``/dev/fd`` path naming a pipe fed
+    ``content``, or (None, (message, line)) of its ``ParseError``, with the
+    pipe's path in the message replaced by ``name``. ``content`` fits in
+    the pipe's buffer, so the feed ends even when ``read`` stops early."""
     read_end, write_end = os.pipe()
+    pipe = f"/dev/fd/{read_end}"
 
     def feed() -> None:
         with os.fdopen(write_end, "wb") as fh:
@@ -368,13 +432,28 @@ def test_parse_file_reads_a_pipe_once(tmp_path, name):
     writer = threading.Thread(target=feed)
     writer.start()
     try:
-        records, error = _file_outcome(parse_trace_file, f"/dev/fd/{read_end}")
+        return read(pipe), None
+    except ParseError as exc:
+        return None, (str(exc).replace(pipe, str(name)), exc.line)
     finally:
         writer.join()
         os.close(read_end)
-    expected, expected_error = _file_outcome(parse_trace_file_per_line, regular)
-    assert records == expected
-    assert (error is None) == (expected_error is None)
-    if error is not None:
-        assert error[0].replace(f"/dev/fd/{read_end}", str(regular)) == expected_error[0]
-        assert error[1] == expected_error[1]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
+@pytest.mark.parametrize("name", ["clean", "bad-json-late", "bad-address-late", "bad-byte-late"])
+def test_parse_file_reads_a_pipe_once(tmp_path, name):
+    """A pipe cannot be read a second time, so a malformed file that comes
+    from one is still reported at its line, a bad byte at its offset too,
+    and a clean one read whole."""
+    content = {
+        "clean": f"{_PAST_FIRST_BLOCK}{_OTHER}\n".encode(),
+        "bad-json-late": f"{_PAST_FIRST_BLOCK}{{broken\n{_GOOD}\n".encode(),
+        "bad-address-late": f'{_PAST_FIRST_BLOCK}{{"src":"10.0.0.1","dst":"1.2.3","hops":[]}}\n'.encode(),
+        "bad-byte-late": f"{_PAST_FIRST_BLOCK}{_GOOD}\n".encode() + b'{"src":"\xff"}\n' + _GOOD.encode(),
+    }[name]
+    regular = tmp_path / "t.jsonl"
+    regular.write_bytes(content)
+    outcome = outcome_from_pipe(parse_trace_file, content, regular)
+    assert outcome == _file_outcome(parse_trace_file, regular) == _file_outcome(parse_trace_file_per_line, regular)
+    assert (outcome[1] is None) == (name == "clean")
