@@ -9,6 +9,7 @@ cluster.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, NamedTuple
 
 from .geodesy import EARTH_RADIUS_KM
@@ -43,8 +44,8 @@ def geo_equal(p: GeoPath, l: GeoPath, threshold_km: float, radius_km: float = EA
     A node passes at the first arc within the threshold, and the test
     fails at the first node that does not pass.
     """
-    if threshold_km <= 0:
-        raise ValueError(f"threshold_km must be positive, got {threshold_km}")
+    if not 0 < threshold_km < math.inf:
+        raise ValueError(f"threshold_km must be positive and finite, got {threshold_km}")
     pp, lp = p.prepared, l.prepared
     return all(lp.distance(u, radius_km, threshold_km) <= threshold_km for u in pp.points) and all(
         pp.distance(u, radius_km, threshold_km) <= threshold_km for u in lp.points

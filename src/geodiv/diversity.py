@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .cluster import delta_vector
 from .errors import InvalidConfig
@@ -155,17 +155,13 @@ def _height_grid(h_max: float, steps: int) -> list[float]:
     return [-h_max + span * k / (steps - 1) for k in range(steps)]
 
 
-def _triangle_pair_scores(
-    endpoint_distance_km: float, heights: Sequence[float], pairs: Iterable[tuple[int, int]]
-) -> Iterator[tuple[int, int, float]]:
-    """Yields ``(i, j, diversity_from_delta([0, a, 0, 0, b, 0]))`` for each
-    ``(i, j)`` in ``pairs``, with ``a`` and ``b`` the planar point-to-path
-    distances (``tests/oracles.py``) from the apex of the triangle route of
-    height ``heights[i]`` to that of ``heights[j]`` and back. The same float
-    operations run in the same order, on arc terms computed once per
-    triangle; only the (exact) subtractions of a zero coordinate are left
-    out. Each pair is taken from ``pairs`` only once the previous score has
-    been taken."""
+def _triangle_scorer(endpoint_distance_km: float, heights: Sequence[float]) -> Callable[[int, int], float]:
+    """``score(i, j)``: ``diversity_from_delta([0, a, 0, 0, b, 0])``, with
+    ``a`` and ``b`` the planar point-to-path distances (``tests/oracles.py``)
+    from the apex of the triangle route of height ``heights[i]`` to that of
+    ``heights[j]`` and back. The same float operations run in the same
+    order, on arc terms computed once per triangle; only the (exact)
+    subtractions of a zero coordinate are left out."""
     x = endpoint_distance_km / 2.0
     run = endpoint_distance_km - x  # each second arc runs from (x, h) to (d, 0)
     arcs = [(h, x * x + h * h, 0.0 - h, run * run + (0.0 - h) * (0.0 - h)) for h in heights]
@@ -186,17 +182,18 @@ def _triangle_pair_scores(
             d2 = hypot(x - (x + t * run), hp - (hq + t * rise))
         return d2 if d2 < d1 else d1
 
-    for i, j in pairs:
+    def score(i: int, j: int) -> float:
         a, b = apex_to(arcs[i][0], *arcs[j]), apex_to(arcs[j][0], *arcs[i])
         peak = max(0.0, a, b)
         if peak <= 0.0:
-            yield i, j, 0.0
-            continue
+            return 0.0
         na, nb = a / peak, b / peak
         mean = fsum((0.0, na, 0.0, 0.0, nb, 0.0)) / 6
         z = (0.0 - mean) ** 2
         variance = fsum((z, (na - mean) ** 2, z, z, (nb - mean) ** 2, z)) / 6
-        yield i, j, (1.0 - variance) * (fsum((0.0, a, 0.0, 0.0, b, 0.0)) / 6)
+        return (1.0 - variance) * (fsum((0.0, a, 0.0, 0.0, b, 0.0)) / 6)
+
+    return score
 
 
 # Relative slack on the branch-and-bound cut, so that rounding in the bound
@@ -229,12 +226,15 @@ def _extend_trajectory(
     has_pinned: bool,
     best: float,
 ) -> float:
-    """Best GDI over the valid continuations of one partial greedy trajectory.
+    """Best GDI over the valid continuations of one partial greedy trajectory
+    that hold the pinned route.
 
     ``candidates`` holds ``(score to the selected set, index)`` for every
     route that may still join without changing an earlier greedy choice;
     ``slots`` is how many more routes may join.
     """
+    if not (has_pinned or any(k == pinned for _, k in candidates)):
+        return best
     candidates.sort(key=lambda c: (-c[0], c[1]))
     scores = [score for score, _ in candidates]
     for pos, (score, v) in enumerate(candidates):
@@ -250,10 +250,7 @@ def _extend_trajectory(
             # Routes sorted after this pick leave the greedy's choice of it
             # unchanged (lower score, or a tie with a later index).
             rest = _admit(table[v], v, opening, candidates[pos + 1 :])
-            if holds_pinned or any(k == pinned for _, k in rest):
-                best = _extend_trajectory(
-                    table, opening, pinned, slots - 1, value, rest, holds_pinned, best
-                )
+            best = _extend_trajectory(table, opening, pinned, slots - 1, value, rest, holds_pinned, best)
         if v == pinned and not has_pinned:
             break  # every later branch leaves the pinned route out
     return best
@@ -276,11 +273,7 @@ def _best_greedy_set(
             break
         candidates = [(math.inf, k) for k in range(m) if k != i and k != j]
         candidates = _admit(table[j], j, opening, _admit(table[i], i, opening, candidates))
-        has_pinned = pinned in (i, j)
-        if has_pinned or any(k == pinned for _, k in candidates):
-            best = _extend_trajectory(
-                table, opening, pinned, max_routes - 2, top, candidates, has_pinned, best
-            )
+        best = _extend_trajectory(table, opening, pinned, max_routes - 2, top, candidates, pinned in (i, j), best)
     return best
 
 
@@ -334,47 +327,42 @@ def _score_ceilings(endpoint_distance_km: float, heights: Sequence[float]) -> li
 
 
 def _best_three_route_set(
-    endpoint_distance_km: float, grid: Sequence[float], pinned_scores: Sequence[float], best: float
+    score: Callable[[int, int], float], ceilings: list[list[float]], pinned_scores: Sequence[float], best: float
 ) -> float:
     """Largest of ``best`` and the greedy GDI of every set ``{a, b, pinned}``
     (``a < b < pinned``, the last grid index), scoring a pair ``(a, b)``
-    only while it can still win.
+    only while it can still win; ``ceilings`` (:func:`_score_ceilings` of
+    the grid without the pinned route) becomes the sets' bounds in place.
 
     On three routes :func:`_greedy_accumulate` returns exactly the largest
     plus the smallest of the three pair scores, whatever its tie-breaks
     pick. With ``hi`` and ``lo`` the two pinned scores and ``u`` the pair's
-    ceiling (:func:`_score_ceilings`), that is at most
-    ``max(u, hi) + min(u, lo)``, which carries the search's relative slack.
+    ceiling, that is at most ``max(u, hi) + min(u, lo)``, which carries the
+    search's relative slack.
     """
-    bounds = _score_ceilings(endpoint_distance_km, grid[:-1])
-    for b, row in enumerate(bounds):
+    for b, row in enumerate(ceilings):
         p_b = pinned_scores[b]
         for a, (u, p_a) in enumerate(zip(row, pinned_scores)):
             hi, lo = (p_a, p_b) if p_a > p_b else (p_b, p_a)
             row[a] = ((u if u > hi else hi) + (u if u < lo else lo)) * _BOUND_SLACK
 
-    def ranked() -> Iterator[tuple[int, int]]:
-        # Highest bound first, while the bound beats the best value so far:
-        # the kernel takes each pair only after the previous value is in.
-        # Scoring the top pair first shortens the list that needs sorting.
-        tops = [max(row, default=-1.0) for row in bounds]
-        b = tops.index(max(tops))
-        if tops[b] <= best:
-            return
-        a = bounds[b].index(tops[b])
-        bounds[b][a] = -1.0
-        yield a, b
-        rest = [(bound, a, b) for b, row in enumerate(bounds) for a, bound in enumerate(row) if bound > best]
-        for bound, a, b in sorted(rest, reverse=True):
-            if bound <= best:
-                return
-            yield a, b
+    def value(a: int, b: int) -> float:
+        s, p_a, p_b = score(a, b), pinned_scores[a], pinned_scores[b]
+        return max(s, p_a, p_b) + min(s, p_a, p_b)
 
-    for a, b, score in _triangle_pair_scores(endpoint_distance_km, grid, ranked()):
-        p_a, p_b = pinned_scores[a], pinned_scores[b]
-        value = max(score, p_a, p_b) + min(score, p_a, p_b)
-        if value > best:
-            best = value
+    # The pair of highest bound first: its value shortens the list to sort.
+    tops = [max(row, default=-1.0) for row in ceilings]
+    b = tops.index(max(tops))
+    if tops[b] <= best:
+        return best
+    a = ceilings[b].index(tops[b])
+    ceilings[b][a] = -1.0
+    best = max(best, value(a, b))
+    rest = [(bound, a, b) for b, row in enumerate(ceilings) for a, bound in enumerate(row) if bound > best]
+    for bound, a, b in sorted(rest, reverse=True):
+        if bound <= best:
+            break
+        best = max(best, value(a, b))
     return best
 
 
@@ -397,40 +385,34 @@ def mgdi(
     endpoint lies exactly (to the bit) on every other triangle, so a
     pair's distance vector is ``(0, a, 0, 0, b, 0)`` with ``a`` and ``b``
     the distances from each apex to the other triangle. Only those two are
-    computed, and the score is evaluated on the same vector as the planar
-    pair score (``tests/oracles.py``) would build. Two-route sets need only
-    the pinned route's row, and three-route sets a few more entries, so
-    the full table is built only for four or more routes.
+    computed, by one scorer, and the score is evaluated on the same vector
+    as the planar pair score (``tests/oracles.py``) would build. Two-route
+    sets need only the pinned route's row, and three-route sets a few more
+    entries (:func:`_best_three_route_set` scores a pair, highest bound
+    first, only while a ceiling on its set's GDI beats the best value
+    found), so the full table is built only for four or more routes.
 
-    *Three routes.* The greedy GDI of ``{a, b, pinned}`` is exactly the
-    largest plus the smallest of its three pair scores. Each apex lies
-    within ``|h_a - h_b|`` of the other triangle, and the pair score on
-    ``(0, a, 0, 0, b, 0)`` is at most 7/27 of its larger entry, so
-    ``s_ab <= 7/27 * |h_a - h_b|``; :func:`_score_ceilings` tightens this
-    per pair. With ``hi`` and ``lo`` the pair's two pinned scores and
-    ``u`` its ceiling, ``max(u, hi) + min(u, lo)`` (with the slack below)
-    bounds the set, and the pairs are scored highest bound first, only
-    while the bound beats the best value found.
-
-    *Trajectory search* (four or more routes). Instead of running the
-    greedy on every subset,
-    the search walks greedy trajectories: an opening pair, then one pick
-    at a time. A pick is allowed only while it leaves every earlier
-    greedy choice unchanged, including the strict-``>`` comparisons and
-    the earliest-index tie-breaks. The prefixes of such a trajectory are
+    *Trajectory search* (four or more routes). Instead of running the greedy
+    on every subset, the search walks greedy trajectories: an opening pair,
+    then one pick at a time. A pick is allowed only while it leaves every
+    earlier greedy choice unchanged, including the strict-``>`` comparisons
+    and the earliest-index tie-breaks. The prefixes of such a trajectory are
     exactly the greedy runs on their own sets, so the trajectories of at
     most ``n_routes`` routes that hold the pinned one are in one-to-one
     correspondence with the sets the definition ranges over, and sums
     accumulate in the greedy's own order. A route's score to the selected
     set only falls as the set grows, so a branch is cut once its sum plus
-    the highest current candidate score for each free slot cannot beat
-    the best value found; the cut carries a relative slack of 1e-9 so
-    rounding never drops the optimum. The result equals the exhaustive
-    subset search bit for bit.
+    the highest current candidate score for each free slot cannot beat the
+    best value found; the cut carries a relative slack of 1e-9 so rounding
+    never drops the optimum. The result equals the exhaustive subset search
+    bit for bit.
     """
     cfg = cfg or DiversityConfig()
     if n_routes <= 1:
         return 0.0
+    for name, km in (("endpoint distance", endpoint_distance_km), ("longest route", longest_route_km)):
+        if not math.isfinite(km):
+            raise ValueError(f"{name} must be finite, got {km}")
     if endpoint_distance_km <= 0:
         raise ValueError(f"endpoint distance must be positive, got {endpoint_distance_km}")
     if longest_route_km < endpoint_distance_km:
@@ -443,21 +425,19 @@ def mgdi(
     pinned = len(grid) - 1  # +h_max is always the last grid value
 
     m = len(grid)
-    pinned_pairs = [(i, pinned) for i in range(pinned)]
-    pinned_scores = [score for _, _, score in _triangle_pair_scores(endpoint_distance_km, grid, pinned_pairs)]
+    score = _triangle_scorer(endpoint_distance_km, grid)
+    pinned_scores = [score(i, pinned) for i in range(pinned)]
     best = max([0.0, *pinned_scores])
     max_routes = min(n_routes, m)
     if max_routes <= 2:
         return best
     if max_routes == 3:
-        return _best_three_route_set(endpoint_distance_km, grid, pinned_scores, best)
+        return _best_three_route_set(score, _score_ceilings(endpoint_distance_km, grid[:-1]), pinned_scores, best)
 
     table = [[0.0] * m for _ in range(m)]
-    for i, score in enumerate(pinned_scores):
-        table[i][pinned] = table[pinned][i] = score
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, pinned)]
-    for i, j, score in _triangle_pair_scores(endpoint_distance_km, grid, pairs):
-        table[i][j] = table[j][i] = score
+    for i in range(m):
+        for j in range(i + 1, m):
+            table[i][j] = table[j][i] = score(i, j) if j < pinned else pinned_scores[i]
     return _best_greedy_set(table, pinned, max_routes, best)
 
 

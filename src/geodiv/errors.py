@@ -45,8 +45,9 @@ class ParseError(GeodivError):
 def read_lines(path: str | Path) -> Iterator[str]:
     """The lines that ``open(path, newline="", encoding="utf-8-sig")`` yields,
     from one read of the file, a pipe's too. A bad byte raises its located
-    error after the lines before its ``\\n``-ended one, counting from the
-    start of the file, a byte order mark included."""
+    error after the lines before its own, with lines ended at ``\\r\\n``,
+    ``\\r`` or ``\\n`` and the offset counted from the start of the file, a
+    byte order mark included."""
     return chain.from_iterable(_blocks(path))
 
 
@@ -56,20 +57,22 @@ def _blocks(path: str | Path) -> Iterator[list[str]]:
         raws = [fh.readline()]
         offset = 3 if raws[0].startswith(b"\xef\xbb\xbf") else 0  # the file's bytes before ``block``
         raws[0] = raws[0][offset:]
-        number = 1  # the line that ``block`` starts, counted in \n
+        number = 1  # the line that ``block`` starts
         while block := b"".join(raws):
             try:
                 block.decode()
             except UnicodeDecodeError as exc:
-                good = block[: block.rfind(b"\n", 0, exc.start) + 1]
-                yield list(map(bytes.decode, good.splitlines(True)))
+                good = block[: max(block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start)) + 1]
+                lines = list(map(bytes.decode, good.splitlines(True)))
+                yield lines
                 reason = f"{offset + exc.start} ({block[exc.start]:#04x}: {exc.reason})"
-                line = number + good.count(b"\n")
+                line = number + len(lines)
                 raise ParseError(f"not valid UTF-8 at byte offset {reason}", path=str(path), line=line) from None
             # Bytes split at \r\n, \r and \n only, as a text read does.
-            yield list(map(bytes.decode, block.splitlines(True) if b"\r" in block else raws))
+            lines = list(map(bytes.decode, block.splitlines(True) if b"\r" in block else raws))
+            yield lines
             offset += len(block)
-            number += len(raws)
+            number += len(lines)
             raws = fh.readlines(1 << 16)  # whole lines, about 64 KiB of them
 
 

@@ -39,7 +39,7 @@ from geodiv.diversity import (
     _best_greedy_set,
     _greedy_accumulate,
     _height_grid,
-    _triangle_pair_scores,
+    _triangle_scorer,
     diversity_from_delta,
 )
 from geodiv.errors import ParseError, invalid_json
@@ -225,10 +225,11 @@ def mgdi_full_table(n_routes: int, endpoint_distance_km: float, longest_route_km
     grid = sorted(set(_height_grid(h_max, cfg.mgdi_grid_steps)))
     pinned = len(grid) - 1
     m = len(grid)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    score = _triangle_scorer(endpoint_distance_km, grid)
     table = [[0.0] * m for _ in range(m)]
-    for i, j, score in _triangle_pair_scores(endpoint_distance_km, grid, pairs):
-        table[i][j] = table[j][i] = score
+    for i in range(m):
+        for j in range(i + 1, m):
+            table[i][j] = table[j][i] = score(i, j)
     best = max([0.0] + [table[i][pinned] for i in range(pinned)])
     if min(n_routes, m) <= 2:
         return best
@@ -368,26 +369,30 @@ def parse_geodb_row_ipaddress(row: list[str], path: str | None, line: int) -> tu
 
 def not_utf8(path: str | Path) -> ParseError:
     """The error for a file that is not UTF-8, at its first bad byte. A
-    text read decodes in blocks, so the file is read again as bytes."""
+    text read decodes in blocks, so the file is read again as bytes. The
+    byte's line counts every ``\\r\\n``, ``\\r`` and ``\\n`` before it
+    (changed since: it counted ``\\n`` alone)."""
     data = Path(path).read_bytes()
     try:
         data.decode("utf-8")
         return ParseError("not valid UTF-8", path=str(path))  # changed since
     except UnicodeDecodeError as exc:
         reason = f"not valid UTF-8 at byte offset {exc.start} (0x{data[exc.start]:02x}: {exc.reason})"
-        return ParseError(reason, path=str(path), line=data.count(b"\n", 0, exc.start) + 1)
+        # The bad byte is neither \r nor \n, so it ends the last piece.
+        return ParseError(reason, path=str(path), line=len(data[: exc.start + 1].splitlines()))
 
 
 def _lines_to_bad_byte(path, newline):
     """The lines of ``path`` as ``open(path, newline=newline,
-    encoding="utf-8")`` reads them, up to the ``\\n``-ended line of the
-    file's first byte that is not UTF-8; then the original ``not_utf8``
-    error of that byte. A parser's error on an earlier line comes first."""
+    encoding="utf-8")`` reads them, up to the line of the file's first byte
+    that is not UTF-8, lines ending at ``\\r\\n``, ``\\r`` or ``\\n``; then
+    the original ``not_utf8`` error of that byte. A parser's error on an
+    earlier line comes first."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        good = data[: data.rfind(b"\n", 0, exc.start) + 1].decode("utf-8")
+        good = b"".join(data[: exc.start + 1].splitlines(True)[:-1]).decode("utf-8")
         yield from io.StringIO(good, newline=newline)
         raise not_utf8(path) from None
     yield from io.StringIO(text, newline=newline)

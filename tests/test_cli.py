@@ -496,6 +496,22 @@ def test_non_utf8_input_is_a_located_input_error(seven_route_corpus, tmp_path, c
     assert serial.endswith(" (0xff: invalid start byte)\n")
 
 
+def test_a_bad_byte_in_a_lone_cr_clusters_file_is_located(seven_route_corpus, tmp_path, capsys):
+    # Lines end at a lone \r too, so the bad byte is on line 3, not 1.
+    seven_traces, seven_geodb, _ = seven_route_corpus
+    assert main(["cluster", "--traces", str(seven_traces), "--geodb", str(seven_geodb),
+                 "--out", str(tmp_path), "--jobs", "1"]) == 0
+    clusters = tmp_path / "clusters.json"
+    lines = clusters.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"', b'"\xff', 1)
+    data = b"\r".join(lines)
+    clusters.write_bytes(data)
+    serial, parallel = _run_both_ways(capsys, ["gdi", "--clusters", str(clusters), "--out", str(tmp_path / "out")])
+    offset = data.index(b"\xff")
+    assert serial == parallel
+    assert serial.endswith(f"error: {clusters}:3: not valid UTF-8 at byte offset {offset} (0xff: invalid start byte)\n")
+
+
 # Runs the CLI on its arguments after an audit hook that writes the path
 # of each file opened, in this process or a forked one, to stderr.
 _COUNT_OPENS = """

@@ -83,6 +83,16 @@ def test_geo_equal_requires_positive_threshold():
         geo_equal(p, p, 0.0)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1.0])
+def test_geo_equal_refuses_a_threshold_that_is_not_positive_and_finite(threshold):
+    p, q = _path((0, 0), (1, 1)), _path((0, 0), (1, 1.5))
+    message = f"^threshold_km must be positive and finite, got {threshold}$"
+    with pytest.raises(ValueError, match=message):
+        geo_equal(p, q, threshold)
+    with pytest.raises(ValueError, match=message):
+        cluster_pair_routes([p, q], threshold)
+
+
 def test_geo_equal_symmetric():
     rng = random.Random(11)
     for _ in range(30):

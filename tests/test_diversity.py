@@ -22,7 +22,7 @@ from geodiv.diversity import (
     _best_greedy_set,
     _height_grid,
     _score_ceilings,
-    _triangle_pair_scores,
+    _triangle_scorer,
     compression_ratio,
     diversity_from_delta,
 )
@@ -182,6 +182,21 @@ def test_mgdi_rejects_inconsistent_lengths():
         mgdi(2, 0.0, 50.0, DiversityConfig())
 
 
+@pytest.mark.parametrize(
+    "n, endpoint, longest, message",
+    [
+        (3, 1000.0, math.inf, "longest route must be finite, got inf"),
+        (3, math.nan, 1000.0, "endpoint distance must be finite, got nan"),
+        (2, math.inf, math.inf, "endpoint distance must be finite, got inf"),
+        (4, 1000.0, math.nan, "longest route must be finite, got nan"),
+        (2, -math.inf, 1000.0, "endpoint distance must be finite, got -inf"),
+    ],
+)
+def test_mgdi_refuses_non_finite_lengths(n, endpoint, longest, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        mgdi(n, endpoint, longest, DiversityConfig())
+
+
 def test_mgdi_two_routes_matches_height_grid_brute_force():
     cfg = DiversityConfig()
     endpoint, longest = 100.0, 200.0
@@ -263,8 +278,7 @@ def test_trajectory_search_matches_subset_search_on_tied_tables():
 
 
 def _assert_kernel_matches_oracle(d, h_i, h_j):
-    got = list(_triangle_pair_scores(d, [h_i, h_j], [(0, 1)]))
-    assert got == [(0, 1, mgdi_pair_score(d, h_i, h_j))], (d, h_i, h_j)
+    assert _triangle_scorer(d, [h_i, h_j])(0, 1) == mgdi_pair_score(d, h_i, h_j), (d, h_i, h_j)
 
 
 @pytest.mark.parametrize("d", [5e-324, 1e-300, 1e-9, 1.0, 1000.0, 2e4])
@@ -345,7 +359,9 @@ def test_score_ceilings_bound_every_pair_score(d, ratio, steps):
     pairs = [(i, j) for i in picked for j in picked if i < j]
     pairs += [(i, i + 1) for i in picked if i + 1 < len(grid)]
     ceilings = _score_ceilings(d, grid)
-    for i, j, score in _triangle_pair_scores(d, grid, pairs):
+    scorer = _triangle_scorer(d, grid)
+    for i, j in pairs:
+        score = scorer(i, j)
         assert score <= ceilings[j][i] * _BOUND_SLACK, (i, j)
         if d >= 1e-100:
             assert score <= _PEAK_SHARE * (grid[j] - grid[i]) * _BOUND_SLACK, (i, j)
@@ -354,22 +370,41 @@ def test_score_ceilings_bound_every_pair_score(d, ratio, steps):
 def test_three_route_mgdi_scores_few_pairs_at_a_fine_grid(monkeypatch):
     # At 1001 steps the full table has 499,500 pairs off the pinned route;
     # the three-route search must score under 1% of them.
-    kernel = diversity._triangle_pair_scores
+    scorer = diversity._triangle_scorer
     off_pinned = []
 
-    def counting(endpoint_distance_km, heights, pairs):
-        def counted():
-            for i, j in pairs:
-                if j != len(heights) - 1:
-                    off_pinned.append((i, j))
-                yield i, j
+    def counting(endpoint_distance_km, heights):
+        score = scorer(endpoint_distance_km, heights)
 
-        return kernel(endpoint_distance_km, heights, counted())
+        def counted(i, j):
+            if j != len(heights) - 1:
+                off_pinned.append((i, j))
+            return score(i, j)
 
-    monkeypatch.setattr(diversity, "_triangle_pair_scores", counting)
+        return counted
+
+    monkeypatch.setattr(diversity, "_triangle_scorer", counting)
     cfg = DiversityConfig(mgdi_grid_steps=1001)
     assert mgdi(3, 1000.0, 1400.0, cfg) > mgdi(2, 1000.0, 1400.0, cfg)
     assert 0 < len(off_pinned) < 5_005
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=endpoint_distances,
+    ratio=ratios,
+    n_steps=st.one_of(
+        st.tuples(st.integers(3, 8), st.integers(2, 21)), st.tuples(st.just(3), st.integers(2, 101))
+    ),
+)
+def test_mgdi_never_falls_when_the_grid_is_refined(d, ratio, n_steps):
+    # Beyond the exhaustive oracle's reach: the grid of 2s - 1 steps holds
+    # the grid of s steps bit for bit, so its best set can only be better.
+    n, steps = n_steps
+    h_max = math.sqrt(max(0.0, (d * ratio / 2.0) ** 2 - (d / 2.0) ** 2))
+    assert set(_height_grid(h_max, steps)) <= set(_height_grid(h_max, 2 * steps - 1))
+    coarse = mgdi(n, d, d * ratio, DiversityConfig(mgdi_grid_steps=steps))
+    assert coarse <= mgdi(n, d, d * ratio, DiversityConfig(mgdi_grid_steps=2 * steps - 1))
 
 
 def test_mgdi_grows_with_route_count_until_the_grid_is_used_up():

@@ -480,6 +480,7 @@ GEODB_FILES = {
     "bad-byte-before-bad-cidr": b"10.0.0.0/8,1,2\n11.0.0.0/8,1,\xff\nbogus,1,2\n",
     "crlf-bad-byte": b"10.0.0.0/8,1,2\r\n11.0.0.0/8,1,2\r\n12.0.0.0/8,\xff,2\r\n",
     "lone-cr-bad-byte": b"10.0.0.0/8,1,2\r11.0.0.0/8,1,2\r12.0.0.0/8,\xff,2\r",
+    "cr-then-lf-bad-byte": b"10.0.0.0/8,1,2\r11.0.0.0/8,1,2\n12.0.0.0/8,\xff,2\n",
     "bom-bad-byte-on-line-1": b"\xef\xbb\xbf10.0.0.0/8,1,\xff\n11.0.0.0/8,1,2\n",
     "bad-byte-in-quoted-field-across-lines": b'10.0.0.0/8,1,2\n"11.0.\n0.0/8\xff",1,2\n12.0.0.0/8,1,2\n',
 }
@@ -490,6 +491,15 @@ def test_load_matches_per_row_loader_on_handmade_files(tmp_path, content):
     path = tmp_path / "geo.csv"
     path.write_bytes(content)
     assert _load_outcome(load_geodb, path) == _load_outcome(load_geodb_per_row, path)
+
+
+@pytest.mark.parametrize("name", ["lone-cr-bad-byte", "cr-then-lf-bad-byte"])
+def test_a_bad_byte_is_on_the_line_a_text_read_counts(tmp_path, name):
+    path = tmp_path / "geo.csv"
+    path.write_bytes(GEODB_FILES[name])
+    with pytest.raises(ParseError, match="not valid UTF-8") as excinfo:
+        load_geodb(path)
+    assert excinfo.value.line == 3
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")

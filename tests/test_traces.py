@@ -303,6 +303,8 @@ TRACE_FILES = {
     "bad-byte-before-bad-json": f"{_GOOD}\n".encode() + b'{"src":"\xff"}\n{broken\n',
     "crlf-bad-byte": f"{_GOOD}\r\n{_OTHER}\r\n".encode() + b'{"src":"\xff"}\r\n',
     "lone-cr-bad-byte": f"{_GOOD}\r{_OTHER}\r".encode() + b'{"src":"\xff"}\r',
+    "cr-then-lf-bad-byte": f"{_GOOD}\r{_OTHER}\n".encode() + b'{"src":"\xff"}\n',
+    "lone-cr-bad-json-before-bad-byte": f"{_GOOD}\r{{broken\r".encode() + b'{"src":"\xff"}\r',
     "bom-bad-byte-on-line-1": b'\xef\xbb\xbf{"src":"\xff"}\n' + f"{_GOOD}\n".encode(),
 }
 
@@ -312,6 +314,23 @@ def test_parse_file_matches_per_line_parser_on_handmade_files(tmp_path, content)
     path = tmp_path / "t.jsonl"
     path.write_bytes(content)
     assert _file_outcome(parse_trace_file, path) == _file_outcome(parse_trace_file_per_line, path)
+
+
+@pytest.mark.parametrize(
+    "name, line, fault",
+    [
+        ("lone-cr-bad-byte", 3, "not valid UTF-8"),
+        ("cr-then-lf-bad-byte", 3, "not valid UTF-8"),
+        ("lone-cr-bad-json-before-bad-byte", 2, "invalid JSON"),
+    ],
+)
+def test_a_bad_byte_is_on_the_line_a_text_read_counts(tmp_path, name, line, fault):
+    # Lines end at \r\n, \r and \n, for a bad byte as for bad content.
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(TRACE_FILES[name])
+    with pytest.raises(ParseError) as excinfo:
+        parse_trace_file(path)
+    assert (excinfo.value.line, excinfo.value.reason.startswith(fault)) == (line, True)
 
 
 _ADDRESS_LINE = '{{"src":"{}","dst":"{}","hops":[{}]}}'
@@ -373,8 +392,8 @@ _TEXT_PIECES = [
 def _assert_read_as_text(path, data):
     """``read_lines`` of ``data`` yields what a ``utf-8-sig`` text read with
     untranslated line ends yields. With a bad byte in it, it yields the
-    lines before the byte's ``\\n``-ended line, then raises the error that
-    the original ``not_utf8`` words."""
+    lines before the byte's line, lines ending at ``\\r\\n``, ``\\r`` or
+    ``\\n``, then raises the error that the original ``not_utf8`` words."""
     path.write_bytes(data)
     lines = []
     try:
@@ -384,7 +403,7 @@ def _assert_read_as_text(path, data):
         expected = not_utf8(path)
         assert (str(exc), exc.line) == (str(expected), expected.line)
         start = int(expected.reason.split()[6])  # the bad byte's offset
-        path.write_bytes(data[: data.rfind(b"\n", 0, start) + 1])
+        path.write_bytes(b"".join(data[: start + 1].splitlines(True)[:-1]))
     with open(path, newline="", encoding="utf-8-sig") as fh:
         assert lines == list(fh)
 
