@@ -27,11 +27,17 @@ class Cluster(NamedTuple):
         return min(self.members, key=GeoPath.sort_key)
 
 
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def delta_vector(p: GeoPath, l: GeoPath, radius_km: float = EARTH_RADIUS_KM) -> tuple[float, ...]:
     """All node-to-opposite-path distances between two geo-paths, in km:
     each node of ``p`` against ``l``'s polyline, then each node of ``l``
     against ``p``'s. Equal, entry for entry, to ``point_to_path_distance``
     of each node against the other path's nodes."""
+    _check_positive("radius_km", radius_km)
     pp, lp = p.prepared, l.prepared
     values = [lp.distance(u, radius_km) for u in pp.points]
     values += [pp.distance(u, radius_km) for u in lp.points]
@@ -41,15 +47,14 @@ def delta_vector(p: GeoPath, l: GeoPath, radius_km: float = EARTH_RADIUS_KM) -> 
 def geo_equal(p: GeoPath, l: GeoPath, threshold_km: float, radius_km: float = EARTH_RADIUS_KM) -> bool:
     """True iff max(delta_vector(p, l)) <= threshold_km (inclusive).
 
-    A node passes at the first arc within the threshold, and the test
-    fails at the first node that does not pass.
+    Chord bounds decide most nodes without the spherical kernel
+    (``PreparedPath.covers``), and the test fails at the first node that
+    is not within the threshold.
     """
-    if not 0 < threshold_km < math.inf:
-        raise ValueError(f"threshold_km must be positive and finite, got {threshold_km}")
+    _check_positive("threshold_km", threshold_km)
+    _check_positive("radius_km", radius_km)
     pp, lp = p.prepared, l.prepared
-    return all(lp.distance(u, radius_km, threshold_km) <= threshold_km for u in pp.points) and all(
-        pp.distance(u, radius_km, threshold_km) <= threshold_km for u in lp.points
-    )
+    return lp.covers(pp.points, threshold_km, radius_km) and pp.covers(lp.points, threshold_km, radius_km)
 
 
 def cluster_pair_routes(

@@ -20,7 +20,7 @@ import bisect
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .cluster import delta_vector
+from .cluster import _check_positive, delta_vector
 from .errors import InvalidConfig
 from .geodesy import EARTH_RADIUS_KM
 from .geolocate import GeoPath
@@ -139,6 +139,7 @@ def _greedy_accumulate(matrix: Sequence[Sequence[float]]) -> float:
 
 def gdi(paths: Iterable[GeoPath], radius_km: float = EARTH_RADIUS_KM) -> float:
     """Geographic Diversity Index of a route set; 0 for fewer than 2 routes."""
+    _check_positive("radius_km", radius_km)
     ordered = sorted(paths, key=GeoPath.sort_key)
     n = len(ordered)
     matrix = [[0.0] * n for _ in range(n)]

@@ -19,6 +19,13 @@ EARTH_RADIUS_KM = 6371.0
 # and the great circle through them is undefined.
 _DEGENERATE_NORM = 1e-12
 
+# PreparedPath.covers bounds only arcs with |a x b| at least this: a
+# computed normal is off the plane of its arc by up to ~4e-16 / |a x b|,
+# so by at most 4e-11 here. The margin, on the unit sphere, is 25 times
+# that, and far above the ~1e-14 of the haversine and the unit vectors.
+_MIN_DECIDED_NORM = 1e-5
+_CHORD_MARGIN = 1e-9
+
 # Text round-tripping of coordinates is absorbed by comparing keys at this
 # precision.
 _KEY_DECIMALS = 6
@@ -143,24 +150,47 @@ class PreparedPath:
     are equal, coincident or antipodal and no unique great circle exists.
     Every value comes from the same operations, in the same order, as a
     from-scratch evaluation of each arc, so distances are the same bits.
+
+    ``caps`` holds, for each arc that the chord bounds of :meth:`covers`
+    may decide, the unit vector of its midpoint and the chord ``r`` from
+    there to its endpoints, ``(mx, my, mz, r)``; every point of the arc
+    lies within chord ``r`` of the midpoint. It is None for an arc of 90
+    degrees or more, and for one with ``|a x b| < _MIN_DECIDED_NORM``
+    (shorter than ~1e-5 rad, or nearly antipodal), whose normal carries
+    too much rounding error. ``anchors`` holds the points of the nodes
+    that end at least one such arc.
     """
 
-    __slots__ = ("points", "normals")
+    __slots__ = ("points", "normals", "caps", "anchors")
 
     def __init__(self, nodes: Sequence[Coordinate]):
-        self.points = tuple(_prepare_point(c) for c in nodes)
+        self.points = points = tuple(_prepare_point(c) for c in nodes)
         normals: list[tuple[float, float, float] | None] = []
-        for a, b in zip(self.points, self.points[1:]):
+        caps: list[tuple[float, float, float, float] | None] = []
+        anchors: list[PreparedPoint] = []
+        for a, b in zip(points, points[1:]):
             ax, ay, az = a[3], a[4], a[5]
             bx, by, bz = b[3], b[4], b[5]
             nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
             nn = math.sqrt(nx * nx + ny * ny + nz * nz)
             normals.append(None if nn < _DEGENERATE_NORM else (nx / nn, ny / nn, nz / nn))
+            if nn < _MIN_DECIDED_NORM or ax * bx + ay * by + az * bz <= 0.0:
+                caps.append(None)
+                continue
+            mx, my, mz = ax + bx, ay + by, az + bz
+            mn = math.sqrt(mx * mx + my * my + mz * mz)
+            mx, my, mz = mx / mn, my / mn, mz / mn
+            dx, dy, dz = ax - mx, ay - my, az - mz
+            caps.append((mx, my, mz, math.sqrt(dx * dx + dy * dy + dz * dz)))
+            if not anchors or anchors[-1] is not a:
+                anchors.append(a)
+            anchors.append(b)
         self.normals = tuple(normals)
+        self.caps = tuple(caps)
+        self.anchors = tuple(anchors)
 
-    def distance(self, p: PreparedPoint, radius_km: float, stop_at_km: float = -1.0) -> float:
-        """Minimum distance from ``p`` to the polyline, or the first arc
-        distance found that is at most ``stop_at_km``.
+    def distance(self, p: PreparedPoint, radius_km: float) -> float:
+        """Minimum distance from ``p`` to the polyline.
 
         A node of the path is 0 away, and no arc is scanned for it. An arc's
         distance is otherwise the cross-track distance when the
@@ -188,12 +218,72 @@ class PreparedPath:
                     d_a = _haversine(p, a, diameter_km)
                 d_b = _haversine(p, b, diameter_km)
                 d = min(d_a, d_b)
-            if d <= stop_at_km:
-                return d
             if d < best:
                 best = d
             a, d_a = b, d_b
         return best
+
+    def covers(self, points: Sequence[PreparedPoint], threshold_km: float, radius_km: float) -> bool:
+        """Whether ``self.distance(p, radius_km) <= threshold_km`` for every
+        point, with the same answer bit for bit.
+
+        Chord bounds on the unit sphere decide most points with a few dot
+        products, at ``x = threshold_km / radius_km``. A point is within
+        the threshold when its chord to an anchor is below
+        ``sin(x) - _CHORD_MARGIN``. An arc is farther than the threshold
+        when the point's chord to its midpoint exceeds
+        ``r + x + _CHORD_MARGIN``. Every other arc goes through the kernel,
+        and the point passes at the first arc within the threshold. The
+        margin covers the kernel's error on the arcs that have caps; past
+        ``x = 1`` the bounds decide nothing.
+        """
+        x = threshold_km / radius_km
+        if x <= 1.0:
+            accept = math.sin(x) - _CHORD_MARGIN
+            accept_sq = accept * accept if accept > 0.0 else -1.0
+            far = x + _CHORD_MARGIN
+        else:
+            accept_sq, far = -1.0, math.inf
+        anchors = self.anchors
+        count = len(points)
+        for i, p in enumerate(points):
+            if anchors:
+                # A node is nearly always accepted by the anchor at its own
+                # relative position along the path, so that one goes first.
+                _, _, _, vx, vy, vz = anchors[i * len(anchors) // count]
+                dx, dy, dz = p[3] - vx, p[4] - vy, p[5] - vz
+                if dx * dx + dy * dy + dz * dz < accept_sq:
+                    continue
+            if not self._reaches(p, threshold_km, radius_km, accept_sq, far):
+                return False
+        return True
+
+    def _reaches(self, p: PreparedPoint, threshold_km: float, radius_km: float, accept_sq: float, far: float) -> bool:
+        """Whether ``p`` is within the threshold, by any anchor's chord, as
+        a node, or through the kernel on each arc whose cap is not too far."""
+        px, py, pz = p[3], p[4], p[5]
+        for _, _, _, vx, vy, vz in self.anchors:
+            dx, dy, dz = px - vx, py - vy, pz - vz
+            if dx * dx + dy * dy + dz * dz < accept_sq:
+                return True
+        points = self.points
+        if p in points:
+            return True
+        diameter_km = 2.0 * radius_km
+        if len(points) == 1:
+            return _haversine(p, points[0], diameter_km) <= threshold_km
+        for a, b, normal, cap in zip(points, points[1:], self.normals, self.caps):
+            if cap is not None:
+                dx, dy, dz = px - cap[0], py - cap[1], pz - cap[2]
+                reach = cap[3] + far
+                if dx * dx + dy * dy + dz * dz > reach * reach:
+                    continue
+            d = None if normal is None else _cross_track(p, a, b, normal, radius_km)
+            if d is None:
+                d = min(_haversine(p, a, diameter_km), _haversine(p, b, diameter_km))
+            if d <= threshold_km:
+                return True
+        return False
 
 
 def point_to_path_distance(

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 from .cluster import Cluster, cluster_pair_routes
 from .diversity import MAX_EARTH_RADIUS_KM, DiversityConfig, DiversityReport, _is_number, compression_ratio, gdi, mgdi
 from .errors import ParseError, _blocks, invalid_json
-from .geodesy import EARTH_RADIUS_KM, Coordinate, great_circle_distance, path_length
+from .geodesy import EARTH_RADIUS_KM, Coordinate, _haversine
 from .geolocate import FilterStats, GeoPath, filter_pairs, load_geodb
 from .traces import Pair, _check_address, group_by_pair, parse_trace_file
 
@@ -226,9 +226,14 @@ def score_clustered_pair(clustered: ClusteredPair, cfg: DiversityConfig) -> Dive
     radius = cfg.earth_radius_km
     gdi_km = gdi(representatives, radius)
 
-    longest = max(representatives, key=lambda rep: path_length(rep.nodes, radius))
-    longest_len = path_length(longest.nodes, radius)
-    endpoint_distance = great_circle_distance(longest.nodes[0], longest.nodes[-1], radius)
+    # Each length once, from the prepared nodes: the same bits as
+    # path_length and great_circle_distance.
+    diameter = 2.0 * radius
+    routes = [rep.prepared.points for rep in representatives]
+    lengths = [math.fsum(_haversine(a, b, diameter) for a, b in zip(r, r[1:])) for r in routes]
+    k = max(range(len(routes)), key=lengths.__getitem__)
+    longest_len, longest = lengths[k], routes[k]
+    endpoint_distance = _haversine(longest[0], longest[-1], diameter)
     if endpoint_distance <= 0.0:
         mgdi_km = 0.0
     else:
@@ -393,7 +398,7 @@ def write_clusters_file(
         ],
     }
     out = Path(path)
-    _write_text(out, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    _write_text(out, json.dumps(payload, allow_nan=False) + "\n")
     return out
 
 

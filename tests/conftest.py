@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import pytest
 from hypothesis import settings
@@ -16,7 +17,10 @@ from geodiv import Coordinate, GeoPath
 from corpus import template_pool
 
 settings.register_profile("suite", deadline=None)
-settings.load_profile("suite")
+# CI gives each hypothesis test that sets no example count of its own ten
+# times the default number of examples.
+settings.register_profile("ci", settings.get_profile("suite"), max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 GRID_CELL_KM = 84.0
 KM_PER_DEG = math.pi * 6371.0 / 180.0

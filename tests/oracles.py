@@ -9,8 +9,10 @@ so that the fast path must match it bit for bit: the exhaustive MGDI
 subset search (on the package's planar score and greedy accumulation),
 the trajectory search on the full apex table that three-route MGDI no
 longer builds, the MGDI triangle-pair score on the generic planar distance,
-the per-arc point-to-path distance, the ``ipaddress``-based geodb row
-parser with its per-row ``Coordinate`` construction and ``csv`` loop, and
+the per-arc point-to-path distance, the ``geo_equal`` scan that ran the
+spherical kernel on each arc until one accepted a node, the
+``ipaddress``-based geodb row parser with its per-row ``Coordinate``
+construction and ``csv`` loop, and
 the per-line trace file parser with its own line parser, so that the
 package's one record checker is not its own reference. The two file
 oracles find a file's first bad byte from its bytes, run on the lines
@@ -43,8 +45,8 @@ from geodiv.diversity import (
     diversity_from_delta,
 )
 from geodiv.errors import ParseError, invalid_json
-from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate
-from geodiv.geolocate import GeoDb
+from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate, PreparedPath, PreparedPoint, _cross_track, _haversine
+from geodiv.geolocate import GeoDb, GeoPath
 from geodiv.traces import _MAX_NESTING, UNRESPONSIVE, TraceRecord, _too_deep, parse_ipv4
 
 _DEGENERATE_NORM = 1e-12
@@ -345,6 +347,49 @@ def point_to_path_distance_per_arc(
     return min(
         _point_to_arc_distance(p, nodes[i], nodes[i + 1], radius_km)
         for i in range(len(nodes) - 1)
+    )
+
+
+def prepared_distance(path: PreparedPath, p: PreparedPoint, radius_km: float, stop_at_km: float = -1.0) -> float:
+    """The original ``PreparedPath.distance``, with its early exit: the
+    minimum distance from ``p`` to the polyline, or the first arc distance
+    found that is at most ``stop_at_km``."""
+    # A prepared point follows from its (lat, lon), so this is float
+    # equality of (lat, lon), -0.0 == 0.0 included; every arc distance
+    # is at least 0.0.
+    if p in path.points:
+        return 0.0
+    diameter_km = 2.0 * radius_km
+    points = path.points
+    a = points[0]
+    if len(points) == 1:
+        return _haversine(p, a, diameter_km)
+    best = math.inf
+    d_a = None
+    for b, normal in zip(points[1:], path.normals):
+        d_b = None
+        d = None if normal is None else _cross_track(p, a, b, normal, radius_km)
+        if d is None:
+            if d_a is None:
+                d_a = _haversine(p, a, diameter_km)
+            d_b = _haversine(p, b, diameter_km)
+            d = min(d_a, d_b)
+        if d <= stop_at_km:
+            return d
+        if d < best:
+            best = d
+        a, d_a = b, d_b
+    return best
+
+
+def geo_equal_scan(p: GeoPath, l: GeoPath, threshold_km: float, radius_km: float = EARTH_RADIUS_KM) -> bool:
+    """The original ``geo_equal``: a node passes at the first arc within the
+    threshold, and the test fails at the first node that does not pass."""
+    if not 0 < threshold_km < math.inf:
+        raise ValueError(f"threshold_km must be positive and finite, got {threshold_km}")
+    pp, lp = p.prepared, l.prepared
+    return all(prepared_distance(lp, u, radius_km, threshold_km) <= threshold_km for u in pp.points) and all(
+        prepared_distance(pp, u, radius_km, threshold_km) <= threshold_km for u in lp.points
     )
 
 

@@ -502,7 +502,11 @@ def test_a_bad_byte_in_a_lone_cr_clusters_file_is_located(seven_route_corpus, tm
     assert main(["cluster", "--traces", str(seven_traces), "--geodb", str(seven_geodb),
                  "--out", str(tmp_path), "--jobs", "1"]) == 0
     clusters = tmp_path / "clusters.json"
-    lines = clusters.read_bytes().split(b"\n")
+    # The CLI writes one line of JSON; staged over several lines, the
+    # bad byte has a line of its own to be found on.
+    written = clusters.read_bytes()
+    assert written.count(b"\n") == 1 and written.endswith(b"\n")
+    lines = (json.dumps(json.loads(written), indent=2) + "\n").encode().split(b"\n")
     lines[2] = lines[2].replace(b'"', b'"\xff', 1)
     data = b"\r".join(lines)
     clusters.write_bytes(data)

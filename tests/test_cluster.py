@@ -2,11 +2,14 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from geodiv import Coordinate, GeoPath, cluster_pair_routes, geo_equal
+from geodiv import Coordinate, GeoPath, cluster_pair_routes, gdi, geo_equal, pair_diversity
+from geodiv import cluster
 from geodiv.cluster import delta_vector
 
-from oracles import point_to_path_distance_per_arc
+from oracles import _cross, _norm, _unit_vector, geo_equal_scan, point_to_path_distance_per_arc, prepared_distance
 
 KM_PER_DEG = math.pi * 6371.0 / 180.0
 
@@ -91,6 +94,22 @@ def test_geo_equal_refuses_a_threshold_that_is_not_positive_and_finite(threshold
         geo_equal(p, q, threshold)
     with pytest.raises(ValueError, match=message):
         cluster_pair_routes([p, q], threshold)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -6371.0])
+def test_a_radius_that_is_not_positive_and_finite_is_refused(radius):
+    p, q = _path((0, 0), (1, 1)), _path((0, 0), (0.5, 1.2), (1, 1.5))
+    message = f"^radius_km must be positive and finite, got {radius}$"
+    for call in (
+        lambda: geo_equal(p, q, 50.0, radius),
+        lambda: cluster_pair_routes([p, q], 50.0, radius),
+        lambda: delta_vector(p, q, radius),
+        lambda: pair_diversity(p, q, radius),
+        lambda: gdi([p, q], radius),
+        lambda: gdi([p], radius),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_geo_equal_symmetric():
@@ -181,3 +200,113 @@ def test_geo_equal_is_the_max_delta_test():
             # Every entry as a threshold puts some distance exactly on it.
             for threshold in (*[v for v in values if v > 0.0], 1.0, 50.0, 400.0):
                 assert geo_equal(p, l, threshold) == (max(values) <= threshold)
+
+
+def _normalized(v: tuple[float, float, float]) -> tuple[float, float, float]:
+    n = _norm(v)
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def _heading(v, bearing: float) -> tuple[float, float, float]:
+    """The unit tangent at ``v`` that is ``bearing`` radians from east."""
+    east = _cross((0.0, 0.0, 1.0), v)
+    east = _normalized(east if math.hypot(east[0], east[1]) > 1e-9 else (0.0, 1.0, 0.0))
+    north = _cross(v, east)
+    return _normalized(tuple(math.cos(bearing) * e + math.sin(bearing) * n for e, n in zip(east, north)))
+
+
+def _moved(v, direction, angle: float) -> tuple[float, float, float]:
+    return _normalized(tuple(math.cos(angle) * a + math.sin(angle) * d for a, d in zip(v, direction)))
+
+
+def _as_geo_path(vectors) -> GeoPath | None:
+    nodes = [
+        Coordinate(math.degrees(math.asin(max(-1.0, min(1.0, z)))), math.degrees(math.atan2(y, x)))
+        for x, y, z in vectors
+    ]
+    kept = [c for k, c in enumerate(nodes) if k == 0 or c.key != nodes[k - 1].key]
+    return GeoPath(nodes=tuple(kept)) if len(kept) >= 2 else None
+
+
+bearings = st.floats(min_value=0.0, max_value=2 * math.pi)
+
+
+@st.composite
+def _route_and_follower(draw):
+    """A route and a second route whose every node sits at a chosen
+    distance from a node or an arc interior of the first, with the
+    threshold and the radius the distances are measured for."""
+    radius = 10 ** draw(st.floats(min_value=0.0, max_value=6.0))
+    if draw(st.booleans()):
+        # Mostly thresholds of at most one radian, where the bounds decide.
+        threshold = 10 ** draw(st.floats(min_value=-9.5, max_value=0.2)) * radius
+        threshold = min(max(threshold, 1e-3), 2e4)
+    else:
+        threshold = 10 ** draw(st.floats(min_value=-3.0, max_value=math.log10(2e4)))
+    x = threshold / radius
+
+    start = draw(st.sampled_from(["any", "pole", "antimeridian"]))
+    lat, lon = draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0))
+    if start == "pole":
+        lat = math.copysign(90.0 - 10 ** draw(st.floats(-8.0, 1.0)), lat)
+    elif start == "antimeridian":
+        lat, lon = lat * 0.75, math.copysign(180.0 - 10 ** draw(st.floats(-8.0, 0.5)), lon)
+    route = [_unit_vector(Coordinate(lat, lon))]
+    for _ in range(draw(st.integers(1, 19))):
+        if draw(st.integers(0, 9)) == 0:  # a near-antipodal segment
+            antipode = tuple(-c for c in route[-1])
+            route.append(_moved(antipode, _heading(antipode, draw(bearings)), 10 ** draw(st.floats(-10.0, -3.0))))
+        else:
+            arc = math.radians(10 ** draw(st.floats(-6.0, math.log10(90.0))))
+            route.append(_moved(route[-1], _heading(route[-1], draw(bearings)), arc))
+
+    offsets = st.one_of(
+        st.sampled_from([0.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12]), st.floats(min_value=0.0, max_value=2.5)
+    )
+    follower = []
+    for _ in range(draw(st.integers(2, 20))):
+        angle = x * draw(offsets)
+        k = draw(st.integers(0, len(route) - 1))
+        if draw(st.booleans()) or k == len(route) - 1:
+            v = route[k]
+            follower.append(_moved(v, _heading(v, draw(bearings)), angle))
+            continue
+        a, b = route[k], route[k + 1]
+        s = draw(st.floats(0.0, 1.0))
+        mid, normal = tuple((1 - s) * p + s * q for p, q in zip(a, b)), _cross(a, b)
+        if min(_norm(mid), _norm(normal)) < 1e-12:
+            follower.append(a)
+            continue
+        mid, normal = _normalized(mid), _normalized(normal)
+        if draw(st.booleans()):  # across the arc, so that the cross-track distance is the offset
+            normal = tuple(-c for c in normal)
+        follower.append(_moved(mid, normal, angle))
+    return _as_geo_path(route), _as_geo_path(follower), threshold, radius
+
+
+@given(_route_and_follower())
+def test_geo_equal_equals_the_kernel_scan(case):
+    route, follower, threshold, radius = case
+    assume(route is not None and follower is not None)
+    for p, l in ((follower, route), (route, follower)):
+        pp, lp = p.prepared, l.prepared
+        # Node by node, so that a node the bounds get wrong cannot hide
+        # behind another node that fails.
+        for u in pp.points:
+            assert lp.covers([u], threshold, radius) == (prepared_distance(lp, u, radius, threshold) <= threshold)
+        want = all(prepared_distance(lp, u, radius, threshold) <= threshold for u in pp.points)
+        assert lp.covers(pp.points, threshold, radius) == want
+    assert geo_equal(follower, route, threshold, radius) == geo_equal_scan(follower, route, threshold, radius)
+
+
+def test_a_large_single_corridor_pair_gets_the_scan_clusters(monkeypatch):
+    rng = random.Random(20)
+    base = [(40.0 + 5.0 * i / 14 + 0.3 * (i * 7 % 3), -100.0 + 20.0 * i / 14) for i in range(15)]
+    paths = []
+    for _ in range(60):
+        interior = [(lat + rng.uniform(-0.05, 0.05), lon + rng.uniform(-0.05, 0.05)) for lat, lon in base[1:-1]]
+        paths.append(_path(base[0], *interior, base[-1]))
+    got = cluster_pair_routes(paths, 50.0)
+    monkeypatch.setattr(cluster, "geo_equal", geo_equal_scan)
+    assert got == cluster_pair_routes(paths, 50.0)
+    assert len(got) == 1

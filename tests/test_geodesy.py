@@ -9,7 +9,12 @@ from geodiv import Coordinate, GeoPath, geo_equal
 from geodiv import geodesy
 from geodiv.cluster import delta_vector
 from geodiv.geodesy import PreparedPath, _prepare_point, great_circle_distance, path_length, point_to_path_distance
-from oracles import great_circle_distance_direct, point_to_path_distance_per_arc, sampled_point_to_polyline
+from oracles import (
+    great_circle_distance_direct,
+    point_to_path_distance_per_arc,
+    prepared_distance,
+    sampled_point_to_polyline,
+)
 
 KM_PER_DEG = math.pi * 6371.0 / 180.0
 
@@ -254,17 +259,24 @@ def test_a_node_of_the_path_is_zero_away_without_an_arc_scan(monkeypatch):
     monkeypatch.setattr(geodesy, "_haversine", no_arc)
     # First, middle (queried at +0.0 for a -0.0 node), the node given at
     # longitude 180 (stored at -180) queried either way, and last.
+    # A node is covered at any threshold: by its own chord, or, past the
+    # bounds' reach (1e5 km), as a node.
     for lat, lon in [(10.0, 20.0), (0.0, 30.0), (5.0, -180.0), (5.0, 180.0), (-20.0, 40.0)]:
         point = _prepare_point(Coordinate(lat, lon))
-        for stop_at_km in (-1.0, 0.0, 50.0):
-            d = path.distance(point, 6371.0, stop_at_km)
-            assert d == 0.0 and math.copysign(1.0, d) == 1.0, (lat, lon, stop_at_km)
+        d = path.distance(point, 6371.0)
+        assert d == 0.0 and math.copysign(1.0, d) == 1.0, (lat, lon)
+        for threshold_km in (1e-3, 50.0, 1e5):
+            assert path.covers([point], threshold_km, 6371.0), (lat, lon, threshold_km)
 
 
 @given(coordinates, st.lists(coordinates, min_size=1, max_size=6), st.floats(min_value=0.0, max_value=25000.0))
 def test_prepared_distance_stops_only_within_the_limit(p, nodes, limit):
+    # The early exit of the geo_equal oracle's scan, and covers, which
+    # replaced it, on the same inputs.
     full = point_to_path_distance(p, nodes)
-    stopped = PreparedPath(nodes).distance(_prepare_point(p), 6371.0, limit)
+    path = PreparedPath(nodes)
+    assert path.covers([_prepare_point(p)], limit, 6371.0) == (full <= limit)
+    stopped = prepared_distance(path, _prepare_point(p), 6371.0, limit)
     assert (stopped <= limit) == (full <= limit)
     assert stopped >= full
     if stopped > limit:

@@ -21,7 +21,7 @@ from geodiv import (
 from geodiv import pipeline
 from geodiv.cli import main
 from geodiv.cluster import Cluster
-from geodiv.geodesy import EARTH_RADIUS_KM
+from geodiv.geodesy import EARTH_RADIUS_KM, great_circle_distance, path_length
 from geodiv.geolocate import GeoDb
 from geodiv.pipeline import (
     PAIRS_CSV_HEADER,
@@ -31,6 +31,7 @@ from geodiv.pipeline import (
     ecdf,
     read_clusters_file,
     score_cluster_rows,
+    score_clustered_pair,
     write_clusters_file,
 )
 
@@ -357,6 +358,27 @@ def test_mgdi_zero_for_loop_route():
     assert report.mgdi_km == 0.0
     assert report.gdi_km > 0.0
     assert math.isinf(report.gdi_over_mgdi)
+
+
+def test_mgdi_inputs_are_path_length_and_great_circle_distance(small_pool, many_pool, monkeypatch):
+    # Scoring measures each representative from its prepared nodes; the
+    # longest one's length and endpoint distance must be the same bits as
+    # path_length and great_circle_distance, on every benchmark geo-path.
+    seen = []
+    monkeypatch.setattr(pipeline, "gdi", lambda paths, radius: 0.0)
+    monkeypatch.setattr(pipeline, "mgdi", lambda n, d, length, cfg: seen.append((n, d, length)) or 1.0)
+    for radius in (EARTH_RADIUS_KM, 1.0):
+        cfg = DiversityConfig(earth_radius_km=radius)
+        for templates in (*small_pool.values(), *many_pool.values()):
+            for template in templates:
+                paths = [GeoPath(nodes=tuple(Coordinate(*n) for n in v)) for c in template.corridors for v in c]
+                for group in (paths, *([path] for path in paths)):
+                    seen.clear()
+                    clusters = tuple(Cluster(k, (path,)) for k, path in enumerate(group))
+                    score_clustered_pair(ClusteredPair(("10.0.0.1", "10.0.0.2"), len(group), len(group), clusters), cfg)
+                    longest = max(group, key=lambda path: path_length(path.nodes, radius))
+                    d = great_circle_distance(longest.nodes[0], longest.nodes[-1], radius)
+                    assert seen == [(len(group), d, max(path_length(longest.nodes, radius), d))]
 
 
 def test_loop_route_pair_writes_strict_json(tmp_path, capsys):
