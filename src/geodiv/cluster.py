@@ -9,10 +9,9 @@ cluster.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, NamedTuple
 
-from .geodesy import EARTH_RADIUS_KM
+from .geodesy import EARTH_RADIUS_KM, _check_positive
 from .geolocate import GeoPath
 
 
@@ -25,11 +24,6 @@ class Cluster(NamedTuple):
     @property
     def representative(self) -> GeoPath:
         return min(self.members, key=GeoPath.sort_key)
-
-
-def _check_positive(name: str, value: float) -> None:
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def delta_vector(p: GeoPath, l: GeoPath, radius_km: float = EARTH_RADIUS_KM) -> tuple[float, ...]:

@@ -20,9 +20,9 @@ import bisect
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .cluster import _check_positive, delta_vector
+from .cluster import delta_vector
 from .errors import InvalidConfig
-from .geodesy import EARTH_RADIUS_KM
+from .geodesy import EARTH_RADIUS_KM, _check_positive
 from .geolocate import GeoPath
 
 # Far beyond any planet, and far below where squared route lengths overflow.

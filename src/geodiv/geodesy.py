@@ -19,7 +19,7 @@ EARTH_RADIUS_KM = 6371.0
 # and the great circle through them is undefined.
 _DEGENERATE_NORM = 1e-12
 
-# PreparedPath.covers bounds only arcs with |a x b| at least this: a
+# PreparedPath's chord bounds skip only arcs with |a x b| at least this: a
 # computed normal is off the plane of its arc by up to ~4e-16 / |a x b|,
 # so by at most 4e-11 here. The margin, on the unit sphere, is 25 times
 # that, and far above the ~1e-14 of the haversine and the unit vectors.
@@ -151,14 +151,14 @@ class PreparedPath:
     Every value comes from the same operations, in the same order, as a
     from-scratch evaluation of each arc, so distances are the same bits.
 
-    ``caps`` holds, for each arc that the chord bounds of :meth:`covers`
-    may decide, the unit vector of its midpoint and the chord ``r`` from
-    there to its endpoints, ``(mx, my, mz, r)``; every point of the arc
-    lies within chord ``r`` of the midpoint. It is None for an arc of 90
-    degrees or more, and for one with ``|a x b| < _MIN_DECIDED_NORM``
-    (shorter than ~1e-5 rad, or nearly antipodal), whose normal carries
-    too much rounding error. ``anchors`` holds the points of the nodes
-    that end at least one such arc.
+    ``caps`` holds, for each arc that the chord bounds may skip, the unit
+    vector of its midpoint and the chord ``r`` from there to its
+    endpoints, ``(mx, my, mz, r)``; every point of the arc lies within
+    chord ``r`` of the midpoint. It is None for an arc of 90 degrees or
+    more, and for one with ``|a x b| < _MIN_DECIDED_NORM`` (shorter than
+    ~1e-5 rad, or nearly antipodal), whose normal carries too much
+    rounding error. ``anchors`` holds the points of the nodes that end at
+    least one such arc; only :meth:`covers` reads them.
     """
 
     __slots__ = ("points", "normals", "caps", "anchors")
@@ -189,13 +189,18 @@ class PreparedPath:
         self.caps = tuple(caps)
         self.anchors = tuple(anchors)
 
-    def distance(self, p: PreparedPoint, radius_km: float) -> float:
-        """Minimum distance from ``p`` to the polyline.
+    def distance(self, p: PreparedPoint, radius_km: float, within_km: float = -1.0) -> float:
+        """Minimum distance from ``p`` to the polyline; with ``within_km``
+        not negative, the first arc distance found that is at most it.
 
         A node of the path is 0 away, and no arc is scanned for it. An arc's
         distance is otherwise the cross-track distance when the
         perpendicular foot falls inside it, and the distance to the nearer
-        endpoint when not. Each node's distance from ``p`` is computed at
+        endpoint when not. An arc with a cap is skipped, as farther than
+        any answer, when the point's chord to its midpoint exceeds
+        ``r + x + _CHORD_MARGIN``, with ``x`` the smaller of ``within_km``
+        and the best distance so far, over the radius; past ``x = 1``
+        nothing is skipped. Each node's distance from ``p`` is computed at
         most once, and only when an arc needs it.
         """
         # A prepared point follows from its (lat, lon), so this is float
@@ -208,9 +213,17 @@ class PreparedPath:
         a = points[0]
         if len(points) == 1:
             return _haversine(p, a, diameter_km)
+        px, py, pz = p[3], p[4], p[5]
         best = math.inf
+        x = within_km / radius_km if within_km >= 0.0 else math.inf
         d_a = None
-        for b, normal in zip(points[1:], self.normals):
+        for b, normal, cap in zip(points[1:], self.normals, self.caps):
+            if cap is not None and x <= 1.0:
+                dx, dy, dz = px - cap[0], py - cap[1], pz - cap[2]
+                reach = cap[3] + x + _CHORD_MARGIN
+                if dx * dx + dy * dy + dz * dz > reach * reach:
+                    a, d_a = b, None
+                    continue
             d_b = None
             d = None if normal is None else _cross_track(p, a, b, normal, radius_km)
             if d is None:
@@ -218,8 +231,11 @@ class PreparedPath:
                     d_a = _haversine(p, a, diameter_km)
                 d_b = _haversine(p, b, diameter_km)
                 d = min(d_a, d_b)
+            if d <= within_km:
+                return d
             if d < best:
                 best = d
+                x = min(x, d / radius_km)
             a, d_a = b, d_b
         return best
 
@@ -227,63 +243,40 @@ class PreparedPath:
         """Whether ``self.distance(p, radius_km) <= threshold_km`` for every
         point, with the same answer bit for bit.
 
-        Chord bounds on the unit sphere decide most points with a few dot
-        products, at ``x = threshold_km / radius_km``. A point is within
-        the threshold when its chord to an anchor is below
-        ``sin(x) - _CHORD_MARGIN``. An arc is farther than the threshold
-        when the point's chord to its midpoint exceeds
-        ``r + x + _CHORD_MARGIN``. Every other arc goes through the kernel,
-        and the point passes at the first arc within the threshold. The
-        margin covers the kernel's error on the arcs that have caps; past
-        ``x = 1`` the bounds decide nothing.
+        A point is within the threshold when its chord to an anchor is
+        below ``sin(x) - _CHORD_MARGIN``, at ``x = threshold_km /
+        radius_km``; the margin covers the kernel's error on the arcs that
+        have caps, and past ``x = 1`` this bound decides nothing. Every
+        other point goes to :meth:`distance`, which stops at the first arc
+        within the threshold.
         """
         x = threshold_km / radius_km
-        if x <= 1.0:
-            accept = math.sin(x) - _CHORD_MARGIN
-            accept_sq = accept * accept if accept > 0.0 else -1.0
-            far = x + _CHORD_MARGIN
-        else:
-            accept_sq, far = -1.0, math.inf
+        accept = math.sin(x) - _CHORD_MARGIN if x <= 1.0 else 0.0
+        accept_sq = accept * accept if accept > 0.0 else -1.0
         anchors = self.anchors
         count = len(points)
         for i, p in enumerate(points):
+            px, py, pz = p[3], p[4], p[5]
             if anchors:
                 # A node is nearly always accepted by the anchor at its own
                 # relative position along the path, so that one goes first.
                 _, _, _, vx, vy, vz = anchors[i * len(anchors) // count]
-                dx, dy, dz = p[3] - vx, p[4] - vy, p[5] - vz
+                dx, dy, dz = px - vx, py - vy, pz - vz
                 if dx * dx + dy * dy + dz * dz < accept_sq:
                     continue
-            if not self._reaches(p, threshold_km, radius_km, accept_sq, far):
-                return False
+            for _, _, _, vx, vy, vz in anchors:
+                dx, dy, dz = px - vx, py - vy, pz - vz
+                if dx * dx + dy * dy + dz * dz < accept_sq:
+                    break
+            else:
+                if self.distance(p, radius_km, threshold_km) > threshold_km:
+                    return False
         return True
 
-    def _reaches(self, p: PreparedPoint, threshold_km: float, radius_km: float, accept_sq: float, far: float) -> bool:
-        """Whether ``p`` is within the threshold, by any anchor's chord, as
-        a node, or through the kernel on each arc whose cap is not too far."""
-        px, py, pz = p[3], p[4], p[5]
-        for _, _, _, vx, vy, vz in self.anchors:
-            dx, dy, dz = px - vx, py - vy, pz - vz
-            if dx * dx + dy * dy + dz * dz < accept_sq:
-                return True
-        points = self.points
-        if p in points:
-            return True
-        diameter_km = 2.0 * radius_km
-        if len(points) == 1:
-            return _haversine(p, points[0], diameter_km) <= threshold_km
-        for a, b, normal, cap in zip(points, points[1:], self.normals, self.caps):
-            if cap is not None:
-                dx, dy, dz = px - cap[0], py - cap[1], pz - cap[2]
-                reach = cap[3] + far
-                if dx * dx + dy * dy + dz * dz > reach * reach:
-                    continue
-            d = None if normal is None else _cross_track(p, a, b, normal, radius_km)
-            if d is None:
-                d = min(_haversine(p, a, diameter_km), _haversine(p, b, diameter_km))
-            if d <= threshold_km:
-                return True
-        return False
+
+def _check_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def point_to_path_distance(
@@ -295,6 +288,7 @@ def point_to_path_distance(
     """
     if len(nodes) == 0:
         raise ValueError("path has no nodes")
+    _check_positive("radius_km", radius_km)
     return PreparedPath(nodes).distance(_prepare_point(p), radius_km)
 
 

@@ -32,8 +32,9 @@ class GeoDb:
 
     def _add(self, network: int, prefixlen: int, location: Coordinate,
              path: str | None = None, line: int | None = None) -> None:
-        """Add one prefix; a repeated one is a ``ParseError`` located at
-        the snapshot's ``path`` and ``line`` when they are given."""
+        """Add the prefix of ``network``'s first ``prefixlen`` bits; a
+        repeated one is a ``ParseError`` located at the snapshot's ``path``
+        and ``line`` when they are given."""
         shift = 32 - prefixlen
         table = self._by_shift.get(shift)
         if table is None:
@@ -41,7 +42,7 @@ class GeoDb:
             self._tables = sorted(self._by_shift.items())
         key = network >> shift
         if key in table:
-            raise ParseError(f"duplicate CIDR {IPv4Network((network, prefixlen))}", path=path, line=line)
+            raise ParseError(f"duplicate CIDR {IPv4Network((key << shift, prefixlen))}", path=path, line=line)
         table[key] = location
 
     def __len__(self) -> int:
@@ -101,13 +102,7 @@ def _add_row(
             location = locations[lat_text, lon_text] = Coordinate(float(lat_text), float(lon_text))
         except ValueError as exc:
             raise ParseError(f"invalid coordinates: {exc}", path=path, line=line) from exc
-    shift = 32 - prefixlen
-    key = network >> shift
-    table = db._by_shift.get(shift)
-    if table is None or key in table:
-        db._add(key << shift, prefixlen, location, path, line)
-    else:
-        table[key] = location
+    db._add(network, prefixlen, location, path, line)
 
 
 def load_geodb(path: str | Path) -> GeoDb:

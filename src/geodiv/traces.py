@@ -37,35 +37,16 @@ class TraceRecord(NamedTuple):
     hops: HopSequence
 
 
-class RouteSet:
+class RouteSet(NamedTuple):
     """Distinct IP-level routes observed for one (src, dst) pair.
 
     Unresponsive markers are stripped before deduplication, so two
     measurements differing only in where responses were lost count as the
-    same IP-level route. A route set can be weakly referenced, which a
-    tuple cannot.
+    same IP-level route.
     """
 
-    __slots__ = ("pair", "ip_routes", "__weakref__")
-
-    def __init__(self, pair: Pair, ip_routes: tuple[HopSequence, ...]) -> None:
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "ip_routes", ip_routes)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and (self.pair, self.ip_routes) == (other.pair, other.ip_routes)
-
-    def __hash__(self) -> int:
-        return hash((self.pair, self.ip_routes))
-
-    def __repr__(self) -> str:
-        return f"RouteSet(pair={self.pair!r}, ip_routes={self.ip_routes!r})"
-
-    def __reduce__(self) -> tuple[type[RouteSet], tuple[Pair, tuple[HopSequence, ...]]]:
-        return RouteSet, (self.pair, self.ip_routes)
+    pair: Pair
+    ip_routes: tuple[HopSequence, ...]
 
 
 def parse_ipv4(text: str) -> int:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from geodiv import Coordinate, GeoPath, cluster_pair_routes, gdi, geo_equal, pair_diversity
 from geodiv import cluster
 from geodiv.cluster import delta_vector
+from geodiv.geodesy import point_to_path_distance
 
 from oracles import _cross, _norm, _unit_vector, geo_equal_scan, point_to_path_distance_per_arc, prepared_distance
 
@@ -107,6 +108,7 @@ def test_a_radius_that_is_not_positive_and_finite_is_refused(radius):
         lambda: pair_diversity(p, q, radius),
         lambda: gdi([p, q], radius),
         lambda: gdi([p], radius),
+        lambda: point_to_path_distance(Coordinate(2, 2), q.nodes, radius),
     ):
         with pytest.raises(ValueError, match=message):
             call()
@@ -297,6 +299,17 @@ def test_geo_equal_equals_the_kernel_scan(case):
         want = all(prepared_distance(lp, u, radius, threshold) <= threshold for u in pp.points)
         assert lp.covers(pp.points, threshold, radius) == want
     assert geo_equal(follower, route, threshold, radius) == geo_equal_scan(follower, route, threshold, radius)
+
+
+@given(_route_and_follower())
+def test_distance_equals_the_kernel_scan(case):
+    # The exact scan skips arcs by chord bounds at the best distance so
+    # far; every node's distance must still be the full scan's bits.
+    route, follower, _, radius = case
+    assume(route is not None and follower is not None)
+    for p, l in ((follower, route), (route, follower)):
+        for u in p.prepared.points:
+            assert l.prepared.distance(u, radius).hex() == prepared_distance(l.prepared, u, radius).hex()
 
 
 def test_a_large_single_corridor_pair_gets_the_scan_clusters(monkeypatch):

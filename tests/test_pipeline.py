@@ -4,6 +4,7 @@ import logging
 import os
 import pickle
 import random
+import sys
 import time
 import weakref
 
@@ -22,7 +23,6 @@ from geodiv import pipeline
 from geodiv.cli import main
 from geodiv.cluster import Cluster
 from geodiv.geodesy import EARTH_RADIUS_KM, great_circle_distance, path_length
-from geodiv.geolocate import GeoDb
 from geodiv.pipeline import (
     PAIRS_CSV_HEADER,
     ClusteredPair,
@@ -308,30 +308,35 @@ def test_a_failed_fork_ends_the_children_already_started(monkeypatch):
 def test_a_stripe_frees_the_full_inputs_before_scoring(seven_route_corpus, monkeypatch):
     # Once a process has localized its stripe it holds neither the route
     # sets nor the snapshot, so scoring does not run next to the corpus.
+    # The test keeps one route set itself: at scoring, its only references
+    # must be the test's own, as many as those of an object held the same way.
     traces, geodb, _ = seven_route_corpus
-    inputs = []
+    snapshots, kept, probe = [], [], [object()]
 
-    def remember(load):
-        def loaded(path):
-            result = load(path)
-            inputs.append(weakref.ref(result if isinstance(result, GeoDb) else next(iter(result.values()))))
-            return result
+    def load_geodb(path):
+        db = real_load_geodb(path)
+        snapshots.append(weakref.ref(db))
+        return db
 
-        return loaded
+    def group_by_pair(records):
+        route_sets = real_group_by_pair(records)
+        kept.append(next(iter(route_sets.values())))
+        return route_sets
 
-    monkeypatch.setattr(pipeline, "load_geodb", remember(pipeline.load_geodb))
-    monkeypatch.setattr(pipeline, "group_by_pair", remember(pipeline.group_by_pair))
+    real_load_geodb, real_group_by_pair = pipeline.load_geodb, pipeline.group_by_pair
+    monkeypatch.setattr(pipeline, "load_geodb", load_geodb)
+    monkeypatch.setattr(pipeline, "group_by_pair", group_by_pair)
     alive = []
 
     def score(*args):
         gc.collect()
-        alive.append([ref() is not None for ref in inputs])
+        alive.append((snapshots[0]() is not None, sys.getrefcount(kept[0]) - sys.getrefcount(probe[0])))
         return real_score(*args)
 
     real_score = pipeline._score_pair
     monkeypatch.setattr(pipeline, "_score_pair", score)
     assert len(run_pipeline(traces, geodb, jobs=1)[0]) == 1
-    assert alive == [[False, False]]
+    assert alive == [(False, 0)]
 
 
 def test_reader_gives_the_same_front_half(seven_route_corpus, small_pool, tmp_path):
