@@ -16,7 +16,6 @@ height and the rest are grid-searched for the largest GDI.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -157,16 +156,16 @@ def _height_grid(h_max: float, steps: int) -> list[float]:
 
 
 def _triangle_scorer(endpoint_distance_km: float, heights: Sequence[float]) -> Callable[[int, int], float]:
-    """``score(i, j)``: ``diversity_from_delta([0, a, 0, 0, b, 0])``, with
+    """``score(i, j)``: ``diversity_from_delta((0, a, 0, 0, b, 0))``, with
     ``a`` and ``b`` the planar point-to-path distances (``tests/oracles.py``)
     from the apex of the triangle route of height ``heights[i]`` to that of
-    ``heights[j]`` and back. The same float operations run in the same
+    ``heights[j]`` and back, by the same float operations in the same
     order, on arc terms computed once per triangle; only the (exact)
     subtractions of a zero coordinate are left out."""
     x = endpoint_distance_km / 2.0
     run = endpoint_distance_km - x  # each second arc runs from (x, h) to (d, 0)
     arcs = [(h, x * x + h * h, 0.0 - h, run * run + (0.0 - h) * (0.0 - h)) for h in heights]
-    hypot, fsum = math.hypot, math.fsum
+    hypot = math.hypot
 
     def apex_to(hp: float, hq: float, sq1: float, rise: float, sq2: float) -> float:
         if sq1 == 0.0:
@@ -185,14 +184,7 @@ def _triangle_scorer(endpoint_distance_km: float, heights: Sequence[float]) -> C
 
     def score(i: int, j: int) -> float:
         a, b = apex_to(arcs[i][0], *arcs[j]), apex_to(arcs[j][0], *arcs[i])
-        peak = max(0.0, a, b)
-        if peak <= 0.0:
-            return 0.0
-        na, nb = a / peak, b / peak
-        mean = fsum((0.0, na, 0.0, 0.0, nb, 0.0)) / 6
-        z = (0.0 - mean) ** 2
-        variance = fsum((z, (na - mean) ** 2, z, z, (nb - mean) ** 2, z)) / 6
-        return (1.0 - variance) * (fsum((0.0, a, 0.0, 0.0, b, 0.0)) / 6)
+        return diversity_from_delta((0.0, a, 0.0, 0.0, b, 0.0))
 
     return score
 
@@ -285,19 +277,11 @@ _PEAK_SHARE = 7.0 / 27.0
 
 def _score_ceilings(endpoint_distance_km: float, heights: Sequence[float]) -> list[list[float]]:
     """``ceilings[j][i]``, for ``i < j``, bounds the score of the triangle
-    routes of heights ``heights[i] < heights[j]`` from above without
-    evaluating it; ``heights`` are sorted, distinct and start at -h_max.
-
-    With ``D = h_j - h_i`` and an apex's reach ``r = hypot(d/2, h)`` to the
-    shared endpoints, each apex lies within ``D`` of the other triangle
-    (which holds the other apex) and within its reach (the endpoints).
-    When both apexes lie on one side of the baseline, the nearer one lies
-    inside the other triangle, ``d/2 * D / r`` from its side, with ``r``
-    the farther apex's reach. The score on ``(0, a, 0, 0, b, 0)`` grows
-    with ``a`` and with ``b`` and is ``M * g(k) / 216`` at ``(k * M, M)``,
-    ``k <= 1``, with ``g(k) = 31 + 33k - 3k^2 - 5k^3`` (``7/27 * M`` at
-    ``k = 1``). So it is at most ``D * g(d/2 / r) / 216`` for a one-sided
-    pair and ``7/27 * min(D, larger reach)`` otherwise.
+    routes of heights ``heights[i] < heights[j]`` (sorted, from -h_max)
+    without evaluating it. Each apex lies within ``D = h_j - h_i`` of the
+    other triangle, which holds the other apex, and the score of ``(0, k *
+    M, 0, 0, M, 0)``, ``0 <= k <= 1``, is ``M * (31 + 33k - 3k^2 - 5k^3) /
+    216``, rising with ``k`` to ``7/27 * M``; so it is at most ``7/27 * D``.
 
     The kernel rounds its distances by a few ulps of ``d/2 + h_max``;
     each ceiling adds 1e-12 of that. When ``d/2`` is below 1e-100 km or
@@ -309,22 +293,7 @@ def _score_ceilings(endpoint_distance_km: float, heights: Sequence[float]) -> li
     if not (1e-100 < x and scale < 1e100):
         return [[math.inf] * j for j in range(len(heights))]
     tolerance = 1e-12 * scale
-    reach = [math.hypot(x, h) for h in heights]
-    one_sided = [(31.0 + k * (33.0 + k * (-3.0 - 5.0 * k))) / 216.0 for k in (x / r for r in reach)]
-    above = bisect.bisect_left(heights, 0.0)  # first height at or above the baseline
-    ceilings = []
-    for j, h_j in enumerate(heights):
-        if h_j <= 0.0:
-            ceilings.append([share * (h_j - h) + tolerance for h, share in zip(heights[:j], one_sided)])
-            continue
-        r_j, share = reach[j], one_sided[j]
-        row = [
-            _PEAK_SHARE * min(h_j - h, r if r > r_j else r_j) + tolerance
-            for h, r in zip(heights[:above], reach)
-        ]
-        row += [share * (h_j - h) + tolerance for h in heights[above:j]]
-        ceilings.append(row)
-    return ceilings
+    return [[_PEAK_SHARE * (h_j - h) + tolerance for h in heights[:j]] for j, h_j in enumerate(heights)]
 
 
 def _best_three_route_set(
@@ -338,8 +307,8 @@ def _best_three_route_set(
     On three routes :func:`_greedy_accumulate` returns exactly the largest
     plus the smallest of the three pair scores, whatever its tie-breaks
     pick. With ``hi`` and ``lo`` the two pinned scores and ``u`` the pair's
-    ceiling, that is at most ``max(u, hi) + min(u, lo)``, which carries the
-    search's relative slack.
+    ceiling, 7/27 of its height gap, that is at most ``max(u, hi) + min(u,
+    lo)``, which carries the search's relative slack.
     """
     for b, row in enumerate(ceilings):
         p_b = pinned_scores[b]
@@ -386,12 +355,12 @@ def mgdi(
     endpoint lies exactly (to the bit) on every other triangle, so a
     pair's distance vector is ``(0, a, 0, 0, b, 0)`` with ``a`` and ``b``
     the distances from each apex to the other triangle. Only those two are
-    computed, by one scorer, and the score is evaluated on the same vector
-    as the planar pair score (``tests/oracles.py``) would build. Two-route
-    sets need only the pinned route's row, and three-route sets a few more
-    entries (:func:`_best_three_route_set` scores a pair, highest bound
-    first, only while a ceiling on its set's GDI beats the best value
-    found), so the full table is built only for four or more routes.
+    computed, by one scorer, which scores with :func:`diversity_from_delta`.
+    Two-route sets need only the pinned route's row, and three-route sets
+    a few more entries (:func:`_best_three_route_set` scores a pair,
+    highest bound first, only while 7/27 of its height gap still lets its
+    set beat the best value found), so the full table is built only for
+    four or more routes.
 
     *Trajectory search* (four or more routes). Instead of running the greedy
     on every subset, the search walks greedy trajectories: an opening pair,

@@ -199,9 +199,8 @@ class PreparedPath:
         endpoint when not. An arc with a cap is skipped, as farther than
         any answer, when the point's chord to its midpoint exceeds
         ``r + x + _CHORD_MARGIN``, with ``x`` the smaller of ``within_km``
-        and the best distance so far, over the radius; past ``x = 1``
-        nothing is skipped. Each node's distance from ``p`` is computed at
-        most once, and only when an arc needs it.
+        and the best distance so far, over the radius. Each node's distance
+        from ``p`` is computed at most once, and only when an arc needs it.
         """
         # A prepared point follows from its (lat, lon), so this is float
         # equality of (lat, lon), -0.0 == 0.0 included; every arc distance
@@ -218,7 +217,7 @@ class PreparedPath:
         x = within_km / radius_km if within_km >= 0.0 else math.inf
         d_a = None
         for b, normal, cap in zip(points[1:], self.normals, self.caps):
-            if cap is not None and x <= 1.0:
+            if cap is not None:
                 dx, dy, dz = px - cap[0], py - cap[1], pz - cap[2]
                 reach = cap[3] + x + _CHORD_MARGIN
                 if dx * dx + dy * dy + dz * dz > reach * reach:

@@ -15,14 +15,14 @@ import json
 import math
 import os
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from .cluster import Cluster, cluster_pair_routes
 from .diversity import MAX_EARTH_RADIUS_KM, DiversityConfig, DiversityReport, _is_number, compression_ratio, gdi, mgdi
 from .errors import ParseError, _blocks, invalid_json
-from .geodesy import EARTH_RADIUS_KM, Coordinate, _haversine
+from .geodesy import EARTH_RADIUS_KM, Coordinate, great_circle_distance, path_length
 from .geolocate import FilterStats, GeoPath, filter_pairs, load_geodb
 from .traces import Pair, _check_address, group_by_pair, parse_trace_file
 
@@ -218,22 +218,17 @@ def cluster_corpus(
 def score_clustered_pair(clustered: ClusteredPair, cfg: DiversityConfig) -> DiversityReport:
     """The diversity report of one clustered pair, from its clusters' representatives.
 
-    MGDI inputs come from the longest representative: its polyline length,
-    and the distance between its first and last nodes. A loop route
-    (coincident first/last node) has no triangle construction; its MGDI is 0.
+    MGDI inputs come from the first longest representative: its
+    :func:`path_length`, and the :func:`great_circle_distance` of its ends.
+    A loop route (coincident ends) has no triangle construction; its MGDI is 0.
     """
     representatives = [c.representative for c in clustered.clusters]
     radius = cfg.earth_radius_km
     gdi_km = gdi(representatives, radius)
 
-    # Each length once, from the prepared nodes: the same bits as
-    # path_length and great_circle_distance.
-    diameter = 2.0 * radius
-    routes = [rep.prepared.points for rep in representatives]
-    lengths = [math.fsum(_haversine(a, b, diameter) for a, b in zip(r, r[1:])) for r in routes]
-    k = max(range(len(routes)), key=lengths.__getitem__)
-    longest_len, longest = lengths[k], routes[k]
-    endpoint_distance = _haversine(longest[0], longest[-1], diameter)
+    routes = [(path_length(rep.nodes, radius), rep.nodes) for rep in representatives]
+    longest_len, longest = max(routes, key=itemgetter(0))
+    endpoint_distance = great_circle_distance(longest[0], longest[-1], radius)
     if endpoint_distance <= 0.0:
         mgdi_km = 0.0
     else:

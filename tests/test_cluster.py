@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from geodiv import Coordinate, GeoPath, cluster_pair_routes, gdi, geo_equal, pair_diversity
 from geodiv import cluster
 from geodiv.cluster import delta_vector
-from geodiv.geodesy import point_to_path_distance
+from geodiv.geodesy import _prepare_point, point_to_path_distance
 
 from oracles import _cross, _norm, _unit_vector, geo_equal_scan, point_to_path_distance_per_arc, prepared_distance
 
@@ -221,11 +221,13 @@ def _moved(v, direction, angle: float) -> tuple[float, float, float]:
     return _normalized(tuple(math.cos(angle) * a + math.sin(angle) * d for a, d in zip(v, direction)))
 
 
+def _coordinate(v) -> Coordinate:
+    x, y, z = v
+    return Coordinate(math.degrees(math.asin(max(-1.0, min(1.0, z)))), math.degrees(math.atan2(y, x)))
+
+
 def _as_geo_path(vectors) -> GeoPath | None:
-    nodes = [
-        Coordinate(math.degrees(math.asin(max(-1.0, min(1.0, z)))), math.degrees(math.atan2(y, x)))
-        for x, y, z in vectors
-    ]
+    nodes = [_coordinate(v) for v in vectors]
     kept = [c for k, c in enumerate(nodes) if k == 0 or c.key != nodes[k - 1].key]
     return GeoPath(nodes=tuple(kept)) if len(kept) >= 2 else None
 
@@ -310,6 +312,46 @@ def test_distance_equals_the_kernel_scan(case):
     for p, l in ((follower, route), (route, follower)):
         for u in p.prepared.points:
             assert l.prepared.distance(u, radius).hex() == prepared_distance(l.prepared, u, radius).hex()
+
+
+def test_distance_past_one_radian_equals_the_kernel_scan():
+    # Far points, most of them near the antipode of a node or of an arc
+    # point, so that the best distance so far (or the limit) passes one
+    # radian while the chord bounds still skip arcs.
+    rng = random.Random(23)
+    queries = 0
+    while queries < 20_000:
+        radius = 10 ** rng.uniform(0.0, 6.0)
+        route = [_normalized(tuple(rng.gauss(0.0, 1.0) for _ in range(3)))]
+        for _ in range(rng.randint(1, 19)):
+            v = route[-1]
+            if rng.randrange(10) == 0:  # a near-antipodal segment
+                v, angle = tuple(-c for c in v), 10 ** rng.uniform(-10.0, -3.0)
+            else:
+                angle = math.radians(10 ** rng.uniform(-6.0, math.log10(90.0)))
+            route.append(_moved(v, _heading(v, rng.uniform(0.0, 2 * math.pi)), angle))
+        path = _as_geo_path(route)
+        if path is None:
+            continue
+        lp = path.prepared
+        for _ in range(50):
+            kind = rng.randrange(3)
+            if kind == 0:  # anywhere
+                q = _normalized(tuple(rng.gauss(0.0, 1.0) for _ in range(3)))
+            else:  # near the antipode of a node (kind 1) or of an arc point (kind 2)
+                k = rng.randrange(len(lp.points) - 1)
+                s = rng.random() if kind == 2 else 0.0
+                a, b = lp.points[k][3:], lp.points[k + 1][3:]
+                antipode = _normalized(tuple(-((1 - s) * c + s * e) for c, e in zip(a, b)))
+                q = _moved(antipode, _heading(antipode, rng.uniform(0.0, 2 * math.pi)), 10 ** rng.uniform(-10.0, 0.3))
+            u = _prepare_point(_coordinate(q))
+            within = rng.choice([-1.0, -1.0, radius * rng.uniform(0.0, 3.2)])
+            got, want = lp.distance(u, radius, within), prepared_distance(lp, u, radius, within)
+            if within < 0.0 or want <= within:
+                assert got.hex() == want.hex(), (q, radius, within)
+            else:  # past the limit, only the verdict is promised
+                assert got > within, (q, radius, within)
+            queries += 1
 
 
 def test_a_large_single_corridor_pair_gets_the_scan_clusters(monkeypatch):

@@ -353,11 +353,15 @@ def test_three_route_mgdi_on_tied_and_degenerate_grids(endpoint, longest, steps)
 def test_score_ceilings_bound_every_pair_score(d, ratio, steps):
     h_max = math.sqrt(max(0.0, (d * ratio / 2.0) ** 2 - (d / 2.0) ** 2))
     grid = sorted(set(_height_grid(h_max, steps)))
-    # Every pair among at most 25 spread-out grid routes, the extremes
-    # included, and each of them with its upper neighbour, the closest pair.
-    picked = sorted({round(k * (len(grid) - 1) / 24) for k in range(25)})
-    pairs = [(i, j) for i in picked for j in picked if i < j]
-    pairs += [(i, i + 1) for i in picked if i + 1 < len(grid)]
+    # Every pair on a grid of at most 41 routes. On a finer one, every pair
+    # among 25 spread-out grid routes, the extremes included, and each of
+    # them with its upper neighbour, the closest pair.
+    if len(grid) <= 41:
+        pairs = [(i, j) for j in range(len(grid)) for i in range(j)]
+    else:
+        picked = sorted({round(k * (len(grid) - 1) / 24) for k in range(25)})
+        pairs = [(i, j) for i in picked for j in picked if i < j]
+        pairs += [(i, i + 1) for i in picked if i + 1 < len(grid)]
     ceilings = _score_ceilings(d, grid)
     scorer = _triangle_scorer(d, grid)
     for i, j in pairs:
@@ -367,9 +371,9 @@ def test_score_ceilings_bound_every_pair_score(d, ratio, steps):
             assert score <= _PEAK_SHARE * (grid[j] - grid[i]) * _BOUND_SLACK, (i, j)
 
 
-def test_three_route_mgdi_scores_few_pairs_at_a_fine_grid(monkeypatch):
-    # At 1001 steps the full table has 499,500 pairs off the pinned route;
-    # the three-route search must score under 1% of them.
+def _off_pinned_pairs_scored(monkeypatch, endpoint: float, longest: float) -> int:
+    """How many pairs off the pinned route ``mgdi(3)`` scores at 1001
+    steps, after checking that a third route adds to the best pair."""
     scorer = diversity._triangle_scorer
     off_pinned = []
 
@@ -385,8 +389,21 @@ def test_three_route_mgdi_scores_few_pairs_at_a_fine_grid(monkeypatch):
 
     monkeypatch.setattr(diversity, "_triangle_scorer", counting)
     cfg = DiversityConfig(mgdi_grid_steps=1001)
-    assert mgdi(3, 1000.0, 1400.0, cfg) > mgdi(2, 1000.0, 1400.0, cfg)
-    assert 0 < len(off_pinned) < 5_005
+    assert mgdi(3, endpoint, longest, cfg) > mgdi(2, endpoint, longest, cfg)
+    return len(off_pinned)
+
+
+def test_three_route_mgdi_scores_few_pairs_at_a_fine_grid(monkeypatch):
+    # At 1001 steps the full table has 499,500 pairs off the pinned route;
+    # the three-route search must score under 1% of them.
+    assert 0 < _off_pinned_pairs_scored(monkeypatch, 1000.0, 1400.0) < 5_005
+
+
+@pytest.mark.parametrize("endpoint, longest", [(1000.0, 5000.0), (1.0, 1e4)])
+def test_three_route_mgdi_scores_a_fifth_of_the_pairs_on_tall_shapes(monkeypatch, endpoint, longest):
+    # Tall triangles leave more pairs whose 7/27 ceiling beats the best
+    # set; the search still scores under a fifth of the 499,500.
+    assert 0 < _off_pinned_pairs_scored(monkeypatch, endpoint, longest) < 100_000
 
 
 @settings(max_examples=300, deadline=None)
