@@ -275,64 +275,48 @@ def _best_greedy_set(
 _PEAK_SHARE = 7.0 / 27.0
 
 
-def _score_ceilings(endpoint_distance_km: float, heights: Sequence[float]) -> list[list[float]]:
-    """``ceilings[j][i]``, for ``i < j``, bounds the score of the triangle
-    routes of heights ``heights[i] < heights[j]`` (sorted, from -h_max)
-    without evaluating it. Each apex lies within ``D = h_j - h_i`` of the
-    other triangle, which holds the other apex, and the score of ``(0, k *
-    M, 0, 0, M, 0)``, ``0 <= k <= 1``, is ``M * (31 + 33k - 3k^2 - 5k^3) /
-    216``, rising with ``k`` to ``7/27 * M``; so it is at most ``7/27 * D``.
-
-    The kernel rounds its distances by a few ulps of ``d/2 + h_max``;
-    each ceiling adds 1e-12 of that. When ``d/2`` is below 1e-100 km or
-    ``d/2 + h_max`` above 1e100 km, products of coordinates can leave the
-    normal float range, and every ceiling is infinite.
-    """
-    x = endpoint_distance_km / 2.0
-    scale = x - heights[0]
-    if not (1e-100 < x and scale < 1e100):
-        return [[math.inf] * j for j in range(len(heights))]
-    tolerance = 1e-12 * scale
-    return [[_PEAK_SHARE * (h_j - h) + tolerance for h in heights[:j]] for j, h_j in enumerate(heights)]
-
-
 def _best_three_route_set(
-    score: Callable[[int, int], float], ceilings: list[list[float]], pinned_scores: Sequence[float], best: float
+    score: Callable[[int, int], float],
+    endpoint_distance_km: float,
+    heights: Sequence[float],
+    pinned_scores: Sequence[float],
+    best: float,
 ) -> float:
-    """Largest of ``best`` and the greedy GDI of every set ``{a, b, pinned}``
-    (``a < b < pinned``, the last grid index), scoring a pair ``(a, b)``
-    only while it can still win; ``ceilings`` (:func:`_score_ceilings` of
-    the grid without the pinned route) becomes the sets' bounds in place.
+    """Largest of ``best`` and the greedy GDI of every set ``{a, b, pinned}``,
+    ``a < b`` indices of ``heights`` (the ascending grid without the pinned
+    route), scoring a pair only while its set can still win.
 
     On three routes :func:`_greedy_accumulate` returns exactly the largest
     plus the smallest of the three pair scores, whatever its tie-breaks
-    pick. With ``hi`` and ``lo`` the two pinned scores and ``u`` the pair's
-    ceiling, 7/27 of its height gap, that is at most ``max(u, hi) + min(u,
-    lo)``, which carries the search's relative slack.
+    pick. Each apex lies within ``D = h_b - h_a`` of the other triangle,
+    and the score of ``(0, k * M, 0, 0, M, 0)``, ``0 <= k <= 1``, is ``M *
+    (31 + 33k - 3k^2 - 5k^3) / 216``, rising with ``k`` to ``7/27 * M``; so
+    a pair scores at most ``u = 7/27 * D``, and with ``hi >= lo`` its pinned
+    scores its set at most ``max(u, hi) + min(u, lo) <= u + max(u, top)``,
+    ``top`` the largest pinned score. For each ``a``, ``b`` walks down from
+    the widest gap, so ``u`` only falls, until ``u + max(u, top)`` cannot
+    beat the best value found. Both cuts carry the search's relative slack.
+
+    ``u`` adds 1e-12 of ``d/2 + h_max`` for the kernel's rounding. Below
+    ``d/2 = 1e-100`` km or at ``d/2 + h_max >= 1e100`` km, products of
+    coordinates can leave the normal float range, ``u`` is infinite and
+    every pair is scored.
     """
-    for b, row in enumerate(ceilings):
-        p_b = pinned_scores[b]
-        for a, (u, p_a) in enumerate(zip(row, pinned_scores)):
+    x = endpoint_distance_km / 2.0
+    scale = x - heights[0]
+    share = _PEAK_SHARE if 1e-100 < x and scale < 1e100 else math.inf  # gaps are positive: u stays inf
+    tolerance = 1e-12 * scale
+    top = max(pinned_scores)
+    for a, (h_a, p_a) in enumerate(zip(heights, pinned_scores)):
+        for b in range(len(heights) - 1, a, -1):
+            u = share * (heights[b] - h_a) + tolerance
+            if (u + (u if u > top else top)) * _BOUND_SLACK <= best:
+                break
+            p_b = pinned_scores[b]
             hi, lo = (p_a, p_b) if p_a > p_b else (p_b, p_a)
-            row[a] = ((u if u > hi else hi) + (u if u < lo else lo)) * _BOUND_SLACK
-
-    def value(a: int, b: int) -> float:
-        s, p_a, p_b = score(a, b), pinned_scores[a], pinned_scores[b]
-        return max(s, p_a, p_b) + min(s, p_a, p_b)
-
-    # The pair of highest bound first: its value shortens the list to sort.
-    tops = [max(row, default=-1.0) for row in ceilings]
-    b = tops.index(max(tops))
-    if tops[b] <= best:
-        return best
-    a = ceilings[b].index(tops[b])
-    ceilings[b][a] = -1.0
-    best = max(best, value(a, b))
-    rest = [(bound, a, b) for b, row in enumerate(ceilings) for a, bound in enumerate(row) if bound > best]
-    for bound, a, b in sorted(rest, reverse=True):
-        if bound <= best:
-            break
-        best = max(best, value(a, b))
+            if ((u if u > hi else hi) + (u if u < lo else lo)) * _BOUND_SLACK > best:
+                s = score(a, b)
+                best = max(best, max(s, p_a, p_b) + min(s, p_a, p_b))
     return best
 
 
@@ -357,10 +341,10 @@ def mgdi(
     the distances from each apex to the other triangle. Only those two are
     computed, by one scorer, which scores with :func:`diversity_from_delta`.
     Two-route sets need only the pinned route's row, and three-route sets
-    a few more entries (:func:`_best_three_route_set` scores a pair,
-    highest bound first, only while 7/27 of its height gap still lets its
-    set beat the best value found), so the full table is built only for
-    four or more routes.
+    a few more entries (:func:`_best_three_route_set` walks each lower
+    route's partners from the widest height gap down and scores a pair
+    only while 7/27 of its gap still lets its set beat the best value
+    found), so the full table is built only for four or more routes.
 
     *Trajectory search* (four or more routes). Instead of running the greedy
     on every subset, the search walks greedy trajectories: an opening pair,
@@ -378,6 +362,8 @@ def mgdi(
     bit for bit.
     """
     cfg = cfg or DiversityConfig()
+    if not isinstance(n_routes, int) or isinstance(n_routes, bool):
+        raise ValueError(f"route count must be an integer, got {n_routes!r}")
     if n_routes <= 1:
         return 0.0
     for name, km in (("endpoint distance", endpoint_distance_km), ("longest route", longest_route_km)):
@@ -390,7 +376,10 @@ def mgdi(
             f"longest route ({longest_route_km} km) shorter than the endpoint "
             f"distance ({endpoint_distance_km} km)"
         )
-    h_max = math.sqrt(max(0.0, (longest_route_km / 2.0) ** 2 - (endpoint_distance_km / 2.0) ** 2))
+    try:
+        h_max = math.sqrt(max(0.0, (longest_route_km / 2.0) ** 2 - (endpoint_distance_km / 2.0) ** 2))
+    except OverflowError:  # longest >= endpoint, so its square overflows first
+        raise ValueError(f"longest route is too long to square, got {longest_route_km}") from None
     grid = sorted(set(_height_grid(h_max, cfg.mgdi_grid_steps)))
     pinned = len(grid) - 1  # +h_max is always the last grid value
 
@@ -402,7 +391,7 @@ def mgdi(
     if max_routes <= 2:
         return best
     if max_routes == 3:
-        return _best_three_route_set(score, _score_ceilings(endpoint_distance_km, grid[:-1]), pinned_scores, best)
+        return _best_three_route_set(score, endpoint_distance_km, grid[:-1], pinned_scores, best)
 
     table = [[0.0] * m for _ in range(m)]
     for i in range(m):

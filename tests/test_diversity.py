@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from geodiv.diversity import (
     _PEAK_SHARE,
     _best_greedy_set,
     _height_grid,
-    _score_ceilings,
     _triangle_scorer,
     compression_ratio,
     diversity_from_delta,
@@ -190,10 +190,16 @@ def test_mgdi_rejects_inconsistent_lengths():
         (2, math.inf, math.inf, "endpoint distance must be finite, got inf"),
         (4, 1000.0, math.nan, "longest route must be finite, got nan"),
         (2, -math.inf, 1000.0, "endpoint distance must be finite, got -inf"),
+        # A route count that is not an int, and a length whose square overflows.
+        (2.5, 1000.0, 1400.0, "route count must be an integer, got 2.5"),
+        (4.0, 1000.0, 1400.0, "route count must be an integer, got 4.0"),
+        (True, 1000.0, 1400.0, "route count must be an integer, got True"),
+        (2, 1e200, 3e200, "longest route is too long to square, got 3e+200"),
+        (3, 1e200, 1e200, "longest route is too long to square, got 1e+200"),
     ],
 )
 def test_mgdi_refuses_non_finite_lengths(n, endpoint, longest, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         mgdi(n, endpoint, longest, DiversityConfig())
 
 
@@ -336,12 +342,14 @@ def test_three_route_mgdi_equals_the_full_table_search(d, ratio, steps):
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 21, 41])
 @pytest.mark.parametrize(
-    "endpoint, longest", [*_TIED_GEOMETRIES, (1000.0, 1000.0), (1000.0, 1000.0 * (1.0 + 1e-12)), (5e-324, 1.0)]
+    "endpoint, longest",
+    [*_TIED_GEOMETRIES, (1000.0, 1000.0), (1000.0, 1000.0 * (1.0 + 1e-12)), (5e-324, 1.0), (1e120, 3e120)],
 )
 def test_three_route_mgdi_on_tied_and_degenerate_grids(endpoint, longest, steps):
-    # Tied integer grids, h_max == 0, the flattest triangles and a
-    # distance whose half underflows; at three grid steps every route
-    # count from 3 up takes the three-route search.
+    # Tied integer grids, h_max == 0, the flattest triangles, a distance
+    # whose half underflows and one so long that d/2 + h_max passes 1e100
+    # km; at three grid steps every route count from 3 up takes the
+    # three-route search.
     cfg = DiversityConfig(mgdi_grid_steps=steps)
     for n in (3, 4) if steps == 3 else (3,):
         want = mgdi_exhaustive(n, endpoint, longest, cfg)
@@ -351,6 +359,8 @@ def test_three_route_mgdi_on_tied_and_degenerate_grids(endpoint, longest, steps)
 
 @given(d=endpoint_distances, ratio=ratios, steps=st.integers(1, 201))
 def test_score_ceilings_bound_every_pair_score(d, ratio, steps):
+    # The ceiling the three-route search reads for a pair: 7/27 of its
+    # height gap plus 1e-12 of d/2 + h_max, inside its range guard.
     h_max = math.sqrt(max(0.0, (d * ratio / 2.0) ** 2 - (d / 2.0) ** 2))
     grid = sorted(set(_height_grid(h_max, steps)))
     # Every pair on a grid of at most 41 routes. On a finer one, every pair
@@ -362,11 +372,13 @@ def test_score_ceilings_bound_every_pair_score(d, ratio, steps):
         picked = sorted({round(k * (len(grid) - 1) / 24) for k in range(25)})
         pairs = [(i, j) for i in picked for j in picked if i < j]
         pairs += [(i, i + 1) for i in picked if i + 1 < len(grid)]
-    ceilings = _score_ceilings(d, grid)
+    scale = d / 2.0 - grid[0]
+    guarded = 1e-100 < d / 2.0 and scale < 1e100
     scorer = _triangle_scorer(d, grid)
     for i, j in pairs:
         score = scorer(i, j)
-        assert score <= ceilings[j][i] * _BOUND_SLACK, (i, j)
+        if guarded:
+            assert score <= (_PEAK_SHARE * (grid[j] - grid[i]) + 1e-12 * scale) * _BOUND_SLACK, (i, j)
         if d >= 1e-100:
             assert score <= _PEAK_SHARE * (grid[j] - grid[i]) * _BOUND_SLACK, (i, j)
 
