@@ -1,10 +1,12 @@
 """Spherical-Earth distance primitives.
 
 Everything here treats the Earth as a sphere of radius ``EARTH_RADIUS_KM``
-(configurable per call). Segments between consecutive route nodes are
-great-circle arcs; point-to-segment distance is the cross-track distance
-when the perpendicular foot falls inside the arc, and the distance to the
-nearer endpoint otherwise.
+(configurable per call) and each node as its unit vector. Segments between
+consecutive route nodes are great-circle arcs; point-to-segment distance is
+the cross-track distance when the perpendicular foot falls inside the arc,
+and the distance to the nearer endpoint otherwise. Node to node, the angle
+is ``atan2(|p x q|, p . q)`` (:func:`_angle`, after Kahan 2014), good to
+~1e-16 rad at every distance, the antipode included.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ _DEGENERATE_NORM = 1e-12
 # PreparedPath's chord bounds skip only arcs with |a x b| at least this: a
 # computed normal is off the plane of its arc by up to ~4e-16 / |a x b|,
 # so by at most 4e-11 here. The margin, on the unit sphere, is 25 times
-# that, and far above the ~1e-14 of the haversine and the unit vectors.
+# that, and far above the ~1e-16 rad of `_angle` and the unit vectors.
 _MIN_DECIDED_NORM = 1e-5
 _CHORD_MARGIN = 1e-9
 
@@ -82,32 +84,30 @@ class Coordinate:
         return Coordinate, (self.lat, self.lon)
 
 
-# One node as the distance kernels need it: (lat, lon, cos(lat), x, y, z),
-# with (x, y, z) its unit vector. The haversine reads only the first three.
-PreparedPoint = tuple[float, float, float, float, float, float]
+# One node as the distance kernels need it: its unit vector (x, y, z).
+PreparedPoint = tuple[float, float, float]
 
 
 def _prepare_point(c: Coordinate) -> PreparedPoint:
     phi = math.radians(c.lat)
     lam = math.radians(c.lon)
     cos_phi = math.cos(phi)
-    return (c.lat, c.lon, cos_phi, cos_phi * math.cos(lam), cos_phi * math.sin(lam), math.sin(phi))
+    return (cos_phi * math.cos(lam), cos_phi * math.sin(lam), math.sin(phi))
 
 
-def _haversine(p: Sequence[float], q: Sequence[float], diameter_km: float) -> float:
-    h = math.sin(math.radians(q[0] - p[0]) / 2.0) ** 2 + p[2] * q[2] * math.sin(
-        math.radians(q[1] - p[1]) / 2.0
-    ) ** 2
-    return diameter_km * math.asin(min(1.0, math.sqrt(h)))
+def _angle(p: PreparedPoint, q: PreparedPoint) -> float:
+    """The angle in radians between unit vectors ``p`` and ``q``."""
+    px, py, pz = p
+    qx, qy, qz = q
+    cx, cy, cz = py * qz - pz * qy, pz * qx - px * qz, px * qy - py * qx
+    return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), px * qx + py * qy + pz * qz)
 
 
 def great_circle_distance(a: Coordinate, b: Coordinate, radius_km: float = EARTH_RADIUS_KM) -> float:
-    """Haversine distance in kilometers; exactly 0 iff ``a == b``."""
-    return _haversine(
-        (a.lat, a.lon, math.cos(math.radians(a.lat))),
-        (b.lat, b.lon, math.cos(math.radians(b.lat))),
-        2.0 * radius_km,
-    )
+    """Great-circle distance in kilometers, by :func:`_angle`; 0 when
+    ``a == b``, and coordinates under ~1e-16 rad apart can also read 0."""
+    _check_positive("radius_km", radius_km)
+    return radius_km * _angle(_prepare_point(a), _prepare_point(b))
 
 
 def _cross_track(
@@ -121,7 +121,7 @@ def _cross_track(
     ``b`` (unit normal ``normal``) when the perpendicular foot falls inside
     the arc; None otherwise."""
     nx, ny, nz = normal
-    px, py, pz = p[3], p[4], p[5]
+    px, py, pz = p
     # Signed sine of the cross-track angle.
     s = px * nx + py * ny + pz * nz
     qx, qy, qz = px - s * nx, py - s * ny, pz - s * nz
@@ -132,13 +132,13 @@ def _cross_track(
     fx, fy, fz = qx / qn, qy / qn, qz / qn
     # The foot is inside the arc when a x foot and foot x b both point
     # along the normal.
-    ax, ay, az = a[3], a[4], a[5]
+    ax, ay, az = a
     if (ay * fz - az * fy) * nx + (az * fx - ax * fz) * ny + (ax * fy - ay * fx) * nz < -_DEGENERATE_NORM:
         return None
-    bx, by, bz = b[3], b[4], b[5]
+    bx, by, bz = b
     if (fy * bz - fz * by) * nx + (fz * bx - fx * bz) * ny + (fx * by - fy * bx) * nz < -_DEGENERATE_NORM:
         return None
-    return radius_km * math.asin(min(1.0, abs(s)))
+    return radius_km * math.atan2(abs(s), qn)
 
 
 class PreparedPath:
@@ -149,7 +149,8 @@ class PreparedPath:
     holds each arc's great-circle unit normal, or None when the endpoints
     are equal, coincident or antipodal and no unique great circle exists.
     Every value comes from the same operations, in the same order, as a
-    from-scratch evaluation of each arc, so distances are the same bits.
+    from-scratch evaluation of each arc with :func:`_angle` and the
+    cross-track ``atan2``, so distances are the same bits.
 
     ``caps`` holds, for each arc that the chord bounds may skip, the unit
     vector of its midpoint and the chord ``r`` from there to its
@@ -169,8 +170,8 @@ class PreparedPath:
         caps: list[tuple[float, float, float, float] | None] = []
         anchors: list[PreparedPoint] = []
         for a, b in zip(points, points[1:]):
-            ax, ay, az = a[3], a[4], a[5]
-            bx, by, bz = b[3], b[4], b[5]
+            ax, ay, az = a
+            bx, by, bz = b
             nx, ny, nz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
             nn = math.sqrt(nx * nx + ny * ny + nz * nz)
             normals.append(None if nn < _DEGENERATE_NORM else (nx / nn, ny / nn, nz / nn))
@@ -202,17 +203,15 @@ class PreparedPath:
         and the best distance so far, over the radius. Each node's distance
         from ``p`` is computed at most once, and only when an arc needs it.
         """
-        # A prepared point follows from its (lat, lon), so this is float
-        # equality of (lat, lon), -0.0 == 0.0 included; every arc distance
-        # is at least 0.0.
+        # Equal unit vectors (-0.0 == 0.0 included) are 0.0 apart by
+        # _angle too; every arc distance is at least 0.0.
         if p in self.points:
             return 0.0
-        diameter_km = 2.0 * radius_km
         points = self.points
         a = points[0]
         if len(points) == 1:
-            return _haversine(p, a, diameter_km)
-        px, py, pz = p[3], p[4], p[5]
+            return radius_km * _angle(p, a)
+        px, py, pz = p
         best = math.inf
         x = within_km / radius_km if within_km >= 0.0 else math.inf
         d_a = None
@@ -227,8 +226,8 @@ class PreparedPath:
             d = None if normal is None else _cross_track(p, a, b, normal, radius_km)
             if d is None:
                 if d_a is None:
-                    d_a = _haversine(p, a, diameter_km)
-                d_b = _haversine(p, b, diameter_km)
+                    d_a = radius_km * _angle(p, a)
+                d_b = radius_km * _angle(p, b)
                 d = min(d_a, d_b)
             if d <= within_km:
                 return d
@@ -255,15 +254,15 @@ class PreparedPath:
         anchors = self.anchors
         count = len(points)
         for i, p in enumerate(points):
-            px, py, pz = p[3], p[4], p[5]
+            px, py, pz = p
             if anchors:
                 # A node is nearly always accepted by the anchor at its own
                 # relative position along the path, so that one goes first.
-                _, _, _, vx, vy, vz = anchors[i * len(anchors) // count]
+                vx, vy, vz = anchors[i * len(anchors) // count]
                 dx, dy, dz = px - vx, py - vy, pz - vz
                 if dx * dx + dy * dy + dz * dz < accept_sq:
                     continue
-            for _, _, _, vx, vy, vz in anchors:
+            for vx, vy, vz in anchors:
                 dx, dy, dz = px - vx, py - vy, pz - vz
                 if dx * dx + dy * dy + dz * dz < accept_sq:
                     break
@@ -295,6 +294,6 @@ def path_length(nodes: Sequence[Coordinate], radius_km: float = EARTH_RADIUS_KM)
     """Total great-circle length of the polyline through ``nodes``."""
     if len(nodes) == 0:
         raise ValueError("path has no nodes")
-    return math.fsum(
-        great_circle_distance(nodes[i], nodes[i + 1], radius_km) for i in range(len(nodes) - 1)
-    )
+    _check_positive("radius_km", radius_km)
+    points = [_prepare_point(c) for c in nodes]
+    return math.fsum(radius_km * _angle(p, q) for p, q in zip(points, points[1:]))

@@ -18,8 +18,9 @@ from corpus import template_pool
 
 settings.register_profile("suite", deadline=None)
 # CI gives each hypothesis test that sets no example count of its own ten
-# times the default number of examples.
-settings.register_profile("ci", settings.get_profile("suite"), max_examples=1000)
+# times the default number of examples, and prints a falsifying example as a
+# @reproduce_failure blob that replays it anywhere.
+settings.register_profile("ci", settings.get_profile("suite"), max_examples=1000, print_blob=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 GRID_CELL_KM = 84.0

@@ -9,7 +9,9 @@ so that the fast path must match it bit for bit: the exhaustive MGDI
 subset search (on the package's planar score and greedy accumulation),
 the trajectory search on the full apex table that three-route MGDI no
 longer builds, the MGDI triangle-pair score on the generic planar distance,
-the per-arc point-to-path distance, the ``geo_equal`` scan that ran the
+the unit-vector angle and the per-arc point-to-path distance (written out
+on this module's own vector helpers, with the haversine kept beside them
+as a second formula for tolerance checks), the ``geo_equal`` scan that ran the
 spherical kernel on each arc until one accepted a node, the
 ``ipaddress``-based geodb row parser with its per-row ``Coordinate``
 construction and ``csv`` loop, and
@@ -45,7 +47,7 @@ from geodiv.diversity import (
     diversity_from_delta,
 )
 from geodiv.errors import ParseError, invalid_json
-from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate, PreparedPath, PreparedPoint, _cross_track, _haversine
+from geodiv.geodesy import EARTH_RADIUS_KM, Coordinate, PreparedPath, PreparedPoint, _angle, _cross_track
 from geodiv.geolocate import GeoDb, GeoPath
 from geodiv.traces import _MAX_NESTING, UNRESPONSIVE, TraceRecord, _too_deep, parse_ipv4
 
@@ -266,7 +268,14 @@ def best_greedy_set_exhaustive(table, pinned: int, n_routes: int) -> float:
 
 
 def great_circle_distance_direct(a: Coordinate, b: Coordinate, radius_km: float = EARTH_RADIUS_KM) -> float:
-    """The original haversine, written out."""
+    """The angle between the two unit vectors, ``atan2(|u x v|, u . v)``,
+    written out."""
+    u, v = _unit_vector(a), _unit_vector(b)
+    return radius_km * math.atan2(_norm(_cross(u, v)), _dot(u, v))
+
+
+def great_circle_distance_haversine(a: Coordinate, b: Coordinate, radius_km: float = EARTH_RADIUS_KM) -> float:
+    """The haversine, written out: a second formula, for tolerance checks."""
     phi1 = math.radians(a.lat)
     phi2 = math.radians(b.lat)
     dphi = math.radians(b.lat - a.lat)
@@ -331,7 +340,7 @@ def _point_to_arc_distance(p: Coordinate, a: Coordinate, b: Coordinate, radius_k
         and _dot(_cross(foot, vb), n_hat) >= -_DEGENERATE_NORM
     )
     if within:
-        return radius_km * math.asin(min(1.0, abs(s)))
+        return radius_km * math.atan2(abs(s), pn)
     return min(d_pa, d_pb)
 
 
@@ -354,16 +363,14 @@ def prepared_distance(path: PreparedPath, p: PreparedPoint, radius_km: float, st
     """The original ``PreparedPath.distance``, with its early exit: the
     minimum distance from ``p`` to the polyline, or the first arc distance
     found that is at most ``stop_at_km``."""
-    # A prepared point follows from its (lat, lon), so this is float
-    # equality of (lat, lon), -0.0 == 0.0 included; every arc distance
-    # is at least 0.0.
+    # Equal unit vectors (-0.0 == 0.0 included) are 0.0 apart by _angle
+    # too; every arc distance is at least 0.0.
     if p in path.points:
         return 0.0
-    diameter_km = 2.0 * radius_km
     points = path.points
     a = points[0]
     if len(points) == 1:
-        return _haversine(p, a, diameter_km)
+        return radius_km * _angle(p, a)
     best = math.inf
     d_a = None
     for b, normal in zip(points[1:], path.normals):
@@ -371,8 +378,8 @@ def prepared_distance(path: PreparedPath, p: PreparedPoint, radius_km: float, st
         d = None if normal is None else _cross_track(p, a, b, normal, radius_km)
         if d is None:
             if d_a is None:
-                d_a = _haversine(p, a, diameter_km)
-            d_b = _haversine(p, b, diameter_km)
+                d_a = radius_km * _angle(p, a)
+            d_b = radius_km * _angle(p, b)
             d = min(d_a, d_b)
         if d <= stop_at_km:
             return d

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from geodiv import Coordinate, GeoPath, cluster_pair_routes, gdi, geo_equal, pair_diversity
 from geodiv import cluster
 from geodiv.cluster import delta_vector
-from geodiv.geodesy import _prepare_point, point_to_path_distance
+from geodiv.geodesy import _prepare_point, great_circle_distance, path_length, point_to_path_distance
 
 from oracles import _cross, _norm, _unit_vector, geo_equal_scan, point_to_path_distance_per_arc, prepared_distance
 
@@ -109,6 +109,9 @@ def test_a_radius_that_is_not_positive_and_finite_is_refused(radius):
         lambda: gdi([p, q], radius),
         lambda: gdi([p], radius),
         lambda: point_to_path_distance(Coordinate(2, 2), q.nodes, radius),
+        lambda: great_circle_distance(Coordinate(0, 0), Coordinate(0, 1), radius),
+        lambda: path_length(q.nodes, radius),
+        lambda: path_length([Coordinate(2, 2)], radius),
     ):
         with pytest.raises(ValueError, match=message):
             call()
@@ -341,7 +344,7 @@ def test_distance_past_one_radian_equals_the_kernel_scan():
             else:  # near the antipode of a node (kind 1) or of an arc point (kind 2)
                 k = rng.randrange(len(lp.points) - 1)
                 s = rng.random() if kind == 2 else 0.0
-                a, b = lp.points[k][3:], lp.points[k + 1][3:]
+                a, b = lp.points[k], lp.points[k + 1]
                 antipode = _normalized(tuple(-((1 - s) * c + s * e) for c, e in zip(a, b)))
                 q = _moved(antipode, _heading(antipode, rng.uniform(0.0, 2 * math.pi)), 10 ** rng.uniform(-10.0, 0.3))
             u = _prepare_point(_coordinate(q))

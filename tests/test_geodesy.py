@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from geodiv import Coordinate, GeoPath, geo_equal
@@ -11,6 +11,7 @@ from geodiv.cluster import delta_vector
 from geodiv.geodesy import PreparedPath, _prepare_point, great_circle_distance, path_length, point_to_path_distance
 from oracles import (
     great_circle_distance_direct,
+    great_circle_distance_haversine,
     point_to_path_distance_per_arc,
     prepared_distance,
     sampled_point_to_polyline,
@@ -45,9 +46,27 @@ def test_identical_points_distance_zero():
     assert great_circle_distance(Coordinate(0, 0), Coordinate(0, 0)) == 0.0
 
 
+def _one_ulp(value: float) -> float:
+    """The next float from ``value`` towards 0, or away from it at 0."""
+    return math.nextafter(value, -math.copysign(math.inf, value))
+
+
+@given(coordinates, st.sampled_from(["lat", "lon", "both"]))
+def test_identical_coordinates_read_zero_and_one_ulp_apart_read_under_1e_10_km(a, moved):
+    # Unit vectors cannot tell apart coordinates under ~1e-16 rad apart, so
+    # these may read 0, but never more than a tenth of a micrometre.
+    assert great_circle_distance(a, Coordinate(a.lat, a.lon)) == 0.0
+    lat = _one_ulp(a.lat) if moved != "lon" else a.lat
+    lon = _one_ulp(a.lon) if moved != "lat" else a.lon
+    assert 0.0 <= great_circle_distance(a, Coordinate(lat, lon)) <= 1e-10
+
+
 def test_antipodal_equatorial_points():
     d = great_circle_distance(Coordinate(0, 0), Coordinate(0, 180))
     assert abs(d - math.pi * 6371.0) < 1e-3
+    # Just short of the antipode, where an asin or acos loses half its digits.
+    d = great_circle_distance(Coordinate(0, 0), Coordinate(0, 180 - 1e-7))
+    assert abs(d - (math.pi - math.radians(1e-7)) * 6371.0) <= 1e-9
 
 
 def test_one_degree_of_longitude_at_equator():
@@ -61,9 +80,17 @@ def test_radius_is_configurable():
 
 
 @given(coordinates, coordinates)
-def test_distance_equals_direct_haversine(a, b):
+def test_distance_equals_direct_unit_vector_angle(a, b):
     assert great_circle_distance(a, b) == great_circle_distance_direct(a, b)
     assert great_circle_distance(a, b, 1.0) == great_circle_distance_direct(a, b, 1.0)
+
+
+@given(coordinates, coordinates)
+def test_distance_agrees_with_the_haversine_away_from_the_antipode(a, b):
+    # Nearer the antipode the haversine's asin loses digits, not the kernel.
+    d = great_circle_distance(a, b)
+    if d < (math.pi - math.radians(1.0)) * 6371.0:
+        assert abs(d - great_circle_distance_haversine(a, b)) <= 1e-9
 
 
 @given(coordinates, coordinates)
@@ -80,6 +107,7 @@ def test_distance_nonnegative_and_zero_iff_equal(a, b):
 
 
 @given(coordinates, coordinates, coordinates)
+@example(Coordinate(0, 180), Coordinate(0, 0.00390625), Coordinate(0, 1))
 def test_triangle_inequality(a, b, c):
     ab = great_circle_distance(a, b)
     ac = great_circle_distance(a, c)
@@ -256,7 +284,7 @@ def test_a_node_of_the_path_is_zero_away_without_an_arc_scan(monkeypatch):
         raise AssertionError("an arc was scanned")
 
     monkeypatch.setattr(geodesy, "_cross_track", no_arc)
-    monkeypatch.setattr(geodesy, "_haversine", no_arc)
+    monkeypatch.setattr(geodesy, "_angle", no_arc)
     # First, middle (queried at +0.0 for a -0.0 node), the node given at
     # longitude 180 (stored at -180) queried either way, and last.
     # A node is covered at any threshold: by its own chord, or, past the
