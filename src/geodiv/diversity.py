@@ -297,14 +297,14 @@ def _best_three_route_set(
     the widest gap, so ``u`` only falls, until ``u + max(u, top)`` cannot
     beat the best value found. Both cuts carry the search's relative slack.
 
-    ``u`` adds 1e-12 of ``d/2 + h_max`` for the kernel's rounding. Below
-    ``d/2 = 1e-100`` km or at ``d/2 + h_max >= 1e100`` km, products of
-    coordinates can leave the normal float range, ``u`` is infinite and
+    ``u`` adds 1e-12 of ``d/2 + h_max`` for the kernel's rounding. Once
+    ``d/2 + h_max`` reaches 1e100 times ``d/2`` (or ``d/2`` is 0), products
+    of coordinates can leave the normal float range, ``u`` is infinite and
     every pair is scored.
     """
     x = endpoint_distance_km / 2.0
     scale = x - heights[0]
-    share = _PEAK_SHARE if 1e-100 < x and scale < 1e100 else math.inf  # gaps are positive: u stays inf
+    share = _PEAK_SHARE if scale < 1e100 * x else math.inf  # gaps are positive: u stays inf
     tolerance = 1e-12 * scale
     top = max(pinned_scores)
     for a, (h_a, p_a) in enumerate(zip(heights, pinned_scores)):
@@ -333,13 +333,15 @@ def mgdi(
     route is pinned at +h_max and the others take heights on a signed grid
     of ``cfg.mgdi_grid_steps`` values. The result is the best greedy GDI
     over every set of at most ``n_routes`` distinct grid routes that holds
-    the pinned one (duplicate routes never change a GDI).
+    the pinned one (duplicate routes never change a GDI). The search runs
+    on the shape scaled by a power of two to d in [0.5, 1) (unless L/d
+    passes ~2^511), so scaling both lengths by ``2**j`` scales it exactly.
 
     *Apex-only table.* All triangles share both endpoints, and each
     endpoint lies exactly (to the bit) on every other triangle, so a
     pair's distance vector is ``(0, a, 0, 0, b, 0)`` with ``a`` and ``b``
-    the distances from each apex to the other triangle. Only those two are
-    computed, by one scorer, which scores with :func:`diversity_from_delta`.
+    the distances from each apex to the other triangle, the only two
+    computed, by one scorer, through :func:`diversity_from_delta`.
     Two-route sets need only the pinned route's row, and three-route sets
     a few more entries (:func:`_best_three_route_set` walks each lower
     route's partners from the widest height gap down and scores a pair
@@ -358,8 +360,7 @@ def mgdi(
     set only falls as the set grows, so a branch is cut once its sum plus
     the highest current candidate score for each free slot cannot beat the
     best value found; the cut carries a relative slack of 1e-9 so rounding
-    never drops the optimum. The result equals the exhaustive subset search
-    bit for bit.
+    never drops the optimum. The result is the exhaustive search's, bit for bit.
     """
     cfg = cfg or DiversityConfig()
     if not isinstance(n_routes, int) or isinstance(n_routes, bool):
@@ -376,28 +377,31 @@ def mgdi(
             f"longest route ({longest_route_km} km) shorter than the endpoint "
             f"distance ({endpoint_distance_km} km)"
         )
-    try:
-        h_max = math.sqrt(max(0.0, (longest_route_km / 2.0) ** 2 - (endpoint_distance_km / 2.0) ** 2))
-    except OverflowError:  # longest >= endpoint, so its square overflows first
-        raise ValueError(f"longest route is too long to square, got {longest_route_km}") from None
+    if (longest_route_km / 2.0) * (longest_route_km / 2.0) == math.inf:  # longest >= endpoint
+        raise ValueError(f"longest route is too long to square, got {longest_route_km}")
+    k = math.frexp(endpoint_distance_km)[1]
+    if math.frexp(longest_route_km)[1] - k >= 512:  # L/d >= ~2^511: (L/2)^2 would overflow at d < 1
+        k = 0
+    d, half_l = math.ldexp(endpoint_distance_km, -k), math.ldexp(longest_route_km, -k) / 2.0
+    h_max = math.sqrt(max(0.0, half_l * half_l - (d / 2.0) * (d / 2.0)))
     grid = sorted(set(_height_grid(h_max, cfg.mgdi_grid_steps)))
     pinned = len(grid) - 1  # +h_max is always the last grid value
 
     m = len(grid)
-    score = _triangle_scorer(endpoint_distance_km, grid)
+    score = _triangle_scorer(d, grid)
     pinned_scores = [score(i, pinned) for i in range(pinned)]
     best = max([0.0, *pinned_scores])
     max_routes = min(n_routes, m)
     if max_routes <= 2:
-        return best
+        return math.ldexp(best, k)
     if max_routes == 3:
-        return _best_three_route_set(score, endpoint_distance_km, grid[:-1], pinned_scores, best)
+        return math.ldexp(_best_three_route_set(score, d, grid[:-1], pinned_scores, best), k)
 
     table = [[0.0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             table[i][j] = table[j][i] = score(i, j) if j < pinned else pinned_scores[i]
-    return _best_greedy_set(table, pinned, max_routes, best)
+    return math.ldexp(_best_greedy_set(table, pinned, max_routes, best), k)
 
 
 def compression_ratio(ip_route_count: int, cluster_count: int) -> float:

@@ -204,7 +204,8 @@ def mgdi_exhaustive(n_routes: int, endpoint_distance_km: float, longest_route_km
     cfg = cfg or DiversityConfig()
     if n_routes <= 1:
         return 0.0
-    h_max = math.sqrt(max(0.0, (longest_route_km / 2.0) ** 2 - (endpoint_distance_km / 2.0) ** 2))
+    half_l, half_d = longest_route_km / 2.0, endpoint_distance_km / 2.0
+    h_max = math.sqrt(max(0.0, half_l * half_l - half_d * half_d))
     grid = sorted(set(_height_grid(h_max, cfg.mgdi_grid_steps)))
     pinned = len(grid) - 1  # +h_max is always the last grid value
     routes = [triangle_route(endpoint_distance_km, h) for h in grid]
@@ -225,7 +226,8 @@ def mgdi_full_table(n_routes: int, endpoint_distance_km: float, longest_route_km
     cfg = cfg or DiversityConfig()
     if n_routes <= 1:
         return 0.0
-    h_max = math.sqrt(max(0.0, (longest_route_km / 2.0) ** 2 - (endpoint_distance_km / 2.0) ** 2))
+    half_l, half_d = longest_route_km / 2.0, endpoint_distance_km / 2.0
+    h_max = math.sqrt(max(0.0, half_l * half_l - half_d * half_d))
     grid = sorted(set(_height_grid(h_max, cfg.mgdi_grid_steps)))
     pinned = len(grid) - 1
     m = len(grid)

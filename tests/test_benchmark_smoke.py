@@ -48,3 +48,9 @@ def test_tracer_sees_every_entry_point(seven_route_corpus, tmp_path):
     assert codes == [0, 0, 0]
     unseen = [name for name, *_ in traced.ENTRY_POINTS if tracer.calls[name] == 0]
     assert [name for name in unseen if name != "point_to_path_distance"] == []
+    # One mgdi call per scored pair: a call that re-entered through the
+    # wrapped name would be counted, and timed, twice.
+    scored = sum(
+        len((tmp_path / run / "pairs.csv").read_text().splitlines()) - 1 for run in ("direct", "scored")
+    )
+    assert scored > 0 and tracer.calls["mgdi"] == scored

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -134,6 +135,35 @@ def test_gdi_scores_at_the_radius_its_file_records(seven_route_corpus, tmp_path)
     for name in REPORT_FILES:
         assert (tmp_path / "direct" / name).read_bytes() == (tmp_path / "scored" / name).read_bytes()
     assert (tmp_path / "direct" / "pairs.csv").read_bytes() != (tmp_path / "default" / "pairs.csv").read_bytes()
+
+
+def test_a_power_of_two_radius_scales_the_scores_and_nothing_else(seven_route_corpus, tmp_path, capsys):
+    # Distances, GDI and MGDI all scale exactly with the radius (MGDI sees
+    # only its triangle's shape), so radius and threshold at 2**-600 of
+    # the defaults give the same cluster counts, ratios, ECDFs and
+    # warnings, and scores at exactly 2**-600 of the default ones.
+    traces, geodb, _ = seven_route_corpus
+    inputs = ["--traces", str(traces), "--geodb", str(geodb), "--jobs", "1"]
+
+    def outcome(out, stderr):
+        rows = [line.split(",") for line in (out / "pairs.csv").read_text().splitlines()[1:]]
+        ecdfs = [(out / name).read_bytes() for name in ("compression_ecdf.csv", "gdi_ratio_ecdf.csv")]
+        scores = [(p["gdi_km"], p["mgdi_km"]) for p in json.loads((out / "report.json").read_text())["pairs"]]
+        return ([(row[4], row[8]) for row in rows], ecdfs, stderr), scores
+
+    def run(out, flags):
+        assert main(["pipeline", *inputs, *flags, "--out", str(out / "direct")]) == 0
+        direct = outcome(out / "direct", capsys.readouterr().err)
+        assert main(["cluster", *inputs, *flags, "--out", str(out / "staged")]) == 0
+        clusters = str(out / "staged" / "clusters.json")
+        assert main(["gdi", "--clusters", clusters, "--out", str(out / "scored"), "--jobs", "1"]) == 0
+        return [direct, outcome(out / "scored", capsys.readouterr().err)]
+
+    tiny = ["--earth-radius-km", repr(math.ldexp(6371.0, -600)), "--threshold-km", repr(math.ldexp(50.0, -600))]
+    for (kept, scores), (tiny_kept, tiny_scores) in zip(run(tmp_path / "default", []), run(tmp_path / "tiny", tiny)):
+        assert tiny_kept == kept
+        assert tiny_scores == [(math.ldexp(g, -600), math.ldexp(m, -600)) for g, m in scores]
+        assert all(m > 0.0 for _, m in tiny_scores)
 
 
 # The one line a report writes when some pair's GDI exceeds its MGDI.

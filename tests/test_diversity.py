@@ -2,9 +2,10 @@ import itertools
 import math
 import random
 import re
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geodiv import (
@@ -330,14 +331,51 @@ ratios = st.one_of(
 )
 
 
+def _mgdi_scale(d: float, longest: float) -> int:
+    """The power of two ``mgdi`` scales a shape down by: the one that puts
+    ``d`` in [0.5, 1), or 0 once L/d passes ~2^511."""
+    k = math.frexp(d)[1]
+    return k if math.frexp(longest)[1] - k < 512 else 0
+
+
+def _at_mgdi_scale(oracle, n, d, longest, cfg):
+    """``oracle`` run on the shape at the scale ``mgdi`` searches it, and
+    scaled back."""
+    k = _mgdi_scale(d, longest)
+    return math.ldexp(oracle(n, math.ldexp(d, -k), math.ldexp(longest, -k), cfg), k)
+
+
 @settings(max_examples=60)
 @given(d=endpoint_distances, ratio=ratios, steps=st.one_of(st.integers(1, 41), st.integers(1, 201)))
 def test_three_route_mgdi_equals_the_full_table_search(d, ratio, steps):
     cfg = DiversityConfig(mgdi_grid_steps=steps)
     got = mgdi(3, d, d * ratio, cfg)
-    assert got == mgdi_full_table(3, d, d * ratio, cfg)
+    assert got == _at_mgdi_scale(mgdi_full_table, 3, d, d * ratio, cfg)
     if steps <= 41:
-        assert got == mgdi_exhaustive(3, d, d * ratio, cfg)
+        assert got == _at_mgdi_scale(mgdi_exhaustive, 3, d, d * ratio, cfg)
+
+
+@given(
+    d=endpoint_distances,
+    ratio=ratios,
+    n=st.integers(2, 5),
+    steps=st.integers(1, 21),
+    j=st.integers(-1000, 1000),
+)
+def test_mgdi_scales_exactly_by_a_power_of_two(d, ratio, n, steps, j):
+    # Scaling both lengths by 2**j is the same shape as long as neither
+    # length rounds and the longest still squares (L/d, at most 10, is far
+    # under 2^511); the two results then differ by exactly 2**j, unless
+    # the larger one has already rounded below the normal range.
+    longest = d * ratio
+    scaled = (math.ldexp(d, j), math.ldexp(longest, j))
+    assume(math.ldexp(scaled[0], -j) == d and math.ldexp(scaled[1], -j) == longest)
+    assume((scaled[1] / 2.0) * (scaled[1] / 2.0) < math.inf)
+    cfg = DiversityConfig(mgdi_grid_steps=steps)
+    raw, got = mgdi(n, d, longest, cfg), mgdi(n, *scaled, cfg)
+    small, large = (raw, got) if j >= 0 else (got, raw)
+    assume(large == 0.0 or large >= sys.float_info.min)
+    assert small == math.ldexp(large, -abs(j))
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 4, 5, 21, 41])
@@ -347,9 +385,10 @@ def test_three_route_mgdi_equals_the_full_table_search(d, ratio, steps):
 )
 def test_three_route_mgdi_on_tied_and_degenerate_grids(endpoint, longest, steps):
     # Tied integer grids, h_max == 0, the flattest triangles, a distance
-    # whose half underflows and one so long that d/2 + h_max passes 1e100
-    # km; at three grid steps every route count from 3 up takes the
-    # three-route search.
+    # whose half underflows (L/d past 2^511 keeps it at its own scale) and
+    # one whose coordinate products pass 1e240 unless mgdi rescales it; at
+    # three grid steps every route count from 3 up takes the three-route
+    # search.
     cfg = DiversityConfig(mgdi_grid_steps=steps)
     for n in (3, 4) if steps == 3 else (3,):
         want = mgdi_exhaustive(n, endpoint, longest, cfg)
@@ -360,8 +399,11 @@ def test_three_route_mgdi_on_tied_and_degenerate_grids(endpoint, longest, steps)
 @given(d=endpoint_distances, ratio=ratios, steps=st.integers(1, 201))
 def test_score_ceilings_bound_every_pair_score(d, ratio, steps):
     # The ceiling the three-route search reads for a pair: 7/27 of its
-    # height gap plus 1e-12 of d/2 + h_max, inside its range guard.
-    h_max = math.sqrt(max(0.0, (d * ratio / 2.0) ** 2 - (d / 2.0) ** 2))
+    # height gap plus 1e-12 of d/2 + h_max, inside its range guard, on
+    # the grid of the shape at the scale mgdi searches it.
+    e = _mgdi_scale(d, d * ratio)
+    d, longest = math.ldexp(d, -e), math.ldexp(d * ratio, -e)
+    h_max = math.sqrt(max(0.0, (longest / 2.0) * (longest / 2.0) - (d / 2.0) * (d / 2.0)))
     grid = sorted(set(_height_grid(h_max, steps)))
     # Every pair on a grid of at most 41 routes. On a finer one, every pair
     # among 25 spread-out grid routes, the extremes included, and each of
@@ -373,7 +415,7 @@ def test_score_ceilings_bound_every_pair_score(d, ratio, steps):
         pairs = [(i, j) for i in picked for j in picked if i < j]
         pairs += [(i, i + 1) for i in picked if i + 1 < len(grid)]
     scale = d / 2.0 - grid[0]
-    guarded = 1e-100 < d / 2.0 and scale < 1e100
+    guarded = scale < 1e100 * (d / 2.0)
     scorer = _triangle_scorer(d, grid)
     for i, j in pairs:
         score = scorer(i, j)
@@ -411,10 +453,13 @@ def test_three_route_mgdi_scores_few_pairs_at_a_fine_grid(monkeypatch):
     assert 0 < _off_pinned_pairs_scored(monkeypatch, 1000.0, 1400.0) < 5_005
 
 
-@pytest.mark.parametrize("endpoint, longest", [(1000.0, 5000.0), (1.0, 1e4)])
+@pytest.mark.parametrize(
+    "endpoint, longest", [(1000.0, 5000.0), (1.0, 1e4), (1e120, 3e120), (1e-200, 3e-200)]
+)
 def test_three_route_mgdi_scores_a_fifth_of_the_pairs_on_tall_shapes(monkeypatch, endpoint, longest):
     # Tall triangles leave more pairs whose 7/27 ceiling beats the best
-    # set; the search still scores under a fifth of the 499,500.
+    # set; the search still scores under a fifth of the 499,500, at any
+    # scale: the search sees only the shape.
     assert 0 < _off_pinned_pairs_scored(monkeypatch, endpoint, longest) < 100_000
 
 
