@@ -24,7 +24,8 @@ from .errors import InvalidConfig
 from .geodesy import EARTH_RADIUS_KM, _check_positive
 from .geolocate import GeoPath
 
-# Far beyond any planet, and far below where squared route lengths overflow.
+# Far beyond any planet, and far below where kilometre distances and GDI
+# sums stop being finite.
 MAX_EARTH_RADIUS_KM = 1e12
 # MGDI builds a height grid of this many entries for every pair it scores.
 MAX_MGDI_GRID_STEPS = 1001
@@ -157,34 +158,31 @@ def _height_grid(h_max: float, steps: int) -> list[float]:
 
 def _triangle_scorer(endpoint_distance_km: float, heights: Sequence[float]) -> Callable[[int, int], float]:
     """``score(i, j)``: ``diversity_from_delta((0, a, 0, 0, b, 0))``, with
-    ``a`` and ``b`` the planar point-to-path distances (``tests/oracles.py``)
-    from the apex of the triangle route of height ``heights[i]`` to that of
-    ``heights[j]`` and back, by the same float operations in the same
-    order, on arc terms computed once per triangle; only the (exact)
-    subtractions of a zero coordinate are left out."""
-    x = endpoint_distance_km / 2.0
-    run = endpoint_distance_km - x  # each second arc runs from (x, h) to (d, 0)
-    arcs = [(h, x * x + h * h, 0.0 - h, run * run + (0.0 - h) * (0.0 - h)) for h in heights]
-    hypot = math.hypot
+    ``a`` and ``b`` the planar distances from the apex of the triangle route
+    of height ``heights[i]`` to the triangle of ``heights[j]`` and back.
 
-    def apex_to(hp: float, hq: float, sq1: float, rise: float, sq2: float) -> float:
-        if sq1 == 0.0:
-            d1 = hypot(x, hp)
-        else:
-            t = (x * x + hp * hq) / sq1
-            t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0  # min(1.0, max(0.0, t))
-            d1 = hypot(x - (0.0 + t * x), hp - (0.0 + t * hq))
-        if sq2 == 0.0:
-            d2 = hypot(x - x, hp - hq)
-        else:
-            t = (0.0 * run + (hp - hq) * rise) / sq2
-            t = (t if t < 1.0 else 1.0) if t > 0.0 else 0.0
-            d2 = hypot(x - (x + t * run), hp - (hq + t * rise))
-        return d2 if d2 < d1 else d1
+    An apex ``(x, h_p)``, ``x = d/2``, lies on the other triangle's axis of
+    symmetry, so its distance to it is the one to the arm from ``(0, 0)``
+    to ``(x, h_q)``: ``|h_p - h_q|`` when the other apex is the nearest
+    point, the arm ``hypot(x, h_p)`` when the origin is, else the distance
+    to the arm's line. The cases are picked by products of lengths, which
+    can underflow and pick the wrong case on a shape far smaller than the
+    one ``mgdi`` hands over, whose longest route is in [0.5, 1)."""
+    x = endpoint_distance_km / 2.0
+    xx = x * x
+    arms = [math.hypot(x, h) for h in heights]  # half of each route's length
+
+    def apex_to(p: int, q: int) -> float:
+        h_p, h_q = heights[p], heights[q]
+        gap = h_p - h_q
+        if h_q * gap >= 0.0:  # beyond the other apex, or level with it
+            return abs(gap)
+        if h_p * h_q <= -xx:  # behind the origin
+            return arms[p]
+        return x * abs(gap) / arms[q]
 
     def score(i: int, j: int) -> float:
-        a, b = apex_to(arcs[i][0], *arcs[j]), apex_to(arcs[j][0], *arcs[i])
-        return diversity_from_delta((0.0, a, 0.0, 0.0, b, 0.0))
+        return diversity_from_delta((0.0, apex_to(i, j), 0.0, 0.0, apex_to(j, i), 0.0))
 
     return score
 
@@ -276,11 +274,7 @@ _PEAK_SHARE = 7.0 / 27.0
 
 
 def _best_three_route_set(
-    score: Callable[[int, int], float],
-    endpoint_distance_km: float,
-    heights: Sequence[float],
-    pinned_scores: Sequence[float],
-    best: float,
+    score: Callable[[int, int], float], heights: Sequence[float], pinned_scores: Sequence[float], best: float
 ) -> float:
     """Largest of ``best`` and the greedy GDI of every set ``{a, b, pinned}``,
     ``a < b`` indices of ``heights`` (the ascending grid without the pinned
@@ -295,21 +289,14 @@ def _best_three_route_set(
     scores its set at most ``max(u, hi) + min(u, lo) <= u + max(u, top)``,
     ``top`` the largest pinned score. For each ``a``, ``b`` walks down from
     the widest gap, so ``u`` only falls, until ``u + max(u, top)`` cannot
-    beat the best value found. Both cuts carry the search's relative slack.
-
-    ``u`` adds 1e-12 of ``d/2 + h_max`` for the kernel's rounding. Once
-    ``d/2 + h_max`` reaches 1e100 times ``d/2`` (or ``d/2`` is 0), products
-    of coordinates can leave the normal float range, ``u`` is infinite and
-    every pair is scored.
+    beat the best value found. Both cuts carry the search's relative slack,
+    which covers the few roundings by which a computed distance can pass
+    the computed gap.
     """
-    x = endpoint_distance_km / 2.0
-    scale = x - heights[0]
-    share = _PEAK_SHARE if scale < 1e100 * x else math.inf  # gaps are positive: u stays inf
-    tolerance = 1e-12 * scale
     top = max(pinned_scores)
     for a, (h_a, p_a) in enumerate(zip(heights, pinned_scores)):
         for b in range(len(heights) - 1, a, -1):
-            u = share * (heights[b] - h_a) + tolerance
+            u = _PEAK_SHARE * (heights[b] - h_a)
             if (u + (u if u > top else top)) * _BOUND_SLACK <= best:
                 break
             p_b = pinned_scores[b]
@@ -334,14 +321,17 @@ def mgdi(
     of ``cfg.mgdi_grid_steps`` values. The result is the best greedy GDI
     over every set of at most ``n_routes`` distinct grid routes that holds
     the pinned one (duplicate routes never change a GDI). The search runs
-    on the shape scaled by a power of two to d in [0.5, 1) (unless L/d
-    passes ~2^511), so scaling both lengths by ``2**j`` scales it exactly.
+    on the shape scaled by the power of two that puts the longest route
+    in [0.5, 1), so every length it meets is at most 1 and nothing
+    overflows, and scaling both lengths by ``2**j`` scales the result
+    exactly; one past the float range reads inf.
 
     *Apex-only table.* All triangles share both endpoints, and each
     endpoint lies exactly (to the bit) on every other triangle, so a
     pair's distance vector is ``(0, a, 0, 0, b, 0)`` with ``a`` and ``b``
     the distances from each apex to the other triangle, the only two
-    computed, by one scorer, through :func:`diversity_from_delta`.
+    computed, each in closed form by one scorer (:func:`_triangle_scorer`),
+    through :func:`diversity_from_delta`.
     Two-route sets need only the pinned route's row, and three-route sets
     a few more entries (:func:`_best_three_route_set` walks each lower
     route's partners from the widest height gap down and scores a pair
@@ -377,13 +367,9 @@ def mgdi(
             f"longest route ({longest_route_km} km) shorter than the endpoint "
             f"distance ({endpoint_distance_km} km)"
         )
-    if (longest_route_km / 2.0) * (longest_route_km / 2.0) == math.inf:  # longest >= endpoint
-        raise ValueError(f"longest route is too long to square, got {longest_route_km}")
-    k = math.frexp(endpoint_distance_km)[1]
-    if math.frexp(longest_route_km)[1] - k >= 512:  # L/d >= ~2^511: (L/2)^2 would overflow at d < 1
-        k = 0
+    k = math.frexp(longest_route_km)[1]
     d, half_l = math.ldexp(endpoint_distance_km, -k), math.ldexp(longest_route_km, -k) / 2.0
-    h_max = math.sqrt(max(0.0, half_l * half_l - (d / 2.0) * (d / 2.0)))
+    h_max = math.sqrt(half_l * half_l - (d / 2.0) * (d / 2.0))  # d <= L, and rounding is monotone
     grid = sorted(set(_height_grid(h_max, cfg.mgdi_grid_steps)))
     pinned = len(grid) - 1  # +h_max is always the last grid value
 
@@ -392,16 +378,16 @@ def mgdi(
     pinned_scores = [score(i, pinned) for i in range(pinned)]
     best = max([0.0, *pinned_scores])
     max_routes = min(n_routes, m)
-    if max_routes <= 2:
-        return math.ldexp(best, k)
     if max_routes == 3:
-        return math.ldexp(_best_three_route_set(score, d, grid[:-1], pinned_scores, best), k)
-
-    table = [[0.0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            table[i][j] = table[j][i] = score(i, j) if j < pinned else pinned_scores[i]
-    return math.ldexp(_best_greedy_set(table, pinned, max_routes, best), k)
+        best = _best_three_route_set(score, grid[:-1], pinned_scores, best)
+    elif max_routes > 3:
+        table = [[0.0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                table[i][j] = table[j][i] = score(i, j) if j < pinned else pinned_scores[i]
+        best = _best_greedy_set(table, pinned, max_routes, best)
+    # A sum past the float range reads inf, as it would in kilometres.
+    return math.ldexp(best, k) if math.frexp(best)[1] + k <= 1024 else math.inf
 
 
 def compression_ratio(ip_route_count: int, cluster_count: int) -> float:

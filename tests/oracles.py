@@ -6,23 +6,24 @@ the pairwise score, an explicit set-based replay for the greedy
 accumulation, and a linear scan for longest-prefix lookup. The
 exceptions are the original code that a fast path replaced, kept verbatim
 so that the fast path must match it bit for bit: the exhaustive MGDI
-subset search (on the package's planar score and greedy accumulation),
-the trajectory search on the full apex table that three-route MGDI no
-longer builds, the MGDI triangle-pair score on the generic planar distance,
-the unit-vector angle and the per-arc point-to-path distance (written out
-on this module's own vector helpers, with the haversine kept beside them
-as a second formula for tolerance checks), the ``geo_equal`` scan that ran the
-spherical kernel on each arc until one accepted a node, the
-``ipaddress``-based geodb row parser with its per-row ``Coordinate``
-construction and ``csv`` loop, and
-the per-line trace file parser with its own line parser, so that the
-package's one record checker is not its own reference. The two file
-oracles find a file's first bad byte from its bytes, run on the lines
-before that byte's line, and word the byte's error with the original
-``not_utf8``, so that the package's line source is not its own reference
-either. The planar model
-that MGDI is defined on (triangle routes, the planar pair score and GDI) is the
-reference the MGDI kernel is checked against.
+subset search (on the planar pair score, or on the package's apex kernel
+to check the search itself), the trajectory search on the full apex
+table that three-route MGDI no longer builds, the unit-vector angle and
+the per-arc point-to-path distance (written out on this module's own
+vector helpers, with the haversine kept beside them as a second formula
+for tolerance checks), the ``geo_equal`` scan that ran the spherical
+kernel on each arc until one accepted a node, the ``ipaddress``-based
+geodb row parser with its per-row ``Coordinate`` construction and ``csv``
+loop, and the per-line trace file parser with its own line parser, so
+that the package's one record checker is not its own reference. The two
+file oracles find a file's first bad byte from its bytes, run on the
+lines before that byte's line, and word the byte's error with the
+original ``not_utf8``, so that the package's line source is not its own
+reference either. The MGDI apex kernel has two references: the squared
+apex-to-triangle distance in exact ``Fraction`` arithmetic, and the
+planar model MGDI is defined on (triangle routes, the generic planar
+point-to-path distance, pair score and GDI), which rounds differently and
+so is a reference within a stated tolerance.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import io
 import itertools
 import json
 import math
+from fractions import Fraction
 from ipaddress import AddressValueError, IPv4Address, IPv4Network, NetmaskValueError, ip_network
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -197,10 +199,13 @@ def brute_force_lookup(
     return best
 
 
-def mgdi_exhaustive(n_routes: int, endpoint_distance_km: float, longest_route_km: float, cfg=None) -> float:
+def mgdi_exhaustive(
+    n_routes: int, endpoint_distance_km: float, longest_route_km: float, cfg=None, *, kernel: bool = False
+) -> float:
     """The original MGDI search: the full planar pair table for the grid
     routes, then the greedy GDI of every height subset holding the pinned
-    route, via ``itertools.combinations``."""
+    route, via ``itertools.combinations``. With ``kernel``, the table is
+    the package's own apex kernel's instead, on the shape as given."""
     cfg = cfg or DiversityConfig()
     if n_routes <= 1:
         return 0.0
@@ -209,12 +214,13 @@ def mgdi_exhaustive(n_routes: int, endpoint_distance_km: float, longest_route_km
     grid = sorted(set(_height_grid(h_max, cfg.mgdi_grid_steps)))
     pinned = len(grid) - 1  # +h_max is always the last grid value
     routes = [triangle_route(endpoint_distance_km, h) for h in grid]
+    kernel_score = _triangle_scorer(endpoint_distance_km, grid)
 
     m = len(grid)
     table = [[0.0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            score = planar_pair_diversity(routes[i], routes[j])
+            score = kernel_score(i, j) if kernel else planar_pair_diversity(routes[i], routes[j])
             table[i][j] = table[j][i] = score
 
     return best_greedy_set_exhaustive(table, pinned, n_routes)
@@ -251,6 +257,24 @@ def mgdi_pair_score(endpoint_distance_km: float, h_i: float, h_j: float) -> floa
     a = _planar_point_to_path(routes[i][1], routes[j])
     b = _planar_point_to_path(routes[j][1], routes[i])
     return diversity_from_delta([0.0, a, 0.0, 0.0, b, 0.0])
+
+
+def apex_distance_squared(endpoint_distance_km: float, h_p: float, h_q: float) -> Fraction:
+    """The squared planar distance from the apex of the triangle route of
+    height ``h_p`` to the triangle of height ``h_q``, exactly: the clamped
+    projection on each of its two arms, in ``Fraction`` arithmetic."""
+    d = Fraction(endpoint_distance_km)
+    p = (d / 2, Fraction(h_p))
+    best = None
+    for a, b in (((Fraction(0), Fraction(0)), (d / 2, Fraction(h_q))), ((d / 2, Fraction(h_q)), (d, Fraction(0)))):
+        dx, dy = b[0] - a[0], b[1] - a[1]
+        seg_sq = dx * dx + dy * dy
+        t = Fraction(0) if seg_sq == 0 else ((p[0] - a[0]) * dx + (p[1] - a[1]) * dy) / seg_sq
+        t = min(Fraction(1), max(Fraction(0), t))
+        ex, ey = p[0] - (a[0] + t * dx), p[1] - (a[1] + t * dy)
+        if best is None or ex * ex + ey * ey < best:
+            best = ex * ex + ey * ey
+    return best
 
 
 def best_greedy_set_exhaustive(table, pinned: int, n_routes: int) -> float:
