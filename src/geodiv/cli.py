@@ -120,9 +120,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     cfg = DiversityConfig(threshold_km=args.threshold_km, earth_radius_km=args.earth_radius_km)
     clustered, stats = cluster_corpus(args.traces, args.geodb, cfg, jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = write_clusters_file(clustered, cfg, out / "clusters.json", stats=stats)
+    path = write_clusters_file(clustered, cfg, Path(args.out) / "clusters.json", stats=stats)
     _print_counts(stats, f"{len(clustered)} clustered; wrote {path}")
     return 0
 

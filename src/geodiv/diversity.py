@@ -150,7 +150,7 @@ def gdi(paths: Iterable[GeoPath], radius_km: float = EARTH_RADIUS_KM) -> float:
 
 
 def _height_grid(h_max: float, steps: int) -> list[float]:
-    if steps == 1 or h_max == 0.0:
+    if steps == 1:
         return [h_max]
     span = 2.0 * h_max
     return [-h_max + span * k / (steps - 1) for k in range(steps)]

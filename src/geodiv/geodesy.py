@@ -200,8 +200,7 @@ class PreparedPath:
         endpoint when not. An arc with a cap is skipped, as farther than
         any answer, when the point's chord to its midpoint exceeds
         ``r + x + _CHORD_MARGIN``, with ``x`` the smaller of ``within_km``
-        and the best distance so far, over the radius. Each node's distance
-        from ``p`` is computed at most once, and only when an arc needs it.
+        and the best distance so far, over the radius.
         """
         # Equal unit vectors (-0.0 == 0.0 included) are 0.0 apart by
         # _angle too; every arc distance is at least 0.0.
@@ -214,27 +213,24 @@ class PreparedPath:
         px, py, pz = p
         best = math.inf
         x = within_km / radius_km if within_km >= 0.0 else math.inf
-        d_a = None
         for b, normal, cap in zip(points[1:], self.normals, self.caps):
             if cap is not None:
                 dx, dy, dz = px - cap[0], py - cap[1], pz - cap[2]
                 reach = cap[3] + x + _CHORD_MARGIN
                 if dx * dx + dy * dy + dz * dz > reach * reach:
-                    a, d_a = b, None
+                    a = b
                     continue
-            d_b = None
             d = None if normal is None else _cross_track(p, a, b, normal, radius_km)
             if d is None:
-                if d_a is None:
-                    d_a = radius_km * _angle(p, a)
-                d_b = radius_km * _angle(p, b)
-                d = min(d_a, d_b)
+                # The radius is positive, so scaling the smaller angle gives
+                # the smaller of the scaled angles, bit for bit.
+                d = radius_km * min(_angle(p, a), _angle(p, b))
             if d <= within_km:
                 return d
             if d < best:
                 best = d
                 x = min(x, d / radius_km)
-            a, d_a = b, d_b
+            a = b
         return best
 
     def covers(self, points: Sequence[PreparedPoint], threshold_km: float, radius_km: float) -> bool:

@@ -8,7 +8,6 @@ Lookups resolve overlapping prefixes longest-prefix-first.
 from __future__ import annotations
 
 import csv
-from _socket import AF_INET, inet_pton  # socket re-exports these, at several times the import cost
 from functools import cached_property
 from ipaddress import IPv4Address, IPv4Network, ip_network
 from pathlib import Path
@@ -25,10 +24,9 @@ class GeoDb:
     """Longest-prefix-match table from IPv4 prefixes to coordinates."""
 
     def __init__(self) -> None:
-        # Per prefix length, a table from the network address shifted right
-        # by ``shift = 32 - prefixlen`` to the location.
+        # Per prefix length, longest prefix first, a table from the network
+        # address shifted right by ``shift = 32 - prefixlen`` to the location.
         self._by_shift: dict[int, dict[int, Coordinate]] = {}
-        self._tables: list[tuple[int, dict[int, Coordinate]]] = []  # longest prefix first
 
     def _add(self, network: int, prefixlen: int, location: Coordinate,
              path: str | None = None, line: int | None = None) -> None:
@@ -38,8 +36,8 @@ class GeoDb:
         shift = 32 - prefixlen
         table = self._by_shift.get(shift)
         if table is None:
-            table = self._by_shift[shift] = {}
-            self._tables = sorted(self._by_shift.items())
+            self._by_shift[shift] = table = {}
+            self._by_shift = dict(sorted(self._by_shift.items()))
         key = network >> shift
         if key in table:
             raise ParseError(f"duplicate CIDR {IPv4Network((key << shift, prefixlen))}", path=path, line=line)
@@ -51,7 +49,7 @@ class GeoDb:
     def lookup(self, ip: str | IPv4Address) -> Coordinate | None:
         """Location of the longest matching prefix, or None when uncovered."""
         ip_int = parse_ipv4(ip)
-        for shift, table in self._tables:
+        for shift, table in self._by_shift.items():
             location = table.get(ip_int >> shift)
             if location is not None:
                 return location
@@ -68,8 +66,8 @@ def _add_row(
 ) -> None:
     """Add one snapshot row that starts on physical line ``line``, skipping
     a blank row and a line-1 header, or raise the located error of its
-    first fault. A strict dotted-quad ``a.b.c.d`` or ``a.b.c.d/len`` prefix
-    is read with ``inet_pton``; any other form goes to
+    first fault. An ``a.b.c.d`` or ``a.b.c.d/len`` prefix's address is read
+    with ``parse_ipv4``; any other form goes to
     ``ip_network(cidr, strict=False)``, which accepts it or words its
     error. ``locations`` maps the stripped ``(lat, lon)`` texts seen so far
     to their coordinate, so rows that repeat a location share one."""
@@ -81,8 +79,8 @@ def _add_row(
     address, slash, prefix = cidr_text.partition("/")
     prefixlen = _PREFIX_LENGTHS.get(prefix) if slash else 32
     try:
-        network = int.from_bytes(inet_pton(AF_INET, address), "big")
-    except (OSError, ValueError):
+        network = parse_ipv4(address)
+    except ValueError:
         prefixlen = None
     if prefixlen is None:
         if not (cidr_text or lat_text or lon_text):

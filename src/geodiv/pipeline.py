@@ -363,7 +363,7 @@ def write_clusters_file(
     stats: FilterStats,
 ) -> Path:
     """Serialize per-pair clustering results and the filter's accounting,
-    so scoring can resume later."""
+    so scoring can resume later; creates the file's directory."""
     payload = {
         "threshold_km": cfg.threshold_km,
         "earth_radius_km": cfg.earth_radius_km,
@@ -393,6 +393,7 @@ def write_clusters_file(
         ],
     }
     out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
     _write_text(out, json.dumps(payload, allow_nan=False) + "\n")
     return out
 

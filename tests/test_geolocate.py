@@ -549,9 +549,10 @@ def test_load_accepts_a_leading_byte_order_mark(tmp_path):
 
 def test_a_clean_corpus_never_reaches_the_per_line_parsers(small_pool, tmp_path, monkeypatch):
     """On a corpus of the benchmark's ``mixed`` shape, each distinct trace
-    address is parsed once and at most the header goes through
-    ``ip_network``."""
-    addresses, networks = [], []
+    address is parsed once, each snapshot line's address (the header's
+    ``cidr`` too) goes through the same ``parse_ipv4`` once, in file order,
+    and at most one row goes through ``ip_network``."""
+    addresses, prefixes, networks = [], [], []
 
     def count(calls, fn):
         def counted(*args, **kwargs):
@@ -560,6 +561,7 @@ def test_a_clean_corpus_never_reaches_the_per_line_parsers(small_pool, tmp_path,
         return counted
 
     monkeypatch.setattr(traces, "parse_ipv4", count(addresses, traces.parse_ipv4))
+    monkeypatch.setattr(geolocate, "parse_ipv4", count(prefixes, geolocate.parse_ipv4))
     monkeypatch.setattr(geolocate, "ip_network", count(networks, geolocate.ip_network))
     spec = CorpusSpec("small", {1: 210, 2: 240, 3: 150}, single_route=600, single_geopath=300, min_lines=11000)
     trace_path, geodb_path = build_corpus(spec, 5, small_pool).write(tmp_path)
@@ -568,4 +570,6 @@ def test_a_clean_corpus_never_reaches_the_per_line_parsers(small_pool, tmp_path,
     assert len(geolocate.load_geodb(geodb_path)) > 20000
     distinct = {a for r in records for a in (r.src, r.dst, *r.hops)} - {traces.UNRESPONSIVE}
     assert sorted(args for (args,) in addresses) == sorted(distinct)
+    lines = geodb_path.read_text(encoding="utf-8").splitlines()
+    assert [args for (args,) in prefixes] == [line.split(",")[0].partition("/")[0] for line in lines]
     assert len(networks) <= 1

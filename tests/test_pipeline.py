@@ -449,7 +449,8 @@ def test_clusters_file_round_trip(seven_route_corpus, tmp_path):
     traces, geodb, expected = seven_route_corpus
     cfg = DiversityConfig()
     clustered, stats = cluster_corpus(traces, geodb, cfg)
-    path = write_clusters_file(clustered, cfg, tmp_path / "clusters.json", stats=stats)
+    # The writer makes the directories the file needs.
+    path = write_clusters_file(clustered, cfg, tmp_path / "new" / "clusters.json", stats=stats)
     rows, radius, read_stats = read_clusters_file(path)
     assert radius == cfg.earth_radius_km
     assert read_stats == stats
